@@ -86,7 +86,7 @@ class EventKind(enum.Enum):
     XNEG = "x-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A single elementary happening at a position of a slice."""
 
@@ -163,7 +163,7 @@ def cross_neg(a: int, b: int, at: int = 0) -> Event:
     return Event(EventKind.XNEG, at, (a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """Where an event sits once a slice is laid out: the input strand
     positions it consumes and the output positions it emits."""
@@ -173,12 +173,18 @@ class Placement:
     outputs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Slice:
-    """One horizontal layer: an input word and in-order disjoint events."""
+    """One horizontal layer: an input word and in-order disjoint events.
+
+    The output word is computed once, by the typing walk at construction,
+    and kept; the passthrough map and placements are recomputed by
+    ``layout()`` when asked for.
+    """
 
     input: ObjectWord
     events: tuple[Event, ...] = ()
+    _output: ObjectWord = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input", tuple(self.input))
@@ -192,7 +198,7 @@ class Slice:
                 raise DiagramError(
                     f"event positions must be nondecreasing within a slice ({e2})"
                 )
-        self.layout()  # force typing errors now
+        object.__setattr__(self, "_output", self.layout()[0])  # typing errors raise here
 
     def layout(self) -> tuple[ObjectWord, dict[int, int], tuple[Placement, ...]]:
         """Compute (output word, passthrough position map, placements)."""
@@ -233,7 +239,7 @@ class Slice:
         return tuple(out), passthrough, tuple(placements)
 
     def output(self) -> ObjectWord:
-        return self.layout()[0]
+        return self._output
 
     def __str__(self) -> str:
         return "slice: " + " ".join(str(e) for e in self.events)

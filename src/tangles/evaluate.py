@@ -217,9 +217,8 @@ def validate_datum(datum: RigidDatum, dim: AmbientDim) -> DatumReport:
                             backward @ forward,
                             Matrix.identity(r * r),
                         )
-            if datum.symmetric:
-                sq = c @ c
-                check("symmetric: c^2 = 1", sq, id2)
+            if datum.symmetric or dim is AmbientDim.SYMMETRIC:
+                check("symmetric: c^2 = 1", c @ c, id2)
     elif datum.symmetric:
         checks.append(DatumCheck("symmetric flag on planar-only datum", False))
     return DatumReport(tuple(checks))
@@ -554,6 +553,8 @@ def datum_from_text(text: str) -> RigidDatum:
         fields[key.strip()] = value.strip()
     try:
         ring = fields["ring"]
+        if ring not in ("int", "rational", "laurent"):
+            raise EvaluationError(f"unknown ring {ring!r} (expected int, rational or laurent)")
         rank = int(fields["rank"])
         symmetric = bool(int(fields["symmetric"]))
         r2 = rank * rank

@@ -100,11 +100,12 @@ class Move:
 
 
 def expand(d: Diagram) -> Diagram:
-    """One event per slice, empty slices dropped, original order kept."""
+    """One event per slice, empty slices dropped, original order kept.
+    An already expanded diagram is returned as it is."""
+    if all(len(s.events) == 1 for s in d.slices):
+        return d
     layers: list[list[Event]] = []
-    word = d.source
     for s in d.slices:
-        current = list(word)
         for e in s.events:
             # position of e relative to the word with previous events of
             # this slice already applied
@@ -115,7 +116,6 @@ def expand(d: Diagram) -> Diagram:
                 if prev.position <= e.position:
                     shift += prev.arity_out - prev.arity_in
             layers.append([Event(e.kind, e.position + shift, e.labels)])
-        word = s.output()
     return Diagram.from_events(d.source, layers)
 
 
@@ -354,7 +354,8 @@ def _r2_backward(d: Diagram) -> list[Move]:
 
 def apply_move(d: Diagram, m: Move) -> Diagram:
     """Apply a move; boundary words are unchanged and the result is valid
-    (rebuilt through the event-typing constructor)."""
+    (the slices of the redex are rebuilt through the event-typing
+    constructor, the others are shared with ``d``)."""
     d = expand(d)
     try:
         if m.kind is MoveKind.ZIGZAG:
@@ -377,13 +378,34 @@ def apply_move(d: Diagram, m: Move) -> Diagram:
     raise MoveError(f"unknown move kind {m.kind}")
 
 
-def _layers(d: Diagram) -> list[list[Event]]:
-    return [list(s.events) for s in d.slices]
+def _boundary(d: Diagram, i: int) -> ObjectWord:
+    """The word below slice i (the target when i is the top level)."""
+    return d.target if i == len(d.slices) else d.slices[i].input
+
+
+def _splice(d: Diagram, start: int, stop: int, layers: Iterable[Iterable[Event]]) -> Diagram:
+    """d with slices start..stop-1 replaced by one slice per event layer.
+
+    Slices below the site are reused, and so is every slice above it whose
+    input word still chains; one whose input changed is retyped on the new
+    word, as rebuilding the whole diagram from its events would do."""
+    slices = list(d.slices[:start])
+    word = _boundary(d, start)
+    for layer in layers:
+        s = Slice(word, tuple(layer))
+        slices.append(s)
+        word = s.output()
+    for s in d.slices[stop:]:
+        if s.input != word:
+            s = Slice(word, s.events)
+        slices.append(s)
+        word = s.output()
+    return Diagram(d.source, tuple(slices))
 
 
 def _apply_zigzag(d: Diagram, m: Move) -> Diagram:
     if not m.forward:
-        word = ([d.source] + [s.output() for s in d.slices])[m.slice_index]
+        word = _boundary(d, m.slice_index)
         t = m.position
         k = m.labels[0]
         if m.variant == "cap_left":
@@ -394,9 +416,7 @@ def _apply_zigzag(d: Diagram, m: Move) -> Diagram:
             if t >= len(word) or word[t] != k + 1:
                 raise MoveError("no strand of the required level at the site")
             pair = [[cup(k, at=t)], [cap(k, at=t + 1)]]
-        layers = _layers(d)
-        layers[m.slice_index : m.slice_index] = pair
-        return Diagram.from_events(d.source, layers)
+        return _splice(d, m.slice_index, m.slice_index, pair)
 
     i, j = m.slice_index, m.other_index
     s = d.slices[i]
@@ -408,17 +428,13 @@ def _apply_zigzag(d: Diagram, m: Move) -> Diagram:
     track = _track_pair(d, i + 1, legs)
     if not track or track[-1][0] != j or not track[-1][3]:
         raise MoveError("cap is no longer reachable from the cup")
-    layers = _layers(d)
-    for jj, pos, f, touches in track[:-1]:
-        layers[jj] = _remap_after_removal(layers[jj], pos)
-    del layers[j]
-    del layers[i]
-    return Diagram.from_events(d.source, layers)
+    between = [_remap_after_removal(d.slices[jj].events, pos) for jj, pos, _, _ in track[:-1]]
+    return _splice(d, i, j + 1, between)
 
 
 def _apply_r2(d: Diagram, m: Move) -> Diagram:
     if not m.forward:
-        word = ([d.source] + [s.output() for s in d.slices])[m.slice_index]
+        word = _boundary(d, m.slice_index)
         t = m.position
         if t + 1 >= len(word):
             raise MoveError("no adjacent strand pair at the site")
@@ -426,9 +442,7 @@ def _apply_r2(d: Diagram, m: Move) -> Diagram:
         sign = m.labels[0]
         first = cross_pos(a, b, at=t) if sign > 0 else cross_neg(a, b, at=t)
         second = cross_neg(b, a, at=t) if sign > 0 else cross_pos(b, a, at=t)
-        layers = _layers(d)
-        layers[m.slice_index : m.slice_index] = [[first], [second]]
-        return Diagram.from_events(d.source, layers)
+        return _splice(d, m.slice_index, m.slice_index, [[first], [second]])
 
     i, j = m.slice_index, m.other_index
     e = _single_event(d.slices[i])
@@ -437,10 +451,7 @@ def _apply_r2(d: Diagram, m: Move) -> Diagram:
     track = _track_pair(d, i + 1, e.position)
     if not track or track[-1][0] != j or not track[-1][3]:
         raise MoveError("partner crossing is no longer reachable")
-    layers = _layers(d)
-    del layers[j]
-    del layers[i]
-    return Diagram.from_events(d.source, layers)
+    return _splice(d, i, j + 1, [s.events for s in d.slices[i + 1 : j]])
 
 
 def _apply_r3(d: Diagram, m: Move) -> Diagram:
@@ -460,9 +471,7 @@ def _apply_r3(d: Diagram, m: Move) -> Diagram:
         replacement = [[x(b, c, q + 1)], [x(a, c, q)], [x(a, b, q + 1)]]
     else:
         replacement = [[x(a, b, q)], [x(a, c, q + 1)], [x(b, c, q)]]
-    layers = _layers(d)
-    layers[i : i + 3] = replacement
-    return Diagram.from_events(d.source, layers)
+    return _splice(d, i, i + 3, replacement)
 
 
 def _apply_collapse(d: Diagram, m: Move) -> Diagram:
@@ -470,18 +479,14 @@ def _apply_collapse(d: Diagram, m: Move) -> Diagram:
     if e is None or not e.is_crossing:
         raise MoveError("no crossing at the collapse site")
     flip = EventKind.XNEG if e.kind is EventKind.XPOS else EventKind.XPOS
-    layers = _layers(d)
-    layers[m.slice_index] = [Event(flip, e.position, e.labels)]
-    return Diagram.from_events(d.source, layers)
+    return _splice(d, m.slice_index, m.slice_index + 1, [[Event(flip, e.position, e.labels)]])
 
 
 def _apply_kink2(d: Diagram, m: Move) -> Diagram:
     i = m.slice_index
     if i + 3 >= len(d.slices) or not _is_trivial_block(d, i, 4):
         raise MoveError("no double twist block at the site")
-    layers = _layers(d)
-    del layers[i : i + 4]
-    return Diagram.from_events(d.source, layers)
+    return _splice(d, i, i + 4, [])
 
 
 def _interchange_apply(d: Diagram, i: int, dry_run: bool = False) -> Diagram | None:
@@ -542,10 +547,7 @@ def _interchange_apply(d: Diagram, i: int, dry_run: bool = False) -> Diagram | N
             return d
         except DiagramError:
             return None
-    layers = _layers(d)
-    layers[i] = [f_new]
-    layers[i + 1] = [e_new]
-    return Diagram.from_events(d.source, layers)
+    return _splice(d, i, i + 2, [[f_new], [e_new]])
 
 
 # ---------------------------------------------------------------------------

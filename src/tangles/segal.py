@@ -320,6 +320,8 @@ def _close_words(pres: CategoryPresentation, budget: int):
 def complete(X: SimplicialData, budget: int) -> Completion:
     """Segal completion at set level: presented category with hom-sets
     enumerated by congruence closure up to the word-length budget."""
+    if budget < 0:
+        raise SimplicialError(f"word-length budget must be >= 0, got {budget}")
     pres = presentation_of(X)
     hom = _close_words(pres, budget)
     smaller = _close_words(pres, budget - 1) if budget > 1 else {}

@@ -248,6 +248,8 @@ def free_product_enumerate(
     finite (table) monoids every letter has weight 1, so the bound is the
     alternation length.
     """
+    if max_weight < 0:
+        raise MonoidError(f"weight bound must be >= 0, got {max_weight}")
     found: list[FreeProductElement] = [FREE_PRODUCT_UNIT]
 
     def extend(prefix: tuple, remaining: int, last_side: str | None) -> None:

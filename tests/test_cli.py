@@ -15,7 +15,7 @@ from tangles.cli import (
     to_diagram,
 )
 from tangles.diagram import AmbientDim
-from tangles.evaluate import datum_to_text, kauffman_datum
+from tangles.evaluate import datum_to_text, kauffman_datum, trivial_datum
 from tangles.links import trefoil
 
 BRAIDED = AmbientDim.BRAIDED
@@ -232,3 +232,25 @@ def test_cli_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("unknot"))
     code, out, _ = run(capsys, "invariant")
     assert code == 0 and "writhe: 1" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seg", "complete", "--preset", "nerve-z3", "--budget", "-1"),
+        ("star", "enum", "--left", "z2", "--right", "z2", "--bound", "-1"),
+        ("eval", "--dim", "4", "--datum", "kauffman", "unknot"),  # c^2 != 1
+    ],
+)
+def test_cli_rejects_bad_input(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_cli_datum_file_unknown_ring(tmp_path, capsys):
+    text = datum_to_text(trivial_datum())
+    assert "ring: int\n" in text
+    path = tmp_path / "foo.datum"
+    path.write_text(text.replace("ring: int\n", "ring: foo\n"))
+    code, _, err = run(capsys, "eval", "--datum", str(path), "unknot")
+    assert code == 1 and err.startswith("error: ") and "ring" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -90,6 +91,18 @@ def test_slice_typing_errors():
         Slice((0,), (cross_pos(0, 1, at=0),))  # runs past the end
     with pytest.raises(DiagramError):
         Slice((0, 1), (cap(0, at=0), cup(0, at=1)))  # cup inside consumed span
+
+
+def test_slice_frozen_and_compared_by_input_and_events():
+    s = Slice((0,), (cup(0, at=1),))
+    t = Slice((0,), (cup(0, at=1),))
+    object.__setattr__(t, "_output", ())  # a stale cache must not matter
+    assert s == t and hash(s) == hash(t)
+    assert "_output" not in repr(s)
+    assert not hasattr(s, "__dict__")
+    for name in ("input", "events", "_output"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, ())
 
 
 def test_validate_reports_positions():

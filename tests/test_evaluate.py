@@ -46,6 +46,7 @@ def test_kauffman_datum_valid():
 
 def test_kauffman_not_symmetric():
     datum = kauffman_datum()
+    assert not validate_datum(datum, AmbientDim.SYMMETRIC).valid  # c^2 != 1, flag or not
     datum.symmetric = True
     report = validate_datum(datum, AmbientDim.SYMMETRIC)
     assert not report.valid

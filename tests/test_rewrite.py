@@ -21,7 +21,7 @@ from tangles.evaluate import (
     trivial_datum,
     unit_datum,
 )
-from tangles.generate import random_diagram
+from tangles.generate import iter_closed_diagrams, random_diagram
 from tangles.links import trefoil, unknot
 from tangles.rewrite import (
     Equality,
@@ -254,12 +254,24 @@ def test_moves_preserve_structure_randomized():
         except MoveError:
             continue
         checked += 1
+        assert expand(d) is d
+        assert all(a is b for a, b in zip(r.slices[: m.slice_index], d.slices))
         assert (r.source, r.target) == (d.source, d.target)
         assert degree(r.source) == degree(r.target)
         ends = sorted(c.ends for c in trace_components(d))
         assert ends == sorted(c.ends for c in trace_components(r))
         for datum in data:
             assert evaluate(d, datum) == evaluate(r, datum)
+
+
+def test_slice_output_is_its_layout_word():
+    for d in iter_closed_diagrams(6, 3):
+        m = applicable_moves(d, BRAIDED, include_backward=True)[0]
+        r = apply_move(d, m)
+        assert expand(d) is d
+        assert all(a is b for a, b in zip(r.slices[: m.slice_index], d.slices))
+        for s in d.slices + r.slices:
+            assert s.output() == s.layout()[0]
 
 
 def test_symmetric_moves_preserve_symmetric_data():
