@@ -35,10 +35,8 @@ from .diagram import (
     cross_pos,
     cup as cup_event,
     elementary,
-    self_writhe,
     tensor,
     to_text,
-    trace_components,
     validate,
     writhe,
     component_framings,
@@ -49,7 +47,7 @@ from .evaluate import (
     bracket_state_sum,
     datum_from_text,
     evaluate,
-    jones_normalized,
+    kink_factor,
     kauffman_datum,
     trivial_datum,
     validate_datum,
@@ -366,17 +364,19 @@ def _cmd_eval(args) -> int:
 def _cmd_invariant(args) -> int:
     dim = _dim(args)
     d = _diagram_from_args(args, dim)
-    comps = trace_components(d)
-    if any(not c.closed for c in comps):
+    if d.source or d.target:
         raise DiagramError("invariants need a closed diagram")
     crossings = sum(1 for _, e in d.events() if e.is_crossing)
-    print(f"components: {len(comps)}")
+    framings = component_framings(d)
+    w = writhe(d)
+    bracket = bracket_state_sum(d)
+    print(f"components: {len(framings)}")
     print(f"crossings: {crossings}")
-    print(f"writhe: {writhe(d)}")
-    print(f"self-writhe: {self_writhe(d)}")
-    print("framings: " + " ".join(str(f) for f in component_framings(d)))
-    print(f"bracket: {bracket_state_sum(d)}")
-    print(f"normalized: {jones_normalized(d)}")
+    print(f"writhe: {w}")
+    print(f"self-writhe: {sum(framings)}")
+    print("framings: " + " ".join(str(f) for f in framings))
+    print(f"bracket: {bracket}")
+    print(f"normalized: {kink_factor(-w) * bracket}")
     return 0
 
 

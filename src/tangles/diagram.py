@@ -48,6 +48,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .unionfind import UnionFind
+
 ObjectWord = tuple[int, ...]
 
 
@@ -424,73 +426,69 @@ class Component:
     # listed once per strand of the crossing that lies on this component.
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
+Node = tuple[int, int]
+CrossingLegs = tuple[Node, Node, Node, Node, tuple[int, int, int]]
 
-    def find(self, x):
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
+def strand_graph(d: Diagram) -> tuple[list[tuple[Node, Node]], list[CrossingLegs]]:
+    """The strand segments of d as a graph, in slice order.
+
+    Nodes are (level, position) pairs; level i is the word below slice i,
+    with the top boundary at level len(slices).  Returns the fixed edges
+    (through strands, cups, caps) and, for each crossing, its legs
+    (lower left, lower right, upper left, upper right) and its tag
+    (slice index, event position, sign).
+    """
+    edges: list[tuple[Node, Node]] = []
+    crossings: list[CrossingLegs] = []
+    for i, s in enumerate(d.slices):
+        _, passthrough, placements = s.layout()
+        for p, q in passthrough.items():
+            edges.append(((i, p), (i + 1, q)))
+        for pl in placements:
+            e = pl.event
+            if e.kind is EventKind.CUP:
+                edges.append(((i + 1, pl.outputs[0]), (i + 1, pl.outputs[1])))
+            elif e.kind is EventKind.CAP:
+                edges.append(((i, pl.inputs[0]), (i, pl.inputs[1])))
+            else:
+                (sw, se), (nw, ne) = pl.inputs, pl.outputs
+                tag = (i, e.position, e.sign)
+                crossings.append(((i, sw), (i, se), (i + 1, nw), (i + 1, ne), tag))
+    return edges, crossings
 
 
 def trace_components(d: Diagram) -> list[Component]:
     """Partition strand segments into maximal components.
 
-    Nodes are (level, position) pairs; level i is the word below slice i,
-    with the top boundary at level len(slices).
+    Closed components that tie in the sort keep the order in which they
+    are first reached from below (at their lowest cup).
     """
-    uf = _UnionFind()
-    incidences: list[tuple[tuple[int, int], tuple[int, int, int]]] = []
-    for i, s in enumerate(d.slices):
-        _, passthrough, placements = s.layout()
-        for p, q in passthrough.items():
-            uf.union((i, p), (i + 1, q))
-        for pl in placements:
-            e = pl.event
-            if e.kind is EventKind.CUP:
-                uf.union((i + 1, pl.outputs[0]), (i + 1, pl.outputs[1]))
-            elif e.kind is EventKind.CAP:
-                uf.union((i, pl.inputs[0]), (i, pl.inputs[1]))
-            else:
-                uf.union((i, pl.inputs[0]), (i + 1, pl.outputs[1]))
-                uf.union((i, pl.inputs[1]), (i + 1, pl.outputs[0]))
-                tag = (i, e.position, e.sign)
-                incidences.append(((i, pl.inputs[0]), tag))
-                incidences.append(((i, pl.inputs[1]), tag))
-        # make sure isolated boundary nodes exist in the forest
-        for p in range(len(s.input)):
-            uf.find((i, p))
-    top = len(d.slices)
-    for p in range(len(d.target)):
-        uf.find((top, p))
-    for p in range(len(d.source)):
+    edges, crossings = strand_graph(d)
+    uf = UnionFind()
+    for p in range(len(d.source)):  # isolated when there are no slices
         uf.find((0, p))
+    for a, b in edges:
+        uf.union(a, b)
+    for sw, se, nw, ne, _ in crossings:
+        uf.union(sw, ne)
+        uf.union(se, nw)
+    tags: dict = {}
+    for sw, se, _, _, tag in crossings:
+        for leg in (sw, se):
+            tags.setdefault(uf.find(leg), []).append(tag)
 
-    groups: dict = {}
-    for node in list(uf.parent):
-        groups.setdefault(uf.find(node), []).append(node)
-
+    top = len(d.slices)
     components = []
-    for root, nodes in groups.items():
+    for nodes in uf.groups():
         ends = []
         for level, pos in nodes:
             if level == 0:
                 ends.append(("source", pos))
             if level == top:
                 ends.append(("target", pos))
-        crossings = tuple(
-            sorted(tag for node, tag in incidences if uf.find(node) == root)
-        )
-        components.append(Component(not ends, tuple(sorted(ends)), crossings))
+        crossings_on = tuple(sorted(tags.get(uf.find(nodes[0]), ())))
+        components.append(Component(not ends, tuple(sorted(ends)), crossings_on))
     components.sort(key=lambda c: (c.closed, c.ends))
     return components
 
@@ -498,8 +496,7 @@ def trace_components(d: Diagram) -> list[Component]:
 def writhe(d: Diagram) -> int:
     """Total signed crossing count of a diagram all of whose components are
     closed."""
-    comps = trace_components(d)
-    if any(not c.closed for c in comps):
+    if d.source or d.target:
         raise DiagramError("writhe requires all components closed")
     return sum(e.sign for _, e in d.events() if e.is_crossing)
 
@@ -519,8 +516,7 @@ def component_framings(d: Diagram) -> list[int]:
 
 def self_writhe(d: Diagram) -> int:
     """Signed count of crossings whose two strands lie on one component."""
-    comps = trace_components(d)
-    if any(not c.closed for c in comps):
+    if d.source or d.target:
         raise DiagramError("writhe requires all components closed")
     return sum(component_framings(d))
 

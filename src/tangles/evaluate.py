@@ -26,7 +26,8 @@ Conventions pinned here (and exercised by the mirror tests):
 * ``bracket_state_sum`` weighs the turnback smoothing of a positive
   crossing by A (by A^-1 for a negative crossing) and scores a state with
   m loops as delta^(m-1), with loop value delta = -A^2 - A^-2.  For every
-  closed diagram, evaluate == delta * bracket_state_sum under the preset.
+  closed diagram with a strand, evaluate == delta * bracket_state_sum
+  under the preset.
 
 Everything is exact; no floating point is used anywhere.
 """
@@ -35,16 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .diagram import (
     AmbientDim,
     Diagram,
     EventKind,
-    trace_components,
+    strand_graph,
     writhe,
 )
 from .rings import Laurent, Matrix, kron_all
+from .unionfind import UnionFind
 
 A = Laurent.monomial(1)
 A_INV = Laurent.monomial(-1)
@@ -240,8 +241,7 @@ def evaluate(d: Diagram, datum: RigidDatum) -> Matrix:
     for s in d.slices:
         if not s.events:
             continue
-        _, passthrough, placements = s.layout()
-        if datum.braiding is None and any(p.event.is_crossing for p in placements):
+        if datum.braiding is None and any(e.is_crossing for e in s.events):
             raise EvaluationError(
                 f"diagram has crossings but datum {datum.name} is planar-only"
             )
@@ -383,82 +383,47 @@ def bracket_state_sum(d: Diagram) -> Laurent:
     Sums, over the 2^c ways of smoothing the c crossings, the monomial
     A^(a - b) * delta^(loops - 1), where a and b count the two smoothing
     types.  Independent of ``evaluate``: no matrices are involved, loops
-    are counted by retracing the diagram.
+    are counted on the strand graph of :func:`tangles.diagram.strand_graph`.
+    The fixed edges join the nodes into arcs once; each state then joins
+    arcs only, and loops = arcs - successful joins.
     """
-    comps = trace_components(d)
-    if any(not c.closed for c in comps):
+    if d.source or d.target:
         raise EvaluationError("the bracket needs a closed diagram")
-
-    fixed_edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    crossings: list[tuple[tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int], int]] = []
-    nodes: set[tuple[int, int]] = set()
-    for i, s in enumerate(d.slices):
-        _, passthrough, placements = s.layout()
-        for p, q in passthrough.items():
-            fixed_edges.append(((i, p), (i + 1, q)))
-        for pl in placements:
-            e = pl.event
-            if e.kind is EventKind.CUP:
-                fixed_edges.append(((i + 1, pl.outputs[0]), (i + 1, pl.outputs[1])))
-            elif e.kind is EventKind.CAP:
-                fixed_edges.append(((i, pl.inputs[0]), (i, pl.inputs[1])))
-            else:
-                crossings.append(
-                    (
-                        (i, pl.inputs[0]),
-                        (i, pl.inputs[1]),
-                        (i + 1, pl.outputs[0]),
-                        (i + 1, pl.outputs[1]),
-                        e.sign,
-                    )
-                )
-    for a, b in fixed_edges:
-        nodes.update((a, b))
+    edges, crossings = strand_graph(d)
+    nodes = UnionFind()
+    for a, b in edges:
+        nodes.union(a, b)
     for sw, se, nw, ne, _ in crossings:
-        nodes.update((sw, se, nw, ne))
+        for leg in (sw, se, nw, ne):
+            nodes.find(leg)
+    arcs: dict = {}  # root node -> arc number
+    for x in nodes.parent:
+        arcs.setdefault(nodes.find(x), len(arcs))
+    if not arcs:
+        raise EvaluationError("the bracket of a diagram with no strands is undefined")
+    legs = [
+        (sign, *(arcs[nodes.find(leg)] for leg in (sw, se, nw, ne)))
+        for sw, se, nw, ne, (_, _, sign) in crossings
+    ]
 
     delta = loop_value()
     total = Laurent.zero()
-    for state in range(1 << len(crossings)):
-        uf = _LoopCounter(nodes)
-        for a, b in fixed_edges:
-            uf.union(a, b)
+    for state in range(1 << len(legs)):
+        uf = UnionFind()
+        joins = 0
         exponent = 0
-        for idx, (sw, se, nw, ne, sign) in enumerate(crossings):
+        for idx, (sign, sw, se, nw, ne) in enumerate(legs):
             turnback = bool(state >> idx & 1)
             # For a positive crossing the A-weighted smoothing is the
             # turnback; mirrored for a negative crossing.
             exponent += sign if turnback else -sign
             if turnback:
-                uf.union(sw, se)
-                uf.union(nw, ne)
+                joins += uf.union(sw, se) + uf.union(nw, ne)
             else:
-                uf.union(sw, nw)
-                uf.union(se, ne)
-        loops = uf.component_count()
+                joins += uf.union(sw, nw) + uf.union(se, ne)
+        loops = len(arcs) - joins
         total = total + Laurent.monomial(exponent) * delta ** (loops - 1)
     return total
-
-
-class _LoopCounter:
-    def __init__(self, nodes: Iterable):
-        self.parent = {n: n for n in nodes}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def component_count(self) -> int:
-        return len({self.find(n) for n in self.parent})
 
 
 def kink_factor(w: int) -> Laurent:

@@ -36,6 +36,7 @@ from .simplex import (
     all_monotone_maps,
     compose_monotone,
 )
+from .unionfind import UnionFind
 from .words import PointedMonoid
 
 
@@ -246,27 +247,6 @@ def presentation_of(X: SimplicialData) -> CategoryPresentation:
     return CategoryPresentation(objects, generators, tuple(relations))
 
 
-class _WordFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def add(self, w) -> None:
-        self.parent.setdefault(w, w)
-
-    def find(self, w):
-        root = w
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[w] != root:
-            self.parent[w], w = root, self.parent[w]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _enumerate_words(pres: CategoryPresentation, budget: int):
     """All composable generator words of length <= budget, keyed by
     (source, word); the empty word at x is the identity of x."""
@@ -293,9 +273,9 @@ def _enumerate_words(pres: CategoryPresentation, budget: int):
 
 def _close_words(pres: CategoryPresentation, budget: int):
     words = _enumerate_words(pres, budget)
-    uf = _WordFind()
-    for key in words:
-        uf.add(key)
+    uf = UnionFind()
+    for key in words:  # the forest then shares these keys instead of copying them
+        uf.find(key)
     for (x, w), _ in list(words.items()):
         for lhs, rhs in pres.relations:
             for swap in ((lhs, rhs), (rhs, lhs)):
@@ -435,7 +415,7 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     followed by one changing the ambient simplex (f), so those two
     families generate the zigzag relation.
     """
-    uf = _WordFind()
+    uf = UnionFind()
     simplex = [SimplexObject(a) for a in range(N + 1)]
     anchor_obj = SimplexObject(p)
     anchors = {a: all_monotone_maps(anchor_obj, simplex[a]) for a in range(N + 1)}
@@ -457,7 +437,7 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
             for s in anchors[a]:
                 key = (a, phi.values, s.values)
                 for chain in values[(a, phi.values)]:
-                    uf.add((key, chain))
+                    uf.find((key, chain))
 
     def union_moves(a0, phi0, a1, phi1, moved_pairs, anchor_pairs):
         for chain, moved in moved_pairs:
@@ -496,10 +476,7 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
                     ]
                     union_moves(a0, phi0, a1, phi1, moved, anchor_pairs)
 
-    groups: dict = {}
-    for tag in list(uf.parent):
-        groups.setdefault(uf.find(tag), []).append(tag)
-    return list(groups.values())
+    return uf.groups()
 
 
 def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
@@ -516,23 +493,12 @@ def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
     stabilized = False
     if N >= 1:
         smaller = _colimit_tags_and_classes(C, p, N - 1)
+        # Each bound-(N-1) class lies inside one bound-N class, so the map
+        # is a bijection when it is onto and the class counts agree.
         small_tags = {tag for group in smaller for tag in group}
-        roots = {}
-        for idx, group in enumerate(classes):
-            for tag in group:
-                roots[tag] = idx
-        images = []
-        for group in smaller:
-            image = {roots[tag] for tag in group if tag in roots}
-            images.append(image)
-        hit = set()
-        injective = True
-        for image in images:
-            if len(image) != 1:
-                injective = False
-                break
-            hit.update(image)
-        stabilized = injective and hit == set(range(len(classes)))
+        stabilized = len(smaller) == len(classes) and all(
+            any(tag in small_tags for tag in group) for group in classes
+        )
     return TruncatedColimit(p, N, classes, stabilized)
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -178,6 +179,21 @@ def test_cli_invariant_mirror_pair(capsys):
     assert v2 == v1.substitute_inverse()
 
 
+def test_cli_invariant_one_state_sum(capsys, monkeypatch):
+    # every module that may run the state sum; the package exports a
+    # function named ``evaluate``, so the module is taken from sys.modules
+    modules = [sys.modules["tangles.cli"], sys.modules["tangles.evaluate"]]
+    calls = []
+    real = modules[1].bracket_state_sum
+    for module in modules:
+        monkeypatch.setattr(module, "bracket_state_sum", lambda d: calls.append(d) or real(d))
+    for name in ("unknot", "trefoil", "hopf"):
+        calls.clear()
+        code, out, _ = run(capsys, "invariant", name)
+        assert code == 0 and "normalized: " in out
+        assert len(calls) == 1
+
+
 def test_cli_invariant_deterministic(capsys):
     _, out1, _ = run(capsys, "invariant", "trefoil")
     _, out2, _ = run(capsys, "invariant", "trefoil")
@@ -240,6 +256,7 @@ def test_cli_stdin(capsys, monkeypatch):
         ("seg", "complete", "--preset", "nerve-z3", "--budget", "-1"),
         ("star", "enum", "--left", "z2", "--right", "z2", "--bound", "-1"),
         ("eval", "--dim", "4", "--datum", "kauffman", "unknot"),  # c^2 != 1
+        ("invariant", "id[]"),  # no strands: the bracket would be delta^-1
     ],
 )
 def test_cli_rejects_bad_input(capsys, argv):

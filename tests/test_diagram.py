@@ -157,6 +157,15 @@ def test_trace_closed_unknot():
     assert len(comps) == 1 and comps[0].closed
 
 
+def test_all_closed_iff_empty_boundary():
+    rng = random.Random(41)
+    diagrams = list(iter_closed_diagrams(6, 3))
+    diagrams += [random_diagram(rng, dim) for dim in AmbientDim for _ in range(200)]
+    assert any(d.source or d.target for d in diagrams)
+    for d in diagrams:
+        assert all(c.closed for c in trace_components(d)) == (not d.source and not d.target)
+
+
 def test_degree():
     assert degree(()) == 0
     assert degree((1, 0)) == 0

@@ -131,6 +131,12 @@ def test_bracket_needs_closed():
         bracket_state_sum(Diagram.identity((0,)))
 
 
+def test_bracket_needs_a_strand():
+    # closed but empty: the state sum would score zero loops as delta^-1
+    with pytest.raises(EvaluationError):
+        bracket_state_sum(Diagram.identity(()))
+
+
 def test_jones_values():
     assert jones_normalized(unknot(True)) == Laurent.one()
     assert jones_normalized(unknot(False)) == Laurent.one()

@@ -197,6 +197,7 @@ def test_colimit_on_segal_input():
         col = colimit_truncated(n, p, p + 1)
         assert col.class_count() == len(n.levels[p])
         assert col.stabilized
+        assert col.class_count() == colimit_truncated(n, p, p).class_count()
 
 
 def test_colimit_p0_any_input():
