@@ -20,6 +20,7 @@ for internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ from .diagram import (
     component_framings,
 )
 from .evaluate import (
+    DatumReport,
     EvaluationError,
     RigidDatum,
     bracket_state_sum,
@@ -122,7 +124,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             where = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[where]!r}", where)
         kind = m.lastgroup
-        assert kind is not None
+        if kind is None:
+            raise RuntimeError(f"token pattern matched no group at position {pos}")
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
@@ -300,13 +303,25 @@ def _dim(args) -> AmbientDim:
     return AmbientDim.from_dimension(args.dim)
 
 
-def _datum(name: str) -> RigidDatum:
-    if name == "kauffman":
-        return kauffman_datum()
-    if name == "trivial":
-        return trivial_datum()
+@functools.cache
+def _preset_datum(name: str) -> RigidDatum:
+    return kauffman_datum() if name == "kauffman" else trivial_datum()
+
+
+@functools.cache
+def _preset_report(name: str, dim: AmbientDim) -> DatumReport:
+    return validate_datum(_preset_datum(name), dim)
+
+
+def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
+    """The named datum and its validation report for dim.  The fixed
+    presets are built and validated once per process; a datum file is
+    read and validated on every call."""
+    if name in ("kauffman", "trivial"):
+        return _preset_datum(name), _preset_report(name, dim)
     with open(name, "r", encoding="utf-8") as fh:
-        return datum_from_text(fh.read())
+        datum = datum_from_text(fh.read())
+    return datum, validate_datum(datum, dim)
 
 
 def _diagram_from_args(args, dim: AmbientDim) -> Diagram:
@@ -347,8 +362,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_eval(args) -> int:
     dim = _dim(args)
     d = _diagram_from_args(args, dim)
-    datum = _datum(args.datum)
-    report = validate_datum(datum, dim)
+    datum, report = _datum(args.datum, dim)
     if not report.valid:
         raise EvaluationError(f"datum {datum.name!r} is not valid for n={args.dim}:\n{report}")
     m = evaluate(d, datum)
@@ -363,6 +377,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_invariant(args) -> int:
     dim = _dim(args)
+    if dim is AmbientDim.SYMMETRIC:
+        raise EvaluationError(
+            f"the bracket is not an invariant for n={args.dim}, where the two crossings "
+            "are identified"
+        )
     d = _diagram_from_args(args, dim)
     if d.source or d.target:
         raise DiagramError("invariants need a closed diagram")
@@ -381,8 +400,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_datum(args) -> int:
-    datum = _datum(args.datum)
-    report = validate_datum(datum, _dim(args))
+    _, report = _datum(args.datum, _dim(args))
     print(report)
     return 0 if report.valid else 1
 
@@ -428,7 +446,9 @@ def _cmd_simplex_phi(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="tangles", description="framed tangle diagrams: validate, rewrite, evaluate"
     )

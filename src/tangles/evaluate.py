@@ -111,7 +111,8 @@ class RigidDatum:
         r = self.rank
         idr = Matrix.identity(r)
         id2 = Matrix.identity(r * r)
-        assert self.braiding is not None and self.braiding_inv is not None
+        if self.braiding is None or self.braiding_inv is None:
+            raise RuntimeError(f"datum {self.name} lost its braiding")
         if not dual_a and not dual_b:
             return self.braiding if sign > 0 else self.braiding_inv
         # Bending one strand of a crossing around a duality turns the
@@ -504,7 +505,8 @@ def datum_to_text(datum: RigidDatum) -> str:
         lines.append("c^-1: none")
     else:
         lines.append("c: " + _matrix_to_text(datum.braiding, datum.ring))
-        assert datum.braiding_inv is not None
+        if datum.braiding_inv is None:
+            raise RuntimeError(f"datum {datum.name} has a braiding without its inverse")
         lines.append("c^-1: " + _matrix_to_text(datum.braiding_inv, datum.ring))
     return "\n".join(lines) + "\n"
 

@@ -259,7 +259,6 @@ def _r3_moves(d: Diagram) -> list[Move]:
         if any(e is None or not e.is_crossing for e in es):
             continue
         e1, e2, e3 = es
-        assert e1 and e2 and e3
         if not (e1.sign == e2.sign == e3.sign):
             continue
         q = e1.position

@@ -276,15 +276,19 @@ def _close_words(pres: CategoryPresentation, budget: int):
     uf = UnionFind()
     for key in words:  # the forest then shares these keys instead of copying them
         uf.find(key)
-    for (x, w), _ in list(words.items()):
-        for lhs, rhs in pres.relations:
-            for swap in ((lhs, rhs), (rhs, lhs)):
-                a, b = swap
-                for pos in range(len(w) - len(a) + 1):
-                    if tuple(w[pos : pos + len(a)]) == a:
-                        nw = w[:pos] + b + w[pos + len(a) :]
-                        if len(nw) <= budget and (x, nw) in words:
-                            uf.union((x, w), (x, nw))
+    # side length -> side -> the sides it may be replaced by
+    rewrites: dict[int, dict[tuple, list[tuple]]] = {}
+    for lhs, rhs in pres.relations:
+        for a, b in ((lhs, rhs), (rhs, lhs)):
+            rewrites.setdefault(len(a), {}).setdefault(a, []).append(b)
+    for key in words:
+        x, w = key
+        for n, sides in rewrites.items():
+            for pos in range(len(w) - n + 1):
+                for b in sides.get(w[pos : pos + n], ()):
+                    nw = w[:pos] + b + w[pos + n :]
+                    if len(nw) <= budget and (x, nw) in words:
+                        uf.union(key, (x, nw))
     groups: dict = {}
     for key, (x, t) in words.items():
         root = uf.find(key)
@@ -357,39 +361,45 @@ def cut_fiber_product(C: SimplicialData, f: MonotoneMap) -> list[tuple]:
     return [prefix for prefix, _ in chains]
 
 
-def restrict_chain(
-    C: SimplicialData,
-    f: MonotoneMap,
-    outer_f: MonotoneMap,
-    inner_f: MonotoneMap,
-    chain: tuple,
-) -> tuple:
-    """Push a chain for ``outer_f`` (over f's target) to a chain for
-    ``inner_f`` (over f's source), restricting along f piece by piece.
+def restriction_plan(
+    f: MonotoneMap, outer_f: MonotoneMap, inner_f: MonotoneMap
+) -> tuple[tuple[int, MonotoneMap], ...]:
+    """How to restrict a chain for ``outer_f`` (over f's target) along f
+    to a chain for ``inner_f`` (over f's source): for each piece of
+    ``inner_f``, the index of the piece of ``outer_f`` that f carries it
+    into, and the operator u sending that piece's simplex to the new one.
 
     Requires that f carries each piece of ``inner_f`` into a single piece
     of ``outer_f``, which holds whenever outer_f = f o inner_f o g for
     some g (the twisted-square shape of the colimit's index category).
     """
     outer_pieces = pieces_of(outer_f)
-    result = []
+    plan = []
     for piece in pieces_of(inner_f):
         lo, hi = f(piece.lo), f(piece.hi)
-        hits = [
-            (idx, q)
-            for idx, q in enumerate(outer_pieces)
-            if q.lo <= lo and hi <= q.hi
-        ]
-        if not hits:
+        idx = next(
+            (i for i, q in enumerate(outer_pieces) if q.lo <= lo and hi <= q.hi), None
+        )
+        if idx is None:
             raise SimplicialError("piece image not contained in a single piece")
-        idx, q = hits[0]
+        q = outer_pieces[idx]
         u = MonotoneMap(
             SimplexObject(piece.hi - piece.lo),
             SimplexObject(q.hi - q.lo),
             tuple(f(piece.lo + t) - q.lo for t in range(piece.hi - piece.lo + 1)),
         )
-        result.append(C.act(u, chain[idx]))
-    return tuple(result)
+        plan.append((idx, u))
+    return tuple(plan)
+
+
+def restrict_chain(
+    C: SimplicialData, plan: tuple[tuple[int, MonotoneMap], ...], chain: tuple
+) -> tuple:
+    """Push a chain along the index morphism that ``plan`` (from
+    :func:`restriction_plan`) was made for, piece by piece; only this step
+    depends on the chain, so one plan serves every chain of a fiber
+    product."""
+    return tuple(C.act(u, chain[i]) for i, u in plan)
 
 
 @dataclass
@@ -413,7 +423,13 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     the cut fiber product of phi, which does not depend on the anchor s.
     Every index morphism factors as one changing only phi's source (g)
     followed by one changing the ambient simplex (f), so those two
-    families generate the zigzag relation.
+    families generate the zigzag relation.  Each morphism restricts its
+    chains through one :func:`restriction_plan`.
+
+    The forest runs on tag numbers: the tags ((a, phi, s), chain) are
+    numbered in registration order, object by object and chain by chain
+    within an object, and mapped back at the end.  Classes list their
+    members in that order and come ordered by their first member.
     """
     uf = UnionFind()
     simplex = [SimplexObject(a) for a in range(N + 1)]
@@ -428,38 +444,48 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
         for a in range(N + 1)
     }
 
-    values: dict[tuple[int, tuple], list[tuple]] = {}
+    # each (a, phi) maps the chains of its value to their places in it; a
+    # tag's number is first[index object] plus its chain's place
+    values: dict[tuple[int, tuple], dict[tuple, int]] = {}
     for a in range(N + 1):
         for phi in maps_into[a]:
-            values[(a, phi.values)] = cut_fiber_product(C, phi)
+            chains = cut_fiber_product(C, phi)
+            values[(a, phi.values)] = {chain: i for i, chain in enumerate(chains)}
+    first: dict[tuple[int, tuple, tuple], int] = {}
+    tags: list[tuple] = []
     for a in range(N + 1):
         for phi in maps_into[a]:
             for s in anchors[a]:
                 key = (a, phi.values, s.values)
-                for chain in values[(a, phi.values)]:
-                    uf.find((key, chain))
+                first[key] = len(tags)
+                tags.extend((key, chain) for chain in values[(a, phi.values)])
+    for tag in range(len(tags)):  # groups() orders classes by first registration
+        uf.find(tag)
 
-    def union_moves(a0, phi0, a1, phi1, moved_pairs, anchor_pairs):
-        for chain, moved in moved_pairs:
-            for s0, s1 in anchor_pairs:
-                uf.union(
-                    ((a0, phi0.values, s0.values), chain),
-                    ((a1, phi1.values, s1.values), moved),
-                )
+    def union_moves(a0, phi0, a1, phi1, f, anchor_pairs):
+        plan = restriction_plan(f, phi0, phi1)
+        target = values[(a1, phi1.values)]
+        moved = []
+        for chain in values[(a0, phi0.values)]:
+            place = target.get(restrict_chain(C, plan, chain))
+            if place is None:
+                raise SimplicialError("restricted chain missing from its target's fiber product")
+            moved.append(place)
+        for s0, s1 in anchor_pairs:
+            base0 = first[(a0, phi0.values, s0.values)]
+            base1 = first[(a1, phi1.values, s1.values)]
+            for i, place in enumerate(moved):
+                uf.union(base0 + i, base1 + place)
 
     # Family 1: reparametrize the source of phi (g only; ambient fixed).
     for a in range(N + 1):
         ident = MonotoneMap.identity(simplex[a])
+        same_anchor = [(s, s) for s in anchors[a]]
         for phi1 in maps_into[a]:
             b1 = phi1.source.p
             for b0 in range(N + 1):
                 for g in all_monotone_maps(simplex[b0], simplex[b1]):
-                    phi0 = compose_monotone(g, phi1)
-                    moved = [
-                        (chain, restrict_chain(C, ident, phi0, phi1, chain))
-                        for chain in values[(a, phi0.values)]
-                    ]
-                    union_moves(a, phi0, a, phi1, moved, [(s, s) for s in anchors[a]])
+                    union_moves(a, compose_monotone(g, phi1), a, phi1, ident, same_anchor)
 
     # Family 2: change the ambient simplex along f (phi's source fixed).
     for a1 in range(N + 1):
@@ -469,14 +495,9 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
                     (compose_monotone(s1, f), s1) for s1 in anchors[a1]
                 ]
                 for phi1 in maps_into[a1]:
-                    phi0 = compose_monotone(phi1, f)
-                    moved = [
-                        (chain, restrict_chain(C, f, phi0, phi1, chain))
-                        for chain in values[(a0, phi0.values)]
-                    ]
-                    union_moves(a0, phi0, a1, phi1, moved, anchor_pairs)
+                    union_moves(a0, compose_monotone(phi1, f), a1, phi1, f, anchor_pairs)
 
-    return uf.groups()
+    return [[tags[tag] for tag in group] for group in uf.groups()]
 
 
 def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:

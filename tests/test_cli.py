@@ -194,6 +194,24 @@ def test_cli_invariant_one_state_sum(capsys, monkeypatch):
         assert len(calls) == 1
 
 
+def test_cli_eval_validates_a_preset_once(tmp_path, capsys, monkeypatch):
+    module = sys.modules["tangles.cli"]
+    calls = []
+    real = module.validate_datum
+    monkeypatch.setattr(module, "validate_datum", lambda d, dim: calls.append(d) or real(d, dim))
+    run(capsys, "eval", "--datum", "kauffman", "unknot")  # validated here unless cached already
+    calls.clear()
+    for name in ("unknot", "trefoil"):
+        code, out, _ = run(capsys, "eval", "--datum", "kauffman", name)
+        assert code == 0 and out.strip()
+    assert calls == []
+    path = tmp_path / "k.datum"
+    path.write_text(datum_to_text(kauffman_datum()))
+    for _ in range(2):  # a datum file is read and validated on every call
+        assert run(capsys, "eval", "--datum", str(path), "unknot")[0] == 0
+    assert len(calls) == 2
+
+
 def test_cli_invariant_deterministic(capsys):
     _, out1, _ = run(capsys, "invariant", "trefoil")
     _, out2, _ = run(capsys, "invariant", "trefoil")
@@ -257,6 +275,7 @@ def test_cli_stdin(capsys, monkeypatch):
         ("star", "enum", "--left", "z2", "--right", "z2", "--bound", "-1"),
         ("eval", "--dim", "4", "--datum", "kauffman", "unknot"),  # c^2 != 1
         ("invariant", "id[]"),  # no strands: the bracket would be delta^-1
+        ("invariant", "--dim", "4", "trefoil"),  # the two crossings are identified
     ],
 )
 def test_cli_rejects_bad_input(capsys, argv):

@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
 
 from tangles.segal import (
+    CategoryPresentation,
     SimplicialData,
     SimplicialError,
+    _close_words,
     colimit_truncated,
     complete,
     cut_fiber_product,
@@ -15,8 +18,17 @@ from tangles.segal import (
     pieces_of,
     presentation_of,
     pushout_of_nerves,
+    restrict_chain,
+    restriction_plan,
 )
-from tangles.simplex import ConvexSubset, MonotoneMap, SimplexObject, all_monotone_maps, outer_hull
+from tangles.simplex import (
+    ConvexSubset,
+    MonotoneMap,
+    SimplexObject,
+    all_monotone_maps,
+    compose_monotone,
+    outer_hull,
+)
 from tangles.words import (
     LEFT,
     RIGHT,
@@ -222,3 +234,117 @@ def test_presentation_relations_shape():
         for word in (lhs, rhs):
             for g in word:
                 assert g in ends
+
+
+def _map(target: int, *values: int) -> MonotoneMap:
+    return MonotoneMap(SimplexObject(len(values) - 1), SimplexObject(target), values)
+
+
+def test_restriction_plan_identity():
+    phi = _map(2, 1)  # pieces [0, 1] and [1, 2]
+    plan = restriction_plan(MonotoneMap.identity(SimplexObject(2)), phi, phi)
+    assert plan == ((0, _map(1, 0, 1)), (1, _map(1, 0, 1)))
+    n = nerve_of_monoid(Z3, K=3)
+    for chain in cut_fiber_product(n, phi):
+        assert restrict_chain(n, plan, chain) == chain
+
+
+def test_restriction_plan_face_map():
+    f = _map(2, 0, 2)  # the face [1] -> [2] that skips 1
+    inner = MonotoneMap.identity(SimplexObject(1))  # pieces [0,0], [0,1], [1,1]
+    outer = compose_monotone(inner, f)  # pieces [0,0], [0,2], [2,2]
+    plan = restriction_plan(f, outer, inner)
+    # the last inner piece lands on the point 2, which [0, 2] (the first
+    # outer piece holding it) contains
+    assert plan == ((0, _map(0, 0)), (1, _map(2, 0, 2)), (1, _map(2, 2)))
+    n = nerve_of_monoid(Z3, K=3)
+    for chain in cut_fiber_product(n, outer):
+        x0, (g, h), _ = chain
+        assert restrict_chain(n, plan, chain) == (x0, (Z3.multiply(g, h),), ())
+
+
+def test_restriction_plan_rejects_a_piece_across_a_cut():
+    outer = _map(2, 1)  # pieces [0, 1] and [1, 2]
+    inner = _map(2, 0)  # the piece [0, 2] crosses the cut at 1
+    with pytest.raises(SimplicialError):
+        restriction_plan(MonotoneMap.identity(SimplexObject(2)), outer, inner)
+
+
+def _registration_order(C, p, N):
+    """Every tag of the bound-N colimit: index objects (a, phi, anchor) in
+    the order a, then phi by source size, then anchor, each with the
+    chains of phi's cut fiber product in order."""
+    order = []
+    for a in range(N + 1):
+        A = SimplexObject(a)
+        phis = [phi for b in range(N + 1) for phi in all_monotone_maps(SimplexObject(b), A)]
+        for phi in phis:
+            chains = cut_fiber_product(C, phi)
+            for s in all_monotone_maps(SimplexObject(p), A):
+                order.extend(((a, phi.values, s.values), chain) for chain in chains)
+    return order
+
+
+@pytest.mark.parametrize(
+    "C", [nerve_of_monoid(Z3, K=3), pushout_of_nerves(Z2, Z3, K=3)], ids=["nerve-z3", "pushout-z2-z3"]
+)
+def test_colimit_classes_partition_tags_in_registration_order(C):
+    for p in range(3):
+        for N in range(3):
+            rank = {tag: i for i, tag in enumerate(_registration_order(C, p, N))}
+            classes = colimit_truncated(C, p, N).classes
+            members = [rank[tag] for group in classes for tag in group]
+            assert sorted(members) == list(range(len(rank)))  # each tag exactly once
+            for group in classes:
+                places = [rank[tag] for tag in group]
+                assert places == sorted(places)
+            firsts = [rank[group[0]] for group in classes]
+            assert firsts == sorted(firsts)
+
+
+def test_close_words_matches_brute_force_closure():
+    # e: x -> x with ee = 1 (an empty side), f: x -> y, g: y -> x with fg = e
+    pres = CategoryPresentation(
+        objects=("x", "y"),
+        generators=(("e", "x", "x"), ("f", "x", "y"), ("g", "y", "x")),
+        relations=((("e", "e"), ()), (("f", "g"), ("e",))),
+    )
+    ends = pres.endpoints()
+    budget = 5
+    words = {}  # (source, word) -> target
+    for x in pres.objects:
+        for n in range(budget + 1):
+            for w in itertools.product(ends, repeat=n):
+                cursor = x
+                for g in w:
+                    if ends[g][0] != cursor:
+                        break
+                    cursor = ends[g][1]
+                else:
+                    words[(x, w)] = cursor
+    sides = [(lhs, rhs) for lhs, rhs in pres.relations] + [(rhs, lhs) for lhs, rhs in pres.relations]
+
+    def neighbours(x, w):
+        for i in range(len(w) + 1):
+            for j in range(i, len(w) + 1):
+                for a, b in sides:
+                    if w[i:j] == a and (x, w[:i] + b + w[j:]) in words:
+                        yield (x, w[:i] + b + w[j:])
+
+    expected: dict = {}
+    seen = set()
+    for start in words:
+        if start in seen:
+            continue
+        component, stack = set(), [start]
+        while stack:
+            key = stack.pop()
+            if key in component:
+                continue
+            component.add(key)
+            stack.extend(neighbours(*key))
+        seen |= component
+        expected.setdefault((start[0], words[start]), set()).add(frozenset(w for _, w in component))
+    assert any(len(classes) > 1 for classes in expected.values())
+    hom = _close_words(pres, budget)
+    assert {key: {frozenset(cls) for cls in classes} for key, classes in hom.items()} == expected
