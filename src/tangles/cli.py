@@ -13,8 +13,9 @@ tighter than ";"):
             | "(" expr ")"
 
 Subcommands write deterministic text to stdout and use exit status 0 for
-success, 1 for user errors (syntax, typing, boundary mismatches), and 2
-for internal invariant violations.
+success, 1 for user errors (usage, syntax, typing, boundary mismatches,
+malformed data or option values, unreadable files), and 2 for any other
+exception, which is an internal fault.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .evaluate import (
     validate_datum,
 )
 from .rewrite import MoveError, normalize_planar, reduce_diagram
-from .segal import complete, nerve_of_monoid, one_truncated, pushout_of_nerves
+from .segal import SimplicialError, complete, nerve_of_monoid, one_truncated, pushout_of_nerves
 from .simplex import ConvexSubset, MonotoneMap, SimplexObject, outer_hull, SimplexError
 from .words import MonoidError, PointedMonoid, alternating_factorization, free_product_enumerate
 
@@ -339,8 +340,11 @@ def _cmd_validate(args) -> int:
     d = to_diagram(parse_expr(text), dim)
     window = None
     if args.window:
-        lo, hi = args.window.split(",")
-        window = (int(lo), int(hi))
+        try:
+            lo, hi = args.window.split(",")
+            window = (int(lo), int(hi))
+        except ValueError:
+            raise DiagramError(f"--window needs 'i,j', got {args.window!r}") from None
     report = validate(d, dim, label_window=window)
     print(report)
     print(f"source: {' '.join(str(k) for k in d.source)}")
@@ -439,17 +443,28 @@ def _cmd_seg_complete(args) -> int:
 
 
 def _cmd_simplex_phi(args) -> int:
-    values = tuple(int(v) for v in args.map.split(","))
+    try:
+        values = tuple(int(v) for v in args.map.split(","))
+    except ValueError:
+        raise SimplexError(f"--map needs comma-separated integers, got {args.map!r}") from None
     f = MonotoneMap(SimplexObject(len(values) - 1), SimplexObject(args.target), values)
     C = ConvexSubset(args.lo, args.hi, SimplexObject(args.target))
     print(str(outer_hull(f, C)))
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a user error: exit status 1, where argparse uses 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tangles", description="framed tangle diagrams: validate, rewrite, evaluate"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -515,9 +530,9 @@ USER_ERRORS = (
     EvaluationError,
     MonoidError,
     SimplexError,
-    FileNotFoundError,
-    KeyError,
-    ValueError,
+    SimplicialError,
+    OSError,
+    UnicodeDecodeError,
 )
 
 
@@ -529,8 +544,10 @@ def main(argv=None) -> int:
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # only a fault pays for the import
+        traceback.print_exc()
         return 2
 
 

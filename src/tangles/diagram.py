@@ -379,22 +379,14 @@ def validate(
     dim: AmbientDim,
     label_window: tuple[int, int] | None = None,
 ) -> ValidationReport:
-    """Check slice chaining, event typing, dimension legality, and (in the
-    planar case) the absence of closed components.
+    """Check dimension legality and, in the planar case, the absence of
+    closed components.  Slice chaining and event typing need no check
+    here: ``Slice`` and ``Diagram`` refuse to be built without them.
 
     ``label_window=(i, j)`` additionally rejects labels outside [-i, j].
     """
     issues: list[Issue] = []
-    word = d.source
     for idx, s in enumerate(d.slices):
-        if s.input != word:
-            issues.append(Issue(idx, None, f"input {s.input} does not chain from {word}"))
-            break
-        try:
-            word = s.output()
-        except DiagramError as exc:
-            issues.append(Issue(idx, None, str(exc)))
-            break
         for e in s.events:
             if e.is_crossing and not dim.allows_crossings:
                 issues.append(Issue(idx, e.position, "crossing in planar dimension"))

@@ -118,23 +118,18 @@ class RigidDatum:
         # Bending one strand of a crossing around a duality turns the
         # crossing over: each single bend wraps the opposite-sign crossing
         # of the less-dual parity pair.
-        if dual_a and not dual_b:
-            inner = self._derive_crossing(False, False, -sign)
+        if dual_a:
+            # V* x V bends the left strand around the V x V crossing,
+            # V* x V* around the V* x V one.
+            inner = self._derive_crossing(dual_b, False, -sign)
             lift = id2.kron(self.b)
             mid = idr.kron(inner).kron(idr)
             drop = self.d.kron(id2)
             return drop @ mid @ lift
-        if not dual_a and dual_b:
-            inner = self._derive_crossing(False, False, -sign)
-            lift = self.b_prime.kron(id2)
-            mid = idr.kron(inner).kron(idr)
-            drop = id2.kron(self.d_prime)
-            return drop @ mid @ lift
-        # V* x V*: bend the left strand around the (V* x V) crossing.
-        inner = self._derive_crossing(True, False, -sign)
-        lift = id2.kron(self.b)
+        inner = self._derive_crossing(False, False, -sign)
+        lift = self.b_prime.kron(id2)
         mid = idr.kron(inner).kron(idr)
-        drop = self.d.kron(id2)
+        drop = id2.kron(self.d_prime)
         return drop @ mid @ lift
 
     def event_matrix(self, kind: EventKind, labels: tuple[int, ...]) -> Matrix:
@@ -457,19 +452,22 @@ def _entry_to_text(x, ring: str) -> str:
 
 
 def _entry_from_text(token: str, ring: str):
-    if ring == "laurent":
-        if not (token.startswith("{") and token.endswith("}")):
-            raise ValueError(f"bad laurent entry {token!r}")
-        inside = token[1:-1]
-        coeffs = {}
-        if inside:
-            for part in inside.split(","):
-                e, c = part.split(":")
-                coeffs[int(e)] = int(c)
-        return Laurent(coeffs)
-    if ring == "rational":
-        return Fraction(token)
-    return int(token)
+    try:
+        if ring == "rational":
+            return Fraction(token)
+        if ring == "int":
+            return int(token)
+        if token.startswith("{") and token.endswith("}"):
+            inside = token[1:-1]
+            coeffs = {}
+            if inside:
+                for part in inside.split(","):
+                    e, c = part.split(":")
+                    coeffs[int(e)] = int(c)
+            return Laurent(coeffs)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise EvaluationError(f"bad {ring} value {token!r}")
 
 
 def _matrix_to_text(m: Matrix, ring: str) -> str:
@@ -481,7 +479,7 @@ def _matrix_to_text(m: Matrix, ring: str) -> str:
 def _matrix_from_text(text: str, rows: int, cols: int, ring: str) -> Matrix:
     tokens = text.split()
     if len(tokens) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(tokens)}")
+        raise EvaluationError(f"expected {rows * cols} entries, got {len(tokens)}")
     entries = {}
     for idx, tok in enumerate(tokens):
         entries[(idx // cols, idx % cols)] = _entry_from_text(tok, ring)
@@ -512,6 +510,9 @@ def datum_to_text(datum: RigidDatum) -> str:
 
 
 def datum_from_text(text: str) -> RigidDatum:
+    """Read the format ``datum_to_text`` writes.  A malformed datum (a
+    missing field, a rank or flag that is not an integer, a bad matrix
+    entry, a wrong number of entries, rank below 1) raises EvaluationError."""
     fields: dict[str, str] = {}
     for ln in text.strip().splitlines():
         if not ln.strip():
@@ -522,8 +523,10 @@ def datum_from_text(text: str) -> RigidDatum:
         ring = fields["ring"]
         if ring not in ("int", "rational", "laurent"):
             raise EvaluationError(f"unknown ring {ring!r} (expected int, rational or laurent)")
-        rank = int(fields["rank"])
-        symmetric = bool(int(fields["symmetric"]))
+        rank = _entry_from_text(fields["rank"], "int")
+        if rank < 1:
+            raise EvaluationError(f"rank must be at least 1, got {rank}")
+        symmetric = bool(_entry_from_text(fields["symmetric"], "int"))
         r2 = rank * rank
         b = _matrix_from_text(fields["b"], r2, 1, ring)
         b_prime = _matrix_from_text(fields["b'"], r2, 1, ring)
@@ -535,7 +538,7 @@ def datum_from_text(text: str) -> RigidDatum:
             c = _matrix_from_text(fields["c"], r2, r2, ring)
             c_inv = _matrix_from_text(fields["c^-1"], r2, r2, ring)
     except KeyError as exc:
-        raise ValueError(f"datum text missing field {exc}") from exc
+        raise EvaluationError(f"datum text missing field {exc}") from exc
     return RigidDatum(
         name=fields.get("name", "datum"),
         ring=ring,

@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagram import (
     AmbientDim,
@@ -131,11 +131,12 @@ def _single_event(s: Slice) -> Event | None:
 
 def _track_pair(d: Diagram, start: int, left: int):
     """Follow the adjacent strand pair (left, left+1) upward from the word
-    below slice ``start``; yield (slice index, left position, event) for
-    each slice until an event touches the pair (that slice is yielded
-    last, with touching=True via StopIteration value semantics).
+    below slice ``start``.
 
-    Returns a list of (slice_index, left_position, event, touches).
+    Returns a list with one (slice index, left position of the pair below
+    that slice, event, touches) entry per slice, stopping after the first
+    slice whose event touches the pair (its ``touches`` is True); when no
+    event touches the pair the list runs to the top of the diagram.
     """
     out = []
     pos = left
@@ -184,35 +185,35 @@ def applicable_moves(
     label_window: tuple[int, int] | None = None,
 ) -> list[Move]:
     """Enumerate the redexes of the dimension-legal rule set on an
-    expanded diagram.
+    expanded diagram, kind by kind in a fixed order.
 
     Forward moves are enumerated completely.  Backward insertions (zigzag
     and second Reidemeister pairs) are enumerated only when requested
     since they are parametrized by a level, bounded by ``label_window``
     (defaults to the diagram's label range widened by one).
+
+    Each finder is a generator that does its work only as its moves are
+    asked for; this function drains them all, while ``reduce_diagram``
+    chains only the kinds it applies and stops at the first move.
     """
     d = expand(d)
-    moves: list[Move] = []
-    moves.extend(_zigzag_forward(d))
+    finders: list[Iterable[Move]] = [_zigzag_forward(d)]
     if dim.allows_crossings:
-        moves.extend(_r2_forward(d, dim))
-        moves.extend(_r3_moves(d))
+        finders += [_r2_forward(d, dim), _r3_moves(d)]
     if dim is AmbientDim.SYMMETRIC:
-        moves.extend(_collapse_moves(d))
-        moves.extend(_kink2_forward(d))
+        finders += [_collapse_moves(d), _kink2_forward(d)]
     if include_backward:
         if label_window is None:
             labels = d.labels() or {0}
             label_window = (min(labels) - 1, max(labels) + 1)
-        moves.extend(_zigzag_backward(d, label_window))
+        finders.append(_zigzag_backward(d, label_window))
         if dim.allows_crossings:
-            moves.extend(_r2_backward(d))
-    moves.extend(_interchange_moves(d))
-    return moves
+            finders.append(_r2_backward(d))
+    finders.append(_interchange_moves(d))
+    return list(itertools.chain.from_iterable(finders))
 
 
-def _zigzag_forward(d: Diagram) -> list[Move]:
-    moves = []
+def _zigzag_forward(d: Diagram) -> Iterator[Move]:
     for i, s in enumerate(d.slices):
         e = _single_event(s)
         if e is None or e.kind is not EventKind.CUP:
@@ -225,15 +226,12 @@ def _zigzag_forward(d: Diagram) -> list[Move]:
         j, pos, f, touches = track[-1]
         if not touches or f is None or f.kind is not EventKind.CAP:
             continue
-        if f.position == pos - 1:
-            moves.append(Move(MoveKind.ZIGZAG, True, i, j, e.position, e.labels, "cap_left"))
-        elif f.position == pos + 1:
-            moves.append(Move(MoveKind.ZIGZAG, True, i, j, e.position, e.labels, "cap_right"))
-    return moves
+        variant = {pos - 1: "cap_left", pos + 1: "cap_right"}.get(f.position)
+        if variant:
+            yield Move(MoveKind.ZIGZAG, True, i, j, e.position, e.labels, variant)
 
 
-def _r2_forward(d: Diagram, dim: AmbientDim) -> list[Move]:
-    moves = []
+def _r2_forward(d: Diagram, dim: AmbientDim) -> Iterator[Move]:
     for i, s in enumerate(d.slices):
         e = _single_event(s)
         if e is None or not e.is_crossing:
@@ -248,12 +246,10 @@ def _r2_forward(d: Diagram, dim: AmbientDim) -> list[Move]:
             continue
         opposite = f.sign == -e.sign or dim is AmbientDim.SYMMETRIC
         if opposite and f.labels == (e.labels[1], e.labels[0]):
-            moves.append(Move(MoveKind.R2, True, i, j, e.position, e.labels))
-    return moves
+            yield Move(MoveKind.R2, True, i, j, e.position, e.labels)
 
 
-def _r3_moves(d: Diagram) -> list[Move]:
-    moves = []
+def _r3_moves(d: Diagram) -> Iterator[Move]:
     for i in range(len(d.slices) - 2):
         es = [_single_event(d.slices[i + k]) for k in range(3)]
         if any(e is None or not e.is_crossing for e in es):
@@ -263,19 +259,16 @@ def _r3_moves(d: Diagram) -> list[Move]:
             continue
         q = e1.position
         if e2.position == q + 1 and e3.position == q:
-            moves.append(Move(MoveKind.R3, True, i, i + 2, q, (e1.sign,), "left"))
+            yield Move(MoveKind.R3, True, i, i + 2, q, (e1.sign,), "left")
         elif e2.position == q - 1 and e3.position == q:
-            moves.append(Move(MoveKind.R3, True, i, i + 2, q - 1, (e1.sign,), "right"))
-    return moves
+            yield Move(MoveKind.R3, True, i, i + 2, q - 1, (e1.sign,), "right")
 
 
-def _collapse_moves(d: Diagram) -> list[Move]:
-    return [
-        Move(MoveKind.SYM_COLLAPSE, True, i, position=e.position)
-        for i, s in enumerate(d.slices)
-        for e in [_single_event(s)]
-        if e is not None and e.is_crossing
-    ]
+def _collapse_moves(d: Diagram) -> Iterator[Move]:
+    for i, s in enumerate(d.slices):
+        e = _single_event(s)
+        if e is not None and e.is_crossing:
+            yield Move(MoveKind.SYM_COLLAPSE, True, i, position=e.position)
 
 
 def _is_trivial_block(d: Diagram, i: int, length: int) -> bool:
@@ -294,13 +287,12 @@ def _is_trivial_block(d: Diagram, i: int, length: int) -> bool:
     return True
 
 
-def _kink2_forward(d: Diagram) -> list[Move]:
+def _kink2_forward(d: Diagram) -> Iterator[Move]:
     """Four consecutive slices cup, crossing, crossing, cap whose block
     matches every strand back to itself: a double framing twist (possibly
     padded with a cancelling pair).  Sound for symmetric data, where the
     squared braiding is the identity: the block is then a composite of
     sign collapses, second Reidemeister pairs and zigzags."""
-    moves = []
     for i in range(len(d.slices) - 3):
         events = [_single_event(d.slices[i + k]) for k in range(4)]
         if any(e is None for e in events):
@@ -310,41 +302,28 @@ def _kink2_forward(d: Diagram) -> list[Move]:
         if not (events[1].is_crossing and events[2].is_crossing):
             continue
         if _is_trivial_block(d, i, 4):
-            moves.append(Move(MoveKind.KINK2, True, i, i + 3))
-    return moves
+            yield Move(MoveKind.KINK2, True, i, i + 3)
 
 
-def _interchange_moves(d: Diagram) -> list[Move]:
-    moves = []
+def _interchange_moves(d: Diagram) -> Iterator[Move]:
     for i in range(len(d.slices) - 1):
         if _interchange_apply(d, i, dry_run=True) is not None:
-            moves.append(Move(MoveKind.INTERCHANGE, True, i, i + 1))
-    return moves
+            yield Move(MoveKind.INTERCHANGE, True, i, i + 1)
 
 
-def _zigzag_backward(d: Diagram, window: tuple[int, int]) -> list[Move]:
-    moves = []
-    boundaries = [d.source] + [s.output() for s in d.slices]
-    for i, word in enumerate(boundaries):
+def _zigzag_backward(d: Diagram, window: tuple[int, int]) -> Iterator[Move]:
+    for i, word in enumerate([d.source] + [s.output() for s in d.slices]):
         for t, label in enumerate(word):
             for k, variant in ((label, "cap_left"), (label - 1, "cap_right")):
                 if window[0] <= k <= window[1]:
-                    moves.append(
-                        Move(MoveKind.ZIGZAG, False, i, position=t, labels=(k,), variant=variant)
-                    )
-    return moves
+                    yield Move(MoveKind.ZIGZAG, False, i, position=t, labels=(k,), variant=variant)
 
 
-def _r2_backward(d: Diagram) -> list[Move]:
-    moves = []
-    boundaries = [d.source] + [s.output() for s in d.slices]
-    for i, word in enumerate(boundaries):
+def _r2_backward(d: Diagram) -> Iterator[Move]:
+    for i, word in enumerate([d.source] + [s.output() for s in d.slices]):
         for t in range(len(word) - 1):
             for sign in (1, -1):
-                moves.append(
-                    Move(MoveKind.R2, False, i, position=t, labels=(sign,))
-                )
-    return moves
+                yield Move(MoveKind.R2, False, i, position=t, labels=(sign,))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +604,12 @@ def _assert_planar_matching(arcs, n_source: int, n_target: int) -> None:
 def reduce_diagram(d: Diagram, dim: AmbientDim, max_steps: int = 10_000) -> Diagram:
     """Apply forward moves (zigzag, second Reidemeister, and in the
     symmetric case sign collapse and double-kink removal) until none is
-    left.  Every forward move removes events, so this terminates."""
+    left.  Every forward move removes events, so this terminates.
+
+    Each step applies the first move that ``applicable_moves`` would list
+    among those kinds.  It chains only the finders of the kinds it applies
+    and, the finders being lazy, stops at the first move found, so no
+    other kind of redex (R3, interchange) is ever searched for."""
     d = expand(d)
     if dim is AmbientDim.SYMMETRIC:
         for i, s in enumerate(d.slices):
@@ -633,14 +617,15 @@ def reduce_diagram(d: Diagram, dim: AmbientDim, max_steps: int = 10_000) -> Diag
             if e is not None and e.kind is EventKind.XNEG:
                 d = _apply_collapse(d, Move(MoveKind.SYM_COLLAPSE, True, i))
     for _ in range(max_steps):
-        moves = [
-            m
-            for m in applicable_moves(d, dim)
-            if m.forward and m.kind in (MoveKind.ZIGZAG, MoveKind.R2, MoveKind.KINK2)
-        ]
-        if not moves:
+        finders = [_zigzag_forward(d)]
+        if dim.allows_crossings:
+            finders.append(_r2_forward(d, dim))
+        if dim is AmbientDim.SYMMETRIC:
+            finders.append(_kink2_forward(d))
+        move = next(itertools.chain.from_iterable(finders), None)
+        if move is None:
             return d
-        d = apply_move(d, moves[0])
+        d = apply_move(d, move)
     raise MoveError("reduction did not terminate within the step bound")
 
 

@@ -276,6 +276,8 @@ def test_cli_stdin(capsys, monkeypatch):
         ("eval", "--dim", "4", "--datum", "kauffman", "unknot"),  # c^2 != 1
         ("invariant", "id[]"),  # no strands: the bracket would be delta^-1
         ("invariant", "--dim", "4", "trefoil"),  # the two crossings are identified
+        ("validate", "--window", "1", "unknot"),
+        ("simplex", "phi", "--map", "0,x", "--target", "1", "--lo", "0", "--hi", "0"),
     ],
 )
 def test_cli_rejects_bad_input(capsys, argv):
@@ -290,3 +292,63 @@ def test_cli_datum_file_unknown_ring(tmp_path, capsys):
     path.write_text(text.replace("ring: int\n", "ring: foo\n"))
     code, _, err = run(capsys, "eval", "--datum", str(path), "unknot")
     assert code == 1 and err.startswith("error: ") and "ring" in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("rank: 1\n", ""),
+        ("rank: 1\n", "rank: x\n"),
+        ("rank: 1\n", "rank: -1\n"),
+        ("rank: 1\n", "rank: 0\n"),
+        ("symmetric: 1\n", "symmetric: yes\n"),
+        ("b: 1\n", "b: x\n"),
+        ("b: 1\n", "b: 1 1\n"),
+        ("ring: int\nrank: 1\nsymmetric: 1\nb: 1\n", "ring: rational\nrank: 1\nsymmetric: 1\nb: 1/0\n"),
+    ],
+    ids=["missing-field", "rank-x", "rank-negative", "rank-zero", "flag-x", "bad-entry", "entry-count", "zero-denominator"],
+)
+def test_cli_rejects_malformed_datum_file(tmp_path, capsys, old, new):
+    text = datum_to_text(trivial_datum())
+    assert old in text
+    path = tmp_path / "bad.datum"
+    path.write_text(text.replace(old, new))
+    code, _, err = run(capsys, "eval", "--datum", str(path), "unknot")
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_cli_rejects_unreadable_files(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (
+        ("eval", "--datum", str(tmp_path), "unknot"),  # a directory
+        ("eval", "--datum", str(binary), "unknot"),
+        ("normalize", "--file", str(tmp_path / "missing")),
+        ("normalize", "--file", str(binary)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: "), argv
+
+
+def test_cli_internal_fault_exits_2(capsys, monkeypatch):
+    def broken(d, datum):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(sys.modules["tangles.cli"], "evaluate", broken)
+    code, _, err = run(capsys, "eval", "unknot")
+    assert code == 2 and err.startswith("internal error: KeyError")
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--dim", "x", "unknot"),
+        ("seg", "complete", "--preset", "nope"),
+        ("frobnicate",),
+    ],
+)
+def test_cli_usage_error_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1 and "error: " in capsys.readouterr().err

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from tangles import rewrite
 from tangles.diagram import (
     AmbientDim,
     Diagram,
+    EventKind,
+    Slice,
     cap,
     compose,
     cross_neg,
@@ -12,6 +15,7 @@ from tangles.diagram import (
     cup,
     degree,
     tensor,
+    to_text,
     trace_components,
 )
 from tangles.evaluate import (
@@ -25,6 +29,7 @@ from tangles.generate import iter_closed_diagrams, random_diagram
 from tangles.links import trefoil, unknot
 from tangles.rewrite import (
     Equality,
+    Move,
     MoveError,
     MoveKind,
     applicable_moves,
@@ -237,6 +242,58 @@ def test_reduce_symmetric_normalizes_double_twists():
         ],
     )
     assert reduce_diagram(braided_pair, SYMMETRIC) == Diagram.identity(base)
+
+
+def reference_reduce(d, dim):
+    """Forward reduction as a list-then-filter loop: list every move, keep
+    the forward zigzag, R2 and double-twist moves, apply the first."""
+    d = expand(d)
+    if dim is SYMMETRIC:
+        for i, s in enumerate(d.slices):
+            if s.events[0].kind is EventKind.XNEG:
+                d = apply_move(d, Move(MoveKind.SYM_COLLAPSE, True, i))
+    reducing = (MoveKind.ZIGZAG, MoveKind.R2, MoveKind.KINK2)
+    while True:
+        moves = [m for m in applicable_moves(d, dim) if m.forward and m.kind in reducing]
+        if not moves:
+            return d
+        d = apply_move(d, moves[0])
+
+
+def test_reduce_matches_list_then_filter_reference():
+    cases = [(d, dim) for d in iter_closed_diagrams(6, 3) for dim in (BRAIDED, SYMMETRIC)]
+    rng = random.Random(53)
+    for dim in (PLANAR, BRAIDED, SYMMETRIC):
+        cases += [(random_diagram(rng, dim, max_events=12, width=6), dim) for _ in range(150)]
+    reduced = 0
+    for d, dim in cases:
+        r = reduce_diagram(d, dim)
+        assert to_text(r) == to_text(reference_reduce(d, dim))
+        reduced += r.num_events < d.num_events
+    assert reduced > len(cases) // 5  # the reference is exercised, not only on normal forms
+
+
+def zigzag_chain(pairs):
+    """pairs zigzags on one strand of level 0, the turnback alternating
+    between its right and its left."""
+    layers = []
+    for i in range(pairs):
+        if i % 2 == 0:
+            layers += [[cup(0, at=1)], [cap(0, at=0)]]
+        else:
+            layers += [[cup(-1, at=0)], [cap(-1, at=1)]]
+    return Diagram.from_events((0,), layers)
+
+
+def test_reduce_zigzag_chain_searches_only_reducing_moves(monkeypatch):
+    d = zigzag_chain(80)
+    layouts, interchanges = [], []
+    real_layout = Slice.layout
+    monkeypatch.setattr(Slice, "layout", lambda s: layouts.append(s) or real_layout(s))
+    monkeypatch.setattr(rewrite, "_interchange_apply", lambda *args, **kw: interchanges.append(args))
+    assert reduce_diagram(d, BRAIDED) == Diagram.identity((0,))
+    assert len(layouts) <= len(d.slices) == 160
+    assert interchanges == []
 
 
 def test_moves_preserve_structure_randomized():
