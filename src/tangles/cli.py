@@ -47,15 +47,16 @@ from .evaluate import (
     DatumReport,
     EvaluationError,
     RigidDatum,
-    bracket_state_sum,
     datum_from_text,
     evaluate,
     kink_factor,
     kauffman_datum,
+    loop_value,
     trivial_datum,
     validate_datum,
 )
 from .rewrite import MoveError, normalize_planar, reduce_diagram
+from .rings import Laurent
 from .segal import SimplicialError, complete, nerve_of_monoid, one_truncated, pushout_of_nerves
 from .simplex import ConvexSubset, MonotoneMap, SimplexObject, outer_hull, SimplexError
 from .words import MonoidError, PointedMonoid, alternating_factorization, free_product_enumerate
@@ -389,10 +390,13 @@ def _cmd_invariant(args) -> int:
     d = _diagram_from_args(args, dim)
     if d.source or d.target:
         raise DiagramError("invariants need a closed diagram")
+    if not d.num_events:
+        raise EvaluationError("the bracket of a diagram with no strands is undefined")
     crossings = sum(1 for _, e in d.events() if e.is_crossing)
     framings = component_framings(d)
     w = writhe(d)
-    bracket = bracket_state_sum(d)
+    value = evaluate(d, _preset_datum("kauffman")).scalar()
+    bracket = Laurent.promote(value).divide_exact(loop_value())
     print(f"components: {len(framings)}")
     print(f"crossings: {crossings}")
     print(f"writhe: {w}")

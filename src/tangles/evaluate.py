@@ -17,6 +17,9 @@ derived family is checked (matrix-exactly) to satisfy the second
 Reidemeister identities in every parity combination; supplying only c
 keeps the datum and its validation surface small.
 
+``evaluate`` keeps a sparse map from (source basis word, current basis
+word) to a coefficient, and each event rewrites only its own strands' digits.
+
 Conventions pinned here (and exercised by the mirror tests):
 
 * The positive crossing expands, for the Kauffman preset, as
@@ -27,7 +30,8 @@ Conventions pinned here (and exercised by the mirror tests):
   crossing by A (by A^-1 for a negative crossing) and scores a state with
   m loops as delta^(m-1), with loop value delta = -A^2 - A^-2.  For every
   closed diagram with a strand, evaluate == delta * bracket_state_sum
-  under the preset.
+  under the preset; ``tangles invariant`` reads the bracket as that
+  quotient, and the 2^c state sum stays as the tests' oracle.
 
 Everything is exact; no floating point is used anywhere.
 """
@@ -36,15 +40,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .diagram import (
     AmbientDim,
     Diagram,
+    Event,
     EventKind,
     strand_graph,
     writhe,
 )
-from .rings import Laurent, Matrix, kron_all
+from .rings import Laurent, Matrix, is_zero
 from .unionfind import UnionFind
 
 A = Laurent.monomial(1)
@@ -77,6 +83,7 @@ class RigidDatum:
     _crossings: dict[tuple[bool, bool, int], Matrix] = field(
         default_factory=dict, repr=False
     )
+    _columns: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         r = self.rank
@@ -139,6 +146,18 @@ class RigidDatum:
             return self.d_prime if labels[0] % 2 == 0 else self.d
         sign = 1 if kind is EventKind.XPOS else -1
         return self.crossing(labels[0] % 2, labels[1] % 2, sign)
+
+    def columns(self, e: Event) -> dict:
+        """The event's matrix as input digits -> [(output digits, entry)], cached per matrix."""
+        m = self.event_matrix(e.kind, e.labels)
+        source, table = self._columns.get((e.kind, e.labels), (None, None))
+        if source is not m:
+            ins, outs = (list(product(range(self.rank), repeat=n)) for n in (e.arity_in, e.arity_out))
+            table = {}
+            for (i, j), v in m.entries.items():
+                table.setdefault(ins[j], []).append((outs[i], v))
+            self._columns[e.kind, e.labels] = (m, table)
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +245,25 @@ def validate_datum(datum: RigidDatum, dim: AmbientDim) -> DatumReport:
 
 
 def evaluate(d: Diagram, datum: RigidDatum) -> Matrix:
-    """Slice-by-slice tensor contraction of the diagram.
-
-    Returns an r^|target| by r^|source| matrix; closed diagrams give 1x1.
-    Composition goes to matrix product and side-by-side juxtaposition to
-    the Kronecker product.
-    """
-    r = datum.rank
-    out = Matrix.identity(r ** len(d.source))
+    """The r^|target| by r^|source| matrix of the diagram.  Events in a slice
+    run right to left, so the input positions of those still to come hold."""
+    sources = list(product(range(datum.rank), repeat=len(d.source)))
+    state: dict = {(w, w): 1 for w in sources}
     for s in d.slices:
-        if not s.events:
-            continue
-        if datum.braiding is None and any(e.is_crossing for e in s.events):
-            raise EvaluationError(
-                f"diagram has crossings but datum {datum.name} is planar-only"
-            )
-        factors: list[Matrix] = []
-        ei = 0
-        p = 0
-        idrun = 0
-        word = s.input
-        events = s.events
-        while True:
-            while ei < len(events) and events[ei].position == p:
-                if idrun:
-                    factors.append(Matrix.identity(r**idrun))
-                    idrun = 0
-                e = events[ei]
-                factors.append(datum.event_matrix(e.kind, e.labels))
-                p += e.arity_in
-                ei += 1
-            if p < len(word):
-                idrun += 1
-                p += 1
-            else:
-                break
-        if idrun:
-            factors.append(Matrix.identity(r**idrun))
-        out = kron_all(factors) @ out
-    return out
+        for e in reversed(s.events):
+            columns = datum.columns(e)
+            p, q = e.position, e.position + e.arity_in
+            acc: dict = {}
+            for (src, cur), x in state.items():
+                for digits, v in columns.get(cur[p:q], ()):
+                    key = (src, cur[:p] + digits + cur[q:])
+                    acc[key] = acc[key] + x * v if key in acc else x * v
+            state = {k: x for k, x in acc.items() if not is_zero(x)}
+    rows = {w: i for i, w in enumerate(product(range(datum.rank), repeat=len(d.target)))}
+    cols = {w: j for j, w in enumerate(sources)}
+    return Matrix(
+        len(rows), len(cols), {(rows[cur], cols[src]): x for (src, cur), x in state.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

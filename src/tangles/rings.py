@@ -128,6 +128,27 @@ class Laurent:
         (exp, c), = self.coeffs.items()
         return Laurent({-exp: c})
 
+    def divide_exact(self, divisor) -> "Laurent":
+        """The Laurent polynomial q with q * divisor == self, by long division
+        from the top.  The divisor's leading coefficient must be +-1; raises
+        ArithmeticError when it is not, or when no such q exists."""
+        divisor = Laurent.promote(divisor)
+        top = divisor.degree()
+        if top is None or abs(divisor.coeffs[top]) != 1:
+            raise ArithmeticError(f"cannot divide exactly by {divisor}")
+        quotient: dict[int, int] = {}
+        rest = dict(self.coeffs)
+        while rest:
+            e = max(rest) - top
+            if e < self.valuation() - divisor.valuation():
+                raise ArithmeticError(f"{divisor} does not divide {self}")
+            c = quotient[e] = rest[e + top] * divisor.coeffs[top]
+            for k, v in divisor.coeffs.items():
+                rest[e + k] = rest.get(e + k, 0) - c * v
+                if not rest[e + k]:
+                    del rest[e + k]
+        return Laurent(quotient)
+
     def substitute_inverse(self) -> "Laurent":
         """The ring involution A -> A^-1."""
         return Laurent({-e: c for e, c in self.coeffs.items()})
@@ -211,10 +232,6 @@ class Matrix:
         return Matrix(n, n, {(i, i): 1 for i in range(n)})
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
-
-    @staticmethod
     def from_rows(data: Iterable[Iterable[Scalar]]) -> "Matrix":
         grid = [list(row) for row in data]
         rows = len(grid)
@@ -296,9 +313,6 @@ class Matrix:
             for (k, l), v in other.entries.items():
                 out[(i * other.rows + k, j * other.cols + l)] = u * v
         return Matrix(self.rows * other.rows, self.cols * other.cols, out)
-
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(self.rows, self.cols, {k: fn(v) for k, v in self.entries.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

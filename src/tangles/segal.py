@@ -145,9 +145,6 @@ class SimplicialData:
         """The restriction of a p-simplex to the edge {i-1 < i}."""
         return self.act(MonotoneMap(SimplexObject(1), SimplexObject(p), (i - 1, i)), x)
 
-    def is_degenerate_edge(self, e) -> bool:
-        return e in {self.degeneracy(0, 0, v) for v in self.levels[0]}
-
 
 def is_segal(X: SimplicialData, p: int) -> bool:
     """True iff the spine map X_p -> X_1 x_{X_0} ... x_{X_0} X_1 is a

@@ -97,9 +97,6 @@ class MonotoneMap:
             raise SimplexError(f"{i} is not a point of {self.source}")
         return self.values[i]
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.values)))
-
     def is_identity(self) -> bool:
         return self.source == self.target and self.values == tuple(self.source.points())
 
@@ -146,9 +143,6 @@ class ConvexSubset:
 
     def points(self) -> range:
         return range(self.lo, self.hi + 1)
-
-    def size(self) -> int:
-        return self.hi - self.lo + 1
 
     def contains(self, other: "ConvexSubset") -> bool:
         return self.ambient == other.ambient and self.lo <= other.lo and other.hi <= self.hi

@@ -103,16 +103,6 @@ class PointedMonoid:
     def elements(self, max_weight: int) -> list:
         return [self.unit] + self.nonunits(max_weight)
 
-    def weight(self, a: Hashable) -> int:
-        if self.is_unit(a):
-            return 0
-        for n in itertools.count(1):
-            if a in self._elements_by_weight(n):
-                return n
-            if n > 64:
-                raise MonoidError(f"{a!r} not found in {self.name} up to weight 64")
-        raise AssertionError("unreachable")
-
     def _validate(self, depth: int) -> None:
         elems = self.elements(depth)
         if sum(1 for e in elems if self.is_unit(e)) != 1:

@@ -179,19 +179,27 @@ def test_cli_invariant_mirror_pair(capsys):
     assert v2 == v1.substitute_inverse()
 
 
-def test_cli_invariant_one_state_sum(capsys, monkeypatch):
-    # every module that may run the state sum; the package exports a
-    # function named ``evaluate``, so the module is taken from sys.modules
-    modules = [sys.modules["tangles.cli"], sys.modules["tangles.evaluate"]]
-    calls = []
-    real = modules[1].bracket_state_sum
-    for module in modules:
-        monkeypatch.setattr(module, "bracket_state_sum", lambda d: calls.append(d) or real(d))
+def test_cli_invariant_one_evaluation(capsys, monkeypatch):
+    # the bracket is read from one evaluation; the state sum is only an
+    # oracle.  The package exports a function named ``evaluate``, so the
+    # modules are taken from sys.modules
+    cli_module, evaluate_module = sys.modules["tangles.cli"], sys.modules["tangles.evaluate"]
+    assert not hasattr(cli_module, "bracket_state_sum")
+    sums, evaluations = [], []
+    real_sum, real_evaluate = evaluate_module.bracket_state_sum, cli_module.evaluate
+    monkeypatch.setattr(
+        evaluate_module, "bracket_state_sum", lambda d: sums.append(d) or real_sum(d)
+    )
+    monkeypatch.setattr(
+        cli_module, "evaluate", lambda d, datum: evaluations.append(d) or real_evaluate(d, datum)
+    )
     for name in ("unknot", "trefoil", "hopf"):
-        calls.clear()
+        sums.clear()
+        evaluations.clear()
         code, out, _ = run(capsys, "invariant", name)
         assert code == 0 and "normalized: " in out
-        assert len(calls) == 1
+        assert sums == []
+        assert len(evaluations) == 1
 
 
 def test_cli_eval_validates_a_preset_once(tmp_path, capsys, monkeypatch):

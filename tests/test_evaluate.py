@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tangles.cli import parse_expr, to_diagram
 from tangles.diagram import (
     AmbientDim,
     Diagram,
@@ -32,7 +33,7 @@ from tangles.evaluate import (
 )
 from tangles.generate import iter_closed_diagrams, random_composable_pair, random_diagram
 from tangles.links import hopf, trefoil, unknot, unlink
-from tangles.rings import Laurent, Matrix
+from tangles.rings import Laurent, Matrix, kron_all
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "kauffman.datum"
 BRAIDED = AmbientDim.BRAIDED
@@ -217,3 +218,97 @@ def test_kauffman_golden_file():
     loaded = datum_from_text(golden)
     assert validate_datum(loaded, BRAIDED).valid
     assert evaluate(unknot(), loaded) == evaluate(unknot(), kauffman_datum())
+
+
+# ---------------------------------------------------------------------------
+# differential check against the Kronecker-padded slice evaluator
+
+
+def padded_evaluate(d, datum):
+    """Reference: one r^width matrix per slice, each event's matrix
+    Kronecker-padded with identities on the strands it does not touch."""
+    r = datum.rank
+    out = Matrix.identity(r ** len(d.source))
+    for s in d.slices:
+        if not s.events:
+            continue
+        factors, ei, p, idrun = [], 0, 0, 0
+        while True:
+            while ei < len(s.events) and s.events[ei].position == p:
+                if idrun:
+                    factors.append(Matrix.identity(r**idrun))
+                    idrun = 0
+                e = s.events[ei]
+                factors.append(datum.event_matrix(e.kind, e.labels))
+                p += e.arity_in
+                ei += 1
+            if p < len(s.input):
+                idrun += 1
+                p += 1
+            else:
+                break
+        if idrun:
+            factors.append(Matrix.identity(r**idrun))
+        out = kron_all(factors) @ out
+    return out
+
+
+DATA = (kauffman_datum(), trivial_datum(), flip_datum(), unit_datum(2, -1))
+
+
+def torus(n):
+    """T(2,n) (odd n) as the trace closure of n twists on two strands."""
+    terms = ["cup(0)", "id[1,0] | cup(1)"]
+    for i in range(n):
+        terms.append("id[1] | x+(0,2) | id[1]" if i % 2 == 0 else "id[1] | x+(2,0) | id[1]")
+    terms += ["cap(1) | id[0,1]", "cap(0)"]
+    return to_diagram(parse_expr(" ; ".join(terms)), BRAIDED)
+
+
+def test_evaluate_matches_padded_on_random_open_diagrams():
+    # tensors put several events, often tied ones, into one slice
+    rng = random.Random(67)
+    for dim in AmbientDim:
+        for _ in range(25):
+            d1 = random_diagram(rng, dim, max_events=4, width=4, lo=-1, hi=1)
+            d2 = random_diagram(rng, dim, max_events=4, width=4, lo=-1, hi=1)
+            for d in (d1, tensor(d1, d2), tensor(tensor(d2, d1), d2)):
+                for datum in DATA:
+                    assert evaluate(d, datum) == padded_evaluate(d, datum), (dim, datum.name, d)
+
+
+def test_evaluate_matches_padded_on_torus_knots_and_stacks():
+    K = kauffman_datum()
+    for n in range(1, 14, 2):
+        d = torus(n)
+        assert evaluate(d, K) == padded_evaluate(d, K), n
+    for d in (trefoil(True), tensor(trefoil(True), trefoil(False))):
+        for datum in DATA:
+            assert evaluate(d, datum) == padded_evaluate(d, datum)
+
+
+@pytest.mark.parametrize(
+    "source, events",
+    [
+        ((0,), [cup(0, at=0), cup(2, at=0)]),  # tied cups at the left end
+        ((0, 1), [cup(-1, at=1), cup(1, at=1), cup(3, at=1)]),  # tied inside
+        ((0, 1), [cup(4, at=0), cap(0, at=0)]),  # a cup tied with the cap after it
+        ((0, 1), [cup(0, at=0), cross_pos(0, 1, at=0)]),  # ... with a crossing
+        ((0, 1, 2), [cap(0, at=0), cup(3, at=2)]),  # a cup right after a span
+        ((0, 1, 2), [cross_neg(0, 1, at=0), cup(1, at=2), cup(0, at=2)]),
+        ((0, 1, 0, 1), [cross_pos(0, 1, at=0), cup(2, at=2), cap(0, at=2)]),
+    ],
+)
+def test_evaluate_matches_padded_on_tied_slices(source, events):
+    d = Diagram.from_events(source, [events])
+    for datum in DATA:
+        assert evaluate(d, datum) == padded_evaluate(d, datum), datum.name
+
+
+def test_evaluate_reads_a_replaced_datum_matrix():
+    # the event columns cached on the datum follow a matrix that is replaced
+    datum = flip_datum()
+    d = Diagram.from_events((0,), [[cup(0, at=1)], [cap(0, at=0)]])
+    assert evaluate(d, datum) == padded_evaluate(d, datum)
+    datum.b_prime = datum.b_prime.scale(3)
+    assert evaluate(d, datum) == padded_evaluate(d, datum) == Matrix.identity(2).scale(3)

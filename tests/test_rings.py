@@ -120,3 +120,25 @@ def test_matrix_kron_bilinear_random():
         c = Matrix.from_rows([[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)])
         d = Matrix.from_rows([[rng.randrange(-2, 3) for _ in range(2)] for _ in range(2)])
         assert (a @ b).kron(c @ d) == (a.kron(c)) @ (b.kron(d))
+
+
+def test_divide_exact_inverts_multiplication():
+    rng = random.Random(17)
+    delta = Laurent({2: -1, -2: -1})
+    divisors = [delta, Laurent.one(), Laurent.monomial(-3, -1), Laurent({1: 1, 0: 2, -4: -3})]
+    for _ in range(200):
+        p = rand_laurent(rng)
+        q = rng.choice(divisors + [rand_laurent(rng) + Laurent.monomial(6, rng.choice((1, -1)))])
+        assert (p * q).divide_exact(q) == p
+
+
+def test_divide_exact_rejects():
+    delta = Laurent({2: -1, -2: -1})
+    with pytest.raises(ArithmeticError):
+        (delta + 1).divide_exact(delta)  # not exact
+    with pytest.raises(ArithmeticError):
+        Laurent.monomial(5).divide_exact(delta)
+    with pytest.raises(ArithmeticError):
+        A.divide_exact(Laurent.zero())
+    with pytest.raises(ArithmeticError):
+        (A * 2).divide_exact(Laurent({1: 2, 0: 1}))  # leading coefficient 2
