@@ -80,9 +80,8 @@ class RigidDatum:
     braiding: Matrix | None = None
     braiding_inv: Matrix | None = None
     symmetric: bool = False
-    _crossings: dict[tuple[bool, bool, int], Matrix] = field(
-        default_factory=dict, repr=False
-    )
+    # (parities, sign) -> (the matrices it was derived from, crossing)
+    _crossings: dict = field(default_factory=dict, repr=False)
     _columns: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -110,9 +109,11 @@ class RigidDatum:
         if self.braiding is None:
             raise EvaluationError(f"datum {self.name} has no braiding")
         key = (bool(parity_a), bool(parity_b), sign)
-        if key not in self._crossings:
-            self._crossings[key] = self._derive_crossing(*key)
-        return self._crossings[key]
+        sources = (self.b, self.b_prime, self.d, self.d_prime, self.braiding, self.braiding_inv)
+        hit = self._crossings.get(key)
+        if hit is None or any(x is not y for x, y in zip(hit[0], sources)):
+            hit = self._crossings[key] = (sources, self._derive_crossing(*key))
+        return hit[1]
 
     def _derive_crossing(self, dual_a: bool, dual_b: bool, sign: int) -> Matrix:
         r = self.rank

@@ -561,11 +561,12 @@ def normalize_planar(d: Diagram) -> PlanarNormalForm:
     planarity) are theorems about valid planar diagrams, so violations
     raise RuntimeError.
     """
-    report = validate(d, AmbientDim.PLANAR)
-    if not report.valid:
-        raise DiagramError(f"not a valid planar diagram:\n{report}")
+    planar = not any(e.is_crossing for s in d.slices for e in s.events)
+    components = trace_components(d) if planar else ()
+    if not planar or any(comp.closed for comp in components):
+        raise DiagramError(f"not a valid planar diagram:\n{validate(d, AmbientDim.PLANAR)}")
     arcs = []
-    for comp in trace_components(d):
+    for comp in components:
         if comp.closed or len(comp.ends) != 2:
             raise RuntimeError("planar component without exactly two boundary ends")
         (sa, ia), (sb, ib) = comp.ends

@@ -35,6 +35,7 @@ from .simplex import (
     SimplexObject,
     all_monotone_maps,
     compose_monotone,
+    elementary_maps,
 )
 from .unionfind import UnionFind
 from .words import PointedMonoid
@@ -420,8 +421,14 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     the cut fiber product of phi, which does not depend on the anchor s.
     Every index morphism factors as one changing only phi's source (g)
     followed by one changing the ambient simplex (f), so those two
-    families generate the zigzag relation.  Each morphism restricts its
-    chains through one :func:`restriction_plan`.
+    families generate the zigzag relation.  Both families range over the
+    faces [n-1] -> [n] and degeneracies [n+1] -> [n] only: every monotone
+    map factors through its image as degeneracies followed by faces, with
+    every object on the way no larger than its source or its target, so
+    within the bound; restriction is functorial, so the relation of the
+    composite is implied by those of its factors, and identities relate
+    a tag to itself.  Each morphism restricts its chains through one
+    :func:`restriction_plan`.
 
     The forest runs on tag numbers: the tags ((a, phi, s), chain) are
     numbered in registration order, object by object and chain by chain
@@ -481,13 +488,13 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
         for phi1 in maps_into[a]:
             b1 = phi1.source.p
             for b0 in range(N + 1):
-                for g in all_monotone_maps(simplex[b0], simplex[b1]):
+                for g in elementary_maps(simplex[b0], simplex[b1]):
                     union_moves(a, compose_monotone(g, phi1), a, phi1, ident, same_anchor)
 
     # Family 2: change the ambient simplex along f (phi's source fixed).
     for a1 in range(N + 1):
         for a0 in range(N + 1):
-            for f in all_monotone_maps(simplex[a1], simplex[a0]):
+            for f in elementary_maps(simplex[a1], simplex[a0]):
                 anchor_pairs = [
                     (compose_monotone(s1, f), s1) for s1 in anchors[a1]
                 ]

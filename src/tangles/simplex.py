@@ -127,6 +127,19 @@ def all_monotone_maps(source: SimplexObject, target: SimplexObject) -> list[Mono
     return maps
 
 
+def elementary_maps(source: SimplexObject, target: SimplexObject) -> list[MonotoneMap]:
+    """The faces [n-1] -> [n] (skip i) and the degeneracies [n+1] -> [n]
+    (hit i twice), for i = 0..n; no maps between other sizes."""
+    n = target.p
+    if source.p == n - 1:
+        values = [tuple(v for v in range(n + 1) if v != i) for i in range(n + 1)]
+    elif source.p == n + 1:
+        values = [tuple(range(i + 1)) + tuple(range(i, n + 1)) for i in range(n + 1)]
+    else:
+        values = []
+    return [MonotoneMap(source, target, v) for v in values]
+
+
 @dataclass(frozen=True)
 class ConvexSubset:
     """The nonempty interval [lo, hi] inside an ambient simplex object."""

@@ -69,7 +69,6 @@ def test_planar_only_datum_rejects_crossings():
     datum = kauffman_datum()
     datum.braiding = None
     datum.braiding_inv = None
-    datum._crossings.clear()
     d = Diagram.from_events((0, 0), [[cross_pos(0, 0)]])
     with pytest.raises(EvaluationError):
         evaluate(d, datum)
@@ -312,3 +311,19 @@ def test_evaluate_reads_a_replaced_datum_matrix():
     assert evaluate(d, datum) == padded_evaluate(d, datum)
     datum.b_prime = datum.b_prime.scale(3)
     assert evaluate(d, datum) == padded_evaluate(d, datum) == Matrix.identity(2).scale(3)
+
+
+def test_evaluate_reads_a_replaced_braiding():
+    # the derived crossings follow the matrices they were derived from
+    datum = kauffman_datum()
+    assert evaluate(trefoil(True), datum).scalar() == Laurent({9: -1, 1: 1, -3: 1, -7: 1})
+    datum.braiding, datum.braiding_inv = datum.braiding_inv, datum.braiding
+    fresh = kauffman_datum()
+    fresh.braiding, fresh.braiding_inv = fresh.braiding_inv, fresh.braiding
+    mirror = Laurent({7: 1, 3: 1, -1: 1, -9: -1})
+    assert evaluate(trefoil(True), fresh).scalar() == mirror
+    assert evaluate(trefoil(True), datum).scalar() == mirror
+    for pa in (0, 1):
+        for pb in (0, 1):
+            for sign in (1, -1):
+                assert datum.crossing(pa, pb, sign) == fresh.crossing(pa, pb, sign)

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from tangles import rewrite
+from tangles import diagram, rewrite
 from tangles.diagram import (
     AmbientDim,
     Diagram,
+    DiagramError,
     EventKind,
     Slice,
     cap,
@@ -17,6 +18,7 @@ from tangles.diagram import (
     tensor,
     to_text,
     trace_components,
+    validate,
 )
 from tangles.evaluate import (
     evaluate,
@@ -81,6 +83,32 @@ def test_zigzag_normal_forms_equal_identity():
         assert normalize_planar(zigzag_left(k)) == normalize_planar(
             Diagram.identity((k + 1,))
         )
+
+
+def test_normalize_planar_traces_once(monkeypatch):
+    rng = random.Random(7)
+    cases = [random_diagram(rng, PLANAR) for _ in range(60)]
+    cases += [trefoil(True), unknot(True)]
+    expected = {}  # the error text, built before tracing is counted
+    for d in cases:
+        report = validate(d, PLANAR)
+        if not report.valid:
+            expected[id(d)] = f"not a valid planar diagram:\n{report}"
+    assert 0 < len(expected) < len(cases)
+    calls = []
+    real = diagram.trace_components
+    counting = lambda d: calls.append(d) or real(d)
+    monkeypatch.setattr(diagram, "trace_components", counting)
+    monkeypatch.setattr(rewrite, "trace_components", counting)
+    for d in cases:
+        calls.clear()
+        if id(d) in expected:
+            with pytest.raises(DiagramError) as err:
+                normalize_planar(d)
+            assert str(err.value) == expected[id(d)]
+        else:
+            normalize_planar(d)
+            assert len(calls) == 1
 
 
 def test_zigzag_tracked_through_interposed_slice():

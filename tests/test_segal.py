@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tangles.cli import _PRESETS
 from tangles.segal import (
     CategoryPresentation,
     SimplicialData,
@@ -29,6 +30,7 @@ from tangles.simplex import (
     compose_monotone,
     outer_hull,
 )
+from tangles.unionfind import UnionFind
 from tangles.words import (
     LEFT,
     RIGHT,
@@ -300,6 +302,88 @@ def test_colimit_classes_partition_tags_in_registration_order(C):
                 assert places == sorted(places)
             firsts = [rank[group[0]] for group in classes]
             assert firsts == sorted(firsts)
+
+
+def _random_map(rng, source: int, target: int) -> MonotoneMap:
+    return rng.choice(all_monotone_maps(SimplexObject(source), SimplexObject(target)))
+
+
+@pytest.mark.parametrize(
+    "C", [nerve_of_monoid(Z3, K=3), pushout_of_nerves(Z2, Z3, K=3)], ids=["nerve-z3", "pushout-z2-z3"]
+)
+def test_restriction_along_a_composite_is_the_composite_of_restrictions(C):
+    # an index morphism (f, g) from (outer over [a0]) to (inner over [a1])
+    # has outer = f o inner o g; compose two of them and restrict
+    rng = random.Random(11)
+    for _ in range(300):
+        a0, a1, a2, b0, b1, b2 = (rng.randrange(4) for _ in range(6))
+        inner2 = _random_map(rng, b2, a2)
+        f2, g2 = _random_map(rng, a2, a1), _random_map(rng, b1, b2)
+        inner1 = compose_monotone(compose_monotone(g2, inner2), f2)
+        f1, g1 = _random_map(rng, a1, a0), _random_map(rng, b0, b1)
+        outer = compose_monotone(compose_monotone(g1, inner1), f1)
+        whole = restriction_plan(compose_monotone(f2, f1), outer, inner2)
+        first = restriction_plan(f1, outer, inner1)
+        then = restriction_plan(f2, inner1, inner2)
+        for chain in cut_fiber_product(C, outer):
+            assert restrict_chain(C, whole, chain) == restrict_chain(
+                C, then, restrict_chain(C, first, chain)
+            )
+
+
+def _all_maps_colimit(C, p, N):
+    """The truncated colimit's classes with tags related along every
+    monotone map up to the bound: every g with the ambient fixed, and
+    every f changing the ambient (the elementary maps generate this)."""
+    tags = _registration_order(C, p, N)
+    number = {tag: i for i, tag in enumerate(tags)}
+    uf = UnionFind()
+    for i in range(len(tags)):
+        uf.find(i)
+    simplex = [SimplexObject(a) for a in range(N + 1)]
+    anchors = [all_monotone_maps(SimplexObject(p), A) for A in simplex]
+    phis = [[phi for B in simplex for phi in all_monotone_maps(B, A)] for A in simplex]
+    values = {phi: cut_fiber_product(C, phi) for maps in phis for phi in maps}
+
+    def relate(a0, phi0, a1, phi1, f, anchor_pairs):
+        plan = restriction_plan(f, phi0, phi1)
+        for chain in values[phi0]:
+            moved = restrict_chain(C, plan, chain)
+            for s0, s1 in anchor_pairs:
+                uf.union(
+                    number[((a0, phi0.values, s0.values), chain)],
+                    number[((a1, phi1.values, s1.values), moved)],
+                )
+
+    for a, A in enumerate(simplex):
+        for phi1 in phis[a]:
+            for B in simplex:
+                for g in all_monotone_maps(B, phi1.source):
+                    phi0 = compose_monotone(g, phi1)
+                    relate(a, phi0, a, phi1, MonotoneMap.identity(A), [(s, s) for s in anchors[a]])
+    for a1, A1 in enumerate(simplex):
+        for a0, A0 in enumerate(simplex):
+            for f in all_monotone_maps(A1, A0):
+                pairs = [(compose_monotone(s, f), s) for s in anchors[a1]]
+                for phi1 in phis[a1]:
+                    relate(a0, compose_monotone(phi1, f), a1, phi1, f, pairs)
+    return [[tags[i] for i in group] for group in uf.groups()]
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_colimit_matches_the_all_maps_relation(name):
+    C = _PRESETS[name]()
+    for p in range(3):
+        smaller = None
+        for N in range(4 if name == "nerve-z2" and p < 2 else 3):
+            classes = _all_maps_colimit(C, p, N)
+            stabilized = smaller is not None and len(smaller) == len(classes) and all(
+                any(tag in small_tags for tag in group) for group in classes
+            )
+            col = colimit_truncated(C, p, N)
+            assert (col.classes, col.stabilized) == (classes, stabilized), (p, N)
+            smaller = classes
+            small_tags = {tag for group in classes for tag in group}
 
 
 def test_close_words_matches_brute_force_closure():

@@ -14,6 +14,7 @@ from tangles.simplex import (
     compose_monotone,
     cover,
     cover_inclusion_map,
+    elementary_maps,
     hull_image,
     localize_cover,
     outer_hull,
@@ -53,6 +54,46 @@ def test_monotone_validation():
         mono((1, 0), 2)
     with pytest.raises(SimplexError):
         mono((0, 5), 2)
+
+
+def test_elementary_maps_are_the_faces_and_degeneracies():
+    for m in range(5):
+        for n in range(5):
+            source, target = SimplexObject(m), SimplexObject(n)
+            maps = elementary_maps(source, target)
+            assert len(set(maps)) == len(maps)
+            image_sizes = {u: len(set(u.values)) for u in all_monotone_maps(source, target)}
+            if m == n - 1:  # faces: the injective maps
+                expected = [u for u, k in image_sizes.items() if k == m + 1]
+            elif m == n + 1:  # degeneracies: the surjective maps
+                expected = [u for u, k in image_sizes.items() if k == n + 1]
+            else:
+                expected = []
+            assert set(maps) == set(expected)
+            assert len(maps) == (n + 1 if expected else 0)
+
+
+def test_monotone_maps_factor_into_elementary_maps_within_the_bound():
+    # every map [s] -> [t] is a composite of elementary maps whose
+    # intermediate objects stay within max(s, t)
+    top = 3
+    objects = [SimplexObject(k) for k in range(top + 1)]
+    for s in objects:
+        for t in objects:
+            bound = max(s.p, t.p)
+            reached = {MonotoneMap.identity(s)}
+            frontier = list(reached)
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for c in objects[: bound + 1]:
+                        for e in elementary_maps(u.target, c):
+                            v = compose_monotone(u, e)
+                            if v not in reached:
+                                reached.add(v)
+                                nxt.append(v)
+                frontier = nxt
+            assert {u for u in reached if u.target == t} == set(all_monotone_maps(s, t))
 
 
 def test_hull_image_examples():
