@@ -61,7 +61,6 @@ from .diagram import (
     cross_neg,
     cross_pos,
     cup,
-    to_text,
     trace_components,
     validate,
 )
@@ -674,14 +673,14 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
         return Equality.DISTINCT
 
     r1, r2 = reduce_diagram(d1, dim), reduce_diagram(d2, dim)
-    if to_text(r1) == to_text(r2):
+    if r1 == r2:
         return Equality.EQUAL
 
     labels = r1.labels() | r2.labels() | {0}
     window = (min(labels) - 1, max(labels) + 1)
     sides = [
-        ({to_text(r1): r1}, [r1]),
-        ({to_text(r2): r2}, [r2]),
+        ({r1}, [r1]),
+        ({r2}, [r2]),
     ]
     spent = 0
     while spent < budget and (sides[0][1] or sides[1][1]):
@@ -693,11 +692,10 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
         for node in frontier:
             for nb in _neighbors(node, dim, window):
                 spent += 1
-                key = to_text(nb)
-                if key in other_seen:
+                if nb in other_seen:
                     return Equality.EQUAL
-                if key not in seen:
-                    seen[key] = nb
+                if nb not in seen:
+                    seen.add(nb)
                     nxt.append(nb)
                 if spent >= budget:
                     break

@@ -114,6 +114,8 @@ class Laurent:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        if self.coeffs.keys() <= {0}:  # a constant equals its integer, so hashes as it
+            return hash(self.coeffs.get(0, 0))
         return hash(tuple(sorted(self.coeffs.items())))
 
     # -- structure queries ---------------------------------------------------

@@ -245,75 +245,68 @@ def presentation_of(X: SimplicialData) -> CategoryPresentation:
     return CategoryPresentation(objects, generators, tuple(relations))
 
 
-def _enumerate_words(pres: CategoryPresentation, budget: int):
-    """All composable generator words of length <= budget, keyed by
-    (source, word); the empty word at x is the identity of x."""
+def _close_words(pres: CategoryPresentation, budget: int):
+    """Close the composable generator words of length <= budget, keyed by
+    (source, word) with the empty word at x the identity of x, in one pass;
+    returns (hom-sets, stabilized).  Words are built one length at a time,
+    and a relation is indexed only in its non-lengthening direction, so
+    each edge is joined from its longer end.  The forest at the end of
+    level budget - 1 is thus the closure at budget - 1, and the class
+    counts copied then say whether the last level changed anything."""
     ends = pres.endpoints()
     by_source: dict[Hashable, list] = {}
     for g, s, _ in pres.generators:
         by_source.setdefault(s, []).append(g)
-    words: dict[tuple, tuple[Hashable, Hashable]] = {}
-    for x in pres.objects:
-        words[(x, ())] = (x, x)
-        frontier = [((), x)]
-        for _ in range(budget):
-            nxt = []
-            for w, cursor in frontier:
-                for g in by_source.get(cursor, ()):  # extend on the right
-                    nw = w + (g,)
-                    words[(x, nw)] = (x, ends[g][1])
-                    nxt.append((nw, ends[g][1]))
-            frontier = nxt
-            if not frontier:
-                break
-    return words
-
-
-def _close_words(pres: CategoryPresentation, budget: int):
-    words = _enumerate_words(pres, budget)
-    uf = UnionFind()
-    for key in words:  # the forest then shares these keys instead of copying them
-        uf.find(key)
-    # side length -> side -> the sides it may be replaced by
+    # side length -> side -> the sides no longer than it that may replace it
     rewrites: dict[int, dict[tuple, list[tuple]]] = {}
     for lhs, rhs in pres.relations:
         for a, b in ((lhs, rhs), (rhs, lhs)):
-            rewrites.setdefault(len(a), {}).setdefault(a, []).append(b)
-    for key in words:
-        x, w = key
-        for n, sides in rewrites.items():
-            for pos in range(len(w) - n + 1):
-                for b in sides.get(w[pos : pos + n], ()):
-                    nw = w[:pos] + b + w[pos + n :]
-                    if len(nw) <= budget and (x, nw) in words:
-                        uf.union(key, (x, nw))
-    groups: dict = {}
-    for key, (x, t) in words.items():
-        root = uf.find(key)
-        groups.setdefault((x, t, root), []).append(key[1])
+            if len(b) <= len(a):
+                rewrites.setdefault(len(a), {}).setdefault(a, []).append(b)
+    uf = UnionFind()
+    words: dict[tuple, tuple[Hashable, Hashable]] = {}  # (source, word) -> hom-set
+    counts: dict[tuple, int] = {}  # hom-set -> its classes so far
+    level = {(x, ()): (x, x) for x in pres.objects}
+    for length in range(budget + 1):
+        if length == budget:
+            smaller = dict(counts)
+        for key, homset in level.items():
+            uf.find(key)  # the forest then shares these keys instead of copying them
+            counts[homset] = counts.get(homset, 0) + 1
+        words.update(level)
+        for key, homset in level.items():
+            x, w = key
+            for n, sides in rewrites.items():
+                for pos in range(length - n + 1):
+                    for b in sides.get(w[pos : pos + n], ()):
+                        other = (x, w[:pos] + b + w[pos + n :])
+                        if other in words:
+                            counts[homset] -= uf.union(key, other)
+        if length < budget:
+            level = {
+                (x, w + (g,)): (x, ends[g][1])
+                for (x, w), (_, t) in level.items()
+                for g in by_source.get(t, ())
+            }
     hom: dict[tuple, list[list[tuple]]] = {}
-    for (x, t, _), members in groups.items():
-        hom.setdefault((x, t), []).append(sorted(members, key=lambda w: (len(w), repr(w))))
+    for members in uf.groups():
+        hom.setdefault(words[members[0]], []).append(
+            sorted((w for _, w in members), key=lambda w: (len(w), repr(w)))
+        )
     for classes in hom.values():
         classes.sort(key=lambda ws: (len(ws[0]), repr(ws[0])))
-    return hom
+    return hom, budget > 1 and smaller == counts
 
 
 def complete(X: SimplicialData, budget: int) -> Completion:
     """Segal completion at set level: presented category with hom-sets
-    enumerated by congruence closure up to the word-length budget."""
+    enumerated by congruence closure up to the word-length budget, in one
+    pass; ``stabilized`` compares with the closure at budget - 1, which
+    the same pass holds just before its last level."""
     if budget < 0:
         raise SimplicialError(f"word-length budget must be >= 0, got {budget}")
     pres = presentation_of(X)
-    hom = _close_words(pres, budget)
-    smaller = _close_words(pres, budget - 1) if budget > 1 else {}
-    stabilized = budget > 1 and _same_class_counts(hom, smaller)
-    return Completion(pres, budget, hom, stabilized)
-
-
-def _same_class_counts(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    return all(len(a.get(k, [])) == len(b.get(k, [])) for k in keys)
+    return Completion(pres, budget, *_close_words(pres, budget))
 
 
 # ---------------------------------------------------------------------------

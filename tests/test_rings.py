@@ -43,6 +43,13 @@ def test_int_interop():
     assert 1 - A == Laurent({1: -1, 0: 1})
 
 
+def test_constants_hash_as_the_integers_they_equal():
+    for n in (-2, 0, 1, 7):
+        assert hash(Laurent.promote(n)) == hash(n)
+    assert {Laurent.one(), 1} == {1} and {Laurent.zero(), 0} == {0}
+    assert len({Laurent.monomial(1), Laurent.monomial(-1), Laurent.one()}) == 3
+
+
 def test_printing():
     delta = Laurent({2: -1, -2: -1})
     assert str(delta) == "-A^2-A^-2"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tangles import segal
 from tangles.cli import _PRESETS
 from tangles.segal import (
     CategoryPresentation,
@@ -394,41 +395,115 @@ def test_close_words_matches_brute_force_closure():
         relations=((("e", "e"), ()), (("f", "g"), ("e",))),
     )
     ends = pres.endpoints()
-    budget = 5
-    words = {}  # (source, word) -> target
-    for x in pres.objects:
-        for n in range(budget + 1):
-            for w in itertools.product(ends, repeat=n):
-                cursor = x
-                for g in w:
-                    if ends[g][0] != cursor:
-                        break
-                    cursor = ends[g][1]
-                else:
-                    words[(x, w)] = cursor
     sides = [(lhs, rhs) for lhs, rhs in pres.relations] + [(rhs, lhs) for lhs, rhs in pres.relations]
 
-    def neighbours(x, w):
-        for i in range(len(w) + 1):
-            for j in range(i, len(w) + 1):
-                for a, b in sides:
-                    if w[i:j] == a and (x, w[:i] + b + w[j:]) in words:
-                        yield (x, w[:i] + b + w[j:])
+    def closure(budget):
+        words = {}  # (source, word) -> target
+        for x in pres.objects:
+            for n in range(budget + 1):
+                for w in itertools.product(ends, repeat=n):
+                    cursor = x
+                    for g in w:
+                        if ends[g][0] != cursor:
+                            break
+                        cursor = ends[g][1]
+                    else:
+                        words[(x, w)] = cursor
 
-    expected: dict = {}
-    seen = set()
-    for start in words:
-        if start in seen:
-            continue
-        component, stack = set(), [start]
-        while stack:
-            key = stack.pop()
-            if key in component:
+        def neighbours(x, w):
+            for i in range(len(w) + 1):
+                for j in range(i, len(w) + 1):
+                    for a, b in sides:
+                        if w[i:j] == a and (x, w[:i] + b + w[j:]) in words:
+                            yield (x, w[:i] + b + w[j:])
+
+        expected: dict = {}
+        seen = set()
+        for start in words:
+            if start in seen:
                 continue
-            component.add(key)
-            stack.extend(neighbours(*key))
-        seen |= component
-        expected.setdefault((start[0], words[start]), set()).add(frozenset(w for _, w in component))
+            component, stack = set(), [start]
+            while stack:
+                key = stack.pop()
+                if key in component:
+                    continue
+                component.add(key)
+                stack.extend(neighbours(*key))
+            seen |= component
+            expected.setdefault((start[0], words[start]), set()).add(frozenset(w for _, w in component))
+        return expected
+
+    budget = 5
+    expected, smaller = closure(budget), closure(budget - 1)
     assert any(len(classes) > 1 for classes in expected.values())
-    hom = _close_words(pres, budget)
+    hom, stabilized = _close_words(pres, budget)
     assert {key: {frozenset(cls) for cls in classes} for key, classes in hom.items()} == expected
+    counts = {key: len(classes) for key, classes in expected.items()}
+    assert stabilized == (counts == {key: len(classes) for key, classes in smaller.items()})
+
+
+def _two_pass_completion(X, budget):
+    """The completion as two separate closures: enumerate the words, close
+    them at the budget and again at budget - 1, and compare class counts."""
+    pres = presentation_of(X)
+    ends = pres.endpoints()
+    by_source: dict = {}
+    for g, s, _ in pres.generators:
+        by_source.setdefault(s, []).append(g)
+
+    def close(budget):
+        words = {}  # (source, word) -> (source, target)
+        for x in pres.objects:
+            words[(x, ())] = (x, x)
+            frontier = [((), x)]
+            for _ in range(budget):
+                frontier = [(w + (g,), ends[g][1]) for w, t in frontier for g in by_source.get(t, ())]
+                words.update({(x, w): (x, t) for w, t in frontier})
+        uf = UnionFind()
+        for key in words:
+            uf.find(key)
+        for key in words:
+            x, w = key
+            for lhs, rhs in pres.relations:
+                for a, b in ((lhs, rhs), (rhs, lhs)):
+                    for pos in range(len(w) - len(a) + 1):
+                        if w[pos : pos + len(a)] == a:
+                            other = (x, w[:pos] + b + w[pos + len(a) :])
+                            if other in words:
+                                uf.union(key, other)
+        hom: dict = {}
+        for members in uf.groups():
+            hom.setdefault(words[members[0]], []).append(
+                sorted((w for _, w in members), key=lambda w: (len(w), repr(w)))
+            )
+        for classes in hom.values():
+            classes.sort(key=lambda ws: (len(ws[0]), repr(ws[0])))
+        return hom
+
+    hom = close(budget)
+    smaller = close(budget - 1) if budget > 1 else {}
+    stabilized = budget > 1 and all(
+        len(hom.get(key, [])) == len(smaller.get(key, [])) for key in set(hom) | set(smaller)
+    )
+    return hom, stabilized
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_completion_matches_the_two_pass_closure(name):
+    X = _PRESETS[name]()
+    for budget in range(8):
+        comp = complete(X, budget)
+        assert (comp.hom_classes, comp.stabilized) == _two_pass_completion(X, budget), budget
+
+
+def test_completion_closes_the_words_once(monkeypatch):
+    calls = []
+
+    def counted(pres, budget):
+        calls.append(budget)
+        return _close_words(pres, budget)
+
+    monkeypatch.setattr(segal, "_close_words", counted)
+    for budget in range(6):
+        complete(_PRESETS["pushout-z2-z3"](), budget)
+    assert calls == list(range(6))
