@@ -12,6 +12,12 @@ tighter than ";"):
             | "unknot" | "trefoil" | "hopf" | "unlink"
             | "(" expr ")"
 
+Text becomes a diagram in one pass: no intermediate diagram is built for
+a ";" or a "|", and each slice of the result is typed once, so a chain of
+terms of any length is built in time linear in its length.  The parser and
+``to_diagram`` keep their own stacks instead of recursing, so neither
+length nor parenthesis depth is limited by Python's recursion limit.
+
 Subcommands write deterministic text to stdout and use exit status 0 for
 success, 1 for user errors (usage, syntax, typing, boundary mismatches,
 malformed data or option values, unreadable files), and 2 for any other
@@ -31,13 +37,12 @@ from .diagram import (
     AmbientDim,
     Diagram,
     DiagramError,
-    compose,
+    Event,
+    ObjectWord,
     cap as cap_event,
     cross_neg,
     cross_pos,
     cup as cup_event,
-    elementary,
-    tensor,
     to_text,
     validate,
     writhe,
@@ -110,26 +115,18 @@ _TOKEN = re.compile(
     r"|(?P<gen>cup|cap|x\+|x-)"
     r"|(?P<id>id)"
     r"|(?P<int>-?\d+)"
-    r"|(?P<punct>[();,|\[\]]))"
+    r"|(?P<punct>[();,|\[\]])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[where]!r}", where)
+    for m in _TOKEN.finditer(text):  # every non-space character starts a match
         kind = m.lastgroup
-        if kind is None:
-            raise RuntimeError(f"token pattern matched no group at position {pos}")
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
     return tokens
 
 
@@ -154,25 +151,38 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek() and self.peek()[1] == ";":
-            self.take()
-            e = Seq(e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek() and self.peek()[1] == "|":
-            self.take()
-            e = Par(e, self.factor())
-        return e
+        """expr, term and factor of the grammar in one loop.  Each "("
+        saves the enclosing expression's ";" chain and "|" chain on a
+        stack, so nesting depth costs no recursion."""
+        enclosing: list[tuple[Expr | None, Expr | None]] = []
+        seq: Expr | None = None  # the terms before the last ";"
+        par: Expr | None = None  # the factors of the current term
+        while True:
+            tok = self.peek()
+            if tok is not None and tok[1] == "(":
+                self.take()
+                enclosing.append((seq, par))
+                seq = par = None
+                continue
+            factor = self.atom()
+            par = factor if par is None else Par(par, factor)
+            while True:  # after a factor: close groups until "|", ";" or the end
+                tok = self.peek()
+                if tok is not None and tok[1] == "|":
+                    self.take()
+                    break
+                e = par if seq is None else Seq(seq, par)
+                if tok is not None and tok[1] == ";":
+                    self.take()
+                    seq, par = e, None
+                    break
+                if not enclosing:
+                    if tok is not None:
+                        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+                    return e
+                self.take("punct", ")")
+                seq, par = enclosing.pop()
+                par = e if par is None else Par(par, e)
 
     def ints(self, count: int) -> tuple[int, ...]:
         out = [int(self.take("int")[1])]
@@ -181,7 +191,7 @@ class _Parser:
             out.append(int(self.take("int")[1]))
         return tuple(out)
 
-    def factor(self) -> Expr:
+    def atom(self) -> Expr:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", len(self.text))
@@ -206,11 +216,6 @@ class _Parser:
                     labels += (int(self.take("int")[1]),)
             self.take("punct", "]")
             return IdWord(labels)
-        if value == "(":
-            self.take()
-            e = self.expr()
-            self.take("punct", ")")
-            return e
         raise ParseError(f"unexpected {value!r}", pos)
 
 
@@ -242,27 +247,105 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
+# A block is a diagram before its slices are typed: its level words, source
+# first and target last, and the events of each slice between them.
+_Block = tuple[list[ObjectWord], list[list[Event]]]
+
+_GENERATORS = {
+    "cup": lambda args: cup_event(args[0]),
+    "cap": lambda args: cap_event(args[0]),
+    "x+": lambda args: cross_pos(*args),
+    "x-": lambda args: cross_neg(*args),
+}
+
+_THEN = object()  # on the work stack: compose the top two blocks
+
+
 def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
+    """The diagram of an expression, built in one pass.
+
+    Each subexpression becomes a block.  ";" checks the boundary and
+    extends the lower block in place; "|" lays a chain of factors side by
+    side, shifting each factor's events by the width to its left and
+    padding the shorter factors on top with identity levels, as
+    ``compose`` and ``tensor`` do.  No intermediate diagram is built:
+    each slice of the result is typed once, when the result is.  The tree
+    is walked with an explicit stack, children left to right before their
+    parent, so errors come in the order of a fold through ``compose`` and
+    ``tensor``, and a chain of any length or depth costs no recursion.
+    """
+    todo: list = [e]
+    blocks: list[_Block] = []
+    while todo:
+        item = todo.pop()
+        if item is _THEN:
+            words, layers = blocks.pop()
+            below_words, below_layers = blocks[-1]
+            if below_words[-1] != words[0]:
+                raise DiagramError(
+                    f"cannot compose: upper boundary {below_words[-1]} "
+                    f"!= lower boundary {words[0]}"
+                )
+            below_words.extend(words[1:])
+            below_layers.extend(layers)
+        elif isinstance(item, int):  # juxtapose the top `item` blocks
+            factors = blocks[-item:]
+            del blocks[-item:]
+            blocks.append(_side_by_side(factors))
+        elif isinstance(item, Seq):
+            terms = [item.second]  # the left spine t1 ; ... ; tk, last first
+            while isinstance(item.first, Seq):
+                item = item.first
+                terms.append(item.second)
+            for term in terms:
+                todo += (_THEN, term)
+            todo.append(item.first)
+        elif isinstance(item, Par):
+            factors = [item.right]  # the left spine f1 | ... | fk, last first
+            while isinstance(item.left, Par):
+                item = item.left
+                factors.append(item.right)
+            factors.append(item.left)
+            todo.append(len(factors))
+            todo += factors
+        else:
+            blocks.append(_leaf(item, dim))
+    words, layers = blocks.pop()
+    return Diagram.from_events(words[0], layers)
+
+
+def _leaf(e: Expr, dim: AmbientDim) -> _Block:
     if isinstance(e, Gen):
-        event = {
-            "cup": lambda: cup_event(e.args[0]),
-            "cap": lambda: cap_event(e.args[0]),
-            "x+": lambda: cross_pos(*e.args),
-            "x-": lambda: cross_neg(*e.args),
-        }[e.kind]()
-        return elementary(event, dim)
+        event = _GENERATORS[e.kind](e.args)
+        if event.is_crossing and not dim.allows_crossings:
+            raise DiagramError("crossings are not allowed in the planar ambient dimension")
+        return [event.consumes(), event.emits()], [[event]]
     if isinstance(e, IdWord):
-        return Diagram.identity(e.labels)
+        return [tuple(e.labels)], []
     if isinstance(e, Named):
         d = links.BUILTINS[e.name]()
         if not dim.allows_crossings:
             raise DiagramError(f"builtin {e.name!r} has crossings, illegal for n=2")
-        return d
-    if isinstance(e, Seq):
-        return compose(to_diagram(e.first, dim), to_diagram(e.second, dim))
-    if isinstance(e, Par):
-        return tensor(to_diagram(e.left, dim), to_diagram(e.right, dim))
+        return [d.source, *(s.output() for s in d.slices)], [list(s.events) for s in d.slices]
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _side_by_side(factors: list[_Block]) -> _Block:
+    height = max(len(layers) for _, layers in factors)
+    words: list[ObjectWord] = []
+    layers: list[list[Event]] = []
+    for i in range(height + 1):
+        word: list[int] = []
+        events: list[Event] = []
+        for factor_words, factor_layers in factors:
+            if i < len(factor_layers):
+                offset, level = len(word), factor_layers[i]
+                events += [ev.shifted(offset) for ev in level] if offset else level
+            word += factor_words[min(i, len(factor_layers))]
+        words.append(tuple(word))
+        if i < height:
+            layers.append(events)
+    return words, layers
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +409,12 @@ def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
     return datum, validate_datum(datum, dim)
 
 
+def _parsed_diagram(args, dim: AmbientDim) -> Diagram:
+    return to_diagram(parse_expr(_read_expr(args)), dim)
+
+
 def _diagram_from_args(args, dim: AmbientDim) -> Diagram:
-    text = _read_expr(args)
-    d = to_diagram(parse_expr(text), dim)
+    d = _parsed_diagram(args, dim)
     report = validate(d, dim)
     if not report.valid:
         raise DiagramError(str(report))
@@ -337,8 +423,7 @@ def _diagram_from_args(args, dim: AmbientDim) -> Diagram:
 
 def _cmd_validate(args) -> int:
     dim = _dim(args)
-    text = _read_expr(args)
-    d = to_diagram(parse_expr(text), dim)
+    d = _parsed_diagram(args, dim)
     window = None
     if args.window:
         try:
@@ -356,11 +441,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     dim = _dim(args)
-    d = _diagram_from_args(args, dim)
-    if dim is AmbientDim.PLANAR:
-        print(normalize_planar(d), end="")
-    else:
-        print(to_text(reduce_diagram(d, dim)), end="")
+    if dim is not AmbientDim.PLANAR:
+        print(to_text(reduce_diagram(_diagram_from_args(args, dim), dim)), end="")
+        return 0
+    # normalize_planar traces the strands once and refuses exactly the
+    # diagrams that validate refuses; only then is the report built
+    d = _parsed_diagram(args, dim)
+    try:
+        form = normalize_planar(d)
+    except DiagramError:
+        raise DiagramError(str(validate(d, dim))) from None
+    print(form, end="")
     return 0
 
 

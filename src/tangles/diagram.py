@@ -249,11 +249,16 @@ class Slice:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A stack of slices whose boundaries chain."""
+    """A stack of slices whose boundaries chain.
+
+    The hash is computed on first use and kept: seen-sets look a diagram
+    up many times, and most diagrams are never hashed at all.
+    """
 
     source: ObjectWord
     slices: tuple[Slice, ...]
     target: ObjectWord = field(init=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "source", tuple(self.source))
@@ -266,6 +271,11 @@ class Diagram:
                 )
             word = s.output()
         object.__setattr__(self, "target", word)
+
+    def __hash__(self) -> int:
+        if self._hash is None:  # target follows from source and slices
+            object.__setattr__(self, "_hash", hash((self.source, self.slices)))
+        return self._hash
 
     @staticmethod
     def identity(word: Sequence[int]) -> "Diagram":

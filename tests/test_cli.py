@@ -1,8 +1,12 @@
+import json
 import random
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
+from tangles import diagram, links, rewrite
 from tangles.cli import (
     Gen,
     IdWord,
@@ -15,7 +19,18 @@ from tangles.cli import (
     print_expr,
     to_diagram,
 )
-from tangles.diagram import AmbientDim
+from tangles.diagram import (
+    AmbientDim,
+    Diagram,
+    DiagramError,
+    cap,
+    compose,
+    cross_neg,
+    cross_pos,
+    cup,
+    elementary,
+    tensor,
+)
 from tangles.evaluate import datum_to_text, kauffman_datum, trivial_datum
 from tangles.links import trefoil
 
@@ -87,6 +102,172 @@ def test_to_diagram_zigzag():
 def test_to_diagram_builtin_validated():
     d = to_diagram(parse_expr("trefoil"), BRAIDED)
     assert d == trefoil()
+
+
+def folded(e, dim):
+    """The reference builder: a recursive fold through compose and tensor."""
+    if isinstance(e, Gen):
+        event = {
+            "cup": lambda: cup(e.args[0]),
+            "cap": lambda: cap(e.args[0]),
+            "x+": lambda: cross_pos(*e.args),
+            "x-": lambda: cross_neg(*e.args),
+        }[e.kind]()
+        return elementary(event, dim)
+    if isinstance(e, IdWord):
+        return Diagram.identity(e.labels)
+    if isinstance(e, Named):
+        d = links.BUILTINS[e.name]()
+        if not dim.allows_crossings:
+            raise DiagramError(f"builtin {e.name!r} has crossings, illegal for n=2")
+        return d
+    if isinstance(e, Seq):
+        return compose(folded(e.first, dim), folded(e.second, dim))
+    return tensor(folded(e.left, dim), folded(e.right, dim))
+
+
+def built(build, e, dim):
+    try:
+        return build(e, dim)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+def bench_expressions():
+    """Every diagram expression the benchmark runs, with its dimension."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+    out = set()
+    for key in json.loads(path.read_text(encoding="utf-8")):
+        if key.startswith("equal "):
+            first, second = key.split(" [", 1)[1][:-1].split("] [")
+            out.update(((first, 3), (second, 3)))
+            continue
+        argv = shlex.split(key)[1:]
+        if argv[0] in ("invariant", "eval", "normalize", "validate"):
+            dim = int(argv[argv.index("--dim") + 1]) if "--dim" in argv else 3
+            out.add((argv[-1], dim))
+    return sorted(out)
+
+
+def test_to_diagram_matches_the_fold():
+    rng = random.Random(2024)
+    cases = [random_expr(rng) for _ in range(400)]
+    dims = (AmbientDim.PLANAR, AmbientDim.BRAIDED, AmbientDim.SYMMETRIC)
+    outcomes = set()
+    for e in cases:
+        for dim in dims:
+            got = built(to_diagram, e, dim)
+            assert got == built(folded, e, dim), print_expr(e)
+            outcomes.add(type(got))
+    assert outcomes == {Diagram, tuple}  # both results and errors were compared
+    exprs = bench_expressions()
+    assert len(exprs) > 400
+    for text, dim in exprs:
+        e = parse_expr(text)
+        assert isinstance(to_diagram(e, AmbientDim.from_dimension(dim)), Diagram), text
+        for other in dims:
+            assert built(to_diagram, e, other) == built(folded, e, other), text
+
+
+def named_leaves(e):
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Seq):
+            todo += (e.first, e.second)
+        elif isinstance(e, Par):
+            todo += (e.left, e.right)
+        elif isinstance(e, Named):
+            out.append(e.name)
+    return out
+
+
+def test_to_diagram_types_each_slice_once(monkeypatch):
+    counts = {"slices": 0, "diagrams": 0}
+    real_slice, real_diagram = diagram.Slice.__post_init__, diagram.Diagram.__post_init__
+
+    def counting_slice(self):
+        counts["slices"] += 1
+        real_slice(self)
+
+    def counting_diagram(self):
+        counts["diagrams"] += 1
+        real_diagram(self)
+
+    monkeypatch.setattr(diagram.Slice, "__post_init__", counting_slice)
+    monkeypatch.setattr(diagram.Diagram, "__post_init__", counting_diagram)
+
+    def cost(build, *args):
+        counts.update(slices=0, diagrams=0)
+        result = build(*args)
+        return result, dict(counts)
+
+    builtin = {name: cost(make)[1] for name, make in links.BUILTINS.items()}
+    rng = random.Random(5)
+    cases = [random_expr(rng) for _ in range(300)]
+    cases += [parse_expr(text) for text, dim in bench_expressions() if dim == 3]
+    checked = 0
+    for e in cases:
+        try:
+            d, used = cost(to_diagram, e, BRAIDED)
+        except DiagramError:
+            continue
+        names = named_leaves(e)
+        assert used["slices"] == len(d.slices) + sum(builtin[n]["slices"] for n in names)
+        assert used["diagrams"] == 1 + sum(builtin[n]["diagrams"] for n in names)
+        checked += 1
+    assert checked > 400
+
+
+def zigzag_chain(terms):
+    right = ("id[0] | cup(0)", "cap(0) | id[0]")
+    left = ("cup(-1) | id[0]", "id[0] | cap(-1)")
+    return " ; ".join((right if i % 4 < 2 else left)[i % 2] for i in range(terms))
+
+
+def test_cli_long_chains_and_deep_nesting(capsys):
+    # each of these ran out of recursion depth when the front end recursed
+    chain = zigzag_chain(2400)
+    assert chain.count(";") == 2399
+    assert run(capsys, "normalize", "--dim", "3", chain) == (0, "source: 0\n", "")
+    assert run(capsys, "normalize", "--dim", "2", chain)[0] == 0
+    wide = " | ".join(["id[0]"] * 1100)
+    code, out, _ = run(capsys, "validate", wide)
+    assert code == 0 and out.splitlines()[1] == "source: " + " ".join(["0"] * 1100)
+    code, out, _ = run(capsys, "validate", "(" * 1000 + "id[0]" + ")" * 1000)
+    assert code == 0 and out.splitlines()[:2] == ["ok", "source: 0"]
+    unclosed = "(" * 1000 + "id[0]"
+    code, _, err = run(capsys, "validate", unclosed)
+    assert code == 1
+    assert err == f"error: syntax error at position {len(unclosed)}: unexpected end of input\n"
+
+
+def test_cli_nested_right_chains(capsys):
+    # a; (b; (c; ...)) and a | (b | (c | ...)) nest to the right, 800 deep
+    depth = 800
+    seq = " ; (".join(zigzag_chain(depth).split(" ; ")) + ")" * (depth - 1)
+    e = parse_expr(seq)
+    assert isinstance(e, Seq) and isinstance(e.second, Seq)
+    code, out, _ = run(capsys, "normalize", "--dim", "2", seq)
+    assert (code, out) == (0, "source: 0\ntarget: 0\narc: source[0](0) -- target[0](0)\n")
+    par = " | (".join(["cup(0)"] * depth) + ")" * (depth - 1)
+    code, out, _ = run(capsys, "validate", par)
+    assert code == 0 and out.splitlines()[2] == "target: " + " ".join(["1 0"] * depth)
+
+
+def test_cli_planar_normalize_traces_once(capsys, monkeypatch):
+    calls = []
+    real = diagram.trace_components
+    counting = lambda d: calls.append(d) or real(d)
+    monkeypatch.setattr(diagram, "trace_components", counting)
+    monkeypatch.setattr(rewrite, "trace_components", counting)
+    for expr in ("id[0] | cup(0) ; cap(0) | id[0]", zigzag_chain(160), "cup(3) | id[1]", "id[]"):
+        calls.clear()
+        code, out, _ = run(capsys, "normalize", "--dim", "2", expr)
+        assert code == 0 and out.startswith("source: ")
+        assert len(calls) == 1
+    code, _, err = run(capsys, "normalize", "--dim", "2", "cup(0) ; x+(1,0)")
+    assert code == 1 and err == "error: crossings are not allowed in the planar ambient dimension\n"
 
 
 def run(capsys, *argv):

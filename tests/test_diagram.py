@@ -105,6 +105,21 @@ def test_slice_frozen_and_compared_by_input_and_events():
             setattr(s, name, ())
 
 
+def test_diagram_hash_is_cached_and_agrees_with_equality():
+    rng = random.Random(11)
+    made = [random_diagram(rng, BRAIDED) for _ in range(200)]
+    for d in made:
+        twin = Diagram.from_events(d.source, [list(s.events) for s in d.slices])
+        assert twin is not d and twin == d
+        assert d._hash is None  # nothing is hashed until a lookup asks
+        assert hash(twin) == hash(d) == hash((d.source, d.slices))
+        assert d._hash == hash(d)
+    assert len(set(made)) == len({to_text(d) for d in made})
+    assert "_hash" not in repr(made[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made[0]._hash = 0
+
+
 def test_validate_reports_positions():
     d = Diagram.from_events((0, 1), [[cross_pos(0, 1, at=0)]])
     report = validate(d, PLANAR)

@@ -1,8 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from tangles import diagram, rewrite
+from tangles.cli import parse_expr, to_diagram
 from tangles.diagram import (
     AmbientDim,
     Diagram,
@@ -477,6 +480,21 @@ def test_equal_unknown_with_tiny_budget():
     assert len(trace_components(grown)) == 1
     verdict = equal(u1, grown, BRAIDED, budget=1)
     assert verdict in (Equality.UNKNOWN, Equality.EQUAL)
+
+
+def test_equal_verdicts_on_the_bench_universe():
+    path = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+    recorded = {
+        key: value
+        for key, value in json.loads(path.read_text(encoding="utf-8")).items()
+        if key.startswith("equal ")
+    }
+    assert len(recorded) > 300
+    for key, verdict in recorded.items():
+        head, rest = key.split(" [", 1)
+        budget = int(head.split()[-1])
+        d1, d2 = (to_diagram(parse_expr(t), BRAIDED) for t in rest[:-1].split("] ["))
+        assert equal(d1, d2, BRAIDED, budget=budget).value == verdict, key
 
 
 def test_equal_boundary_mismatch():
