@@ -38,11 +38,8 @@ from .diagram import (
     Diagram,
     DiagramError,
     Event,
+    EventKind,
     ObjectWord,
-    cap as cap_event,
-    cross_neg,
-    cross_pos,
-    cup as cup_event,
     to_text,
     validate,
     writhe,
@@ -251,13 +248,6 @@ def print_expr(e: Expr) -> str:
 # first and target last, and the events of each slice between them.
 _Block = tuple[list[ObjectWord], list[list[Event]]]
 
-_GENERATORS = {
-    "cup": lambda args: cup_event(args[0]),
-    "cap": lambda args: cap_event(args[0]),
-    "x+": lambda args: cross_pos(*args),
-    "x-": lambda args: cross_neg(*args),
-}
-
 _THEN = object()  # on the work stack: compose the top two blocks
 
 
@@ -316,7 +306,7 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
 
 def _leaf(e: Expr, dim: AmbientDim) -> _Block:
     if isinstance(e, Gen):
-        event = _GENERATORS[e.kind](e.args)
+        event = Event(EventKind(e.kind), 0, e.args)  # the kinds are spelled as in the grammar
         if event.is_crossing and not dim.allows_crossings:
             raise DiagramError("crossings are not allowed in the planar ambient dimension")
         return [event.consumes(), event.emits()], [[event]]
