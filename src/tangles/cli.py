@@ -221,27 +221,32 @@ def parse_expr(text: str) -> Expr:
 
 
 def print_expr(e: Expr) -> str:
-    if isinstance(e, Gen):
-        return f"{e.kind}({','.join(str(a) for a in e.args)})"
-    if isinstance(e, IdWord):
-        return f"id[{','.join(str(a) for a in e.labels)}]"
-    if isinstance(e, Named):
-        return e.name
-    if isinstance(e, Par):
-        left = print_expr(e.left)
-        right = print_expr(e.right)
-        if isinstance(e.left, Seq):
-            left = f"({left})"
-        if isinstance(e.right, (Seq, Par)):
-            right = f"({right})"
-        return f"{left} | {right}"
-    if isinstance(e, Seq):
-        first = print_expr(e.first)
-        second = print_expr(e.second)
-        if isinstance(e.second, Seq):
-            second = f"({second})"
-        return f"{first} ; {second}"
-    raise TypeError(f"not an expression: {e!r}")
+    """The text of an expression, with the parentheses its tree needs.
+    The tree is walked with an explicit stack of pieces, text or
+    subexpressions, so a chain of any length costs no recursion."""
+    todo: list = [e]
+    out: list[str] = []
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Gen):
+            out.append(f"{item.kind}({','.join(str(a) for a in item.args)})")
+        elif isinstance(item, IdWord):
+            out.append(f"id[{','.join(str(a) for a in item.labels)}]")
+        elif isinstance(item, Named):
+            out.append(item.name)
+        elif isinstance(item, Par):
+            todo += reversed(_grouped(item.left, Seq) + [" | "] + _grouped(item.right, (Seq, Par)))
+        elif isinstance(item, Seq):
+            todo += reversed([item.first, " ; "] + _grouped(item.second, Seq))
+        else:
+            raise TypeError(f"not an expression: {item!r}")
+    return "".join(out)
+
+
+def _grouped(e: Expr, kinds) -> list:
+    return ["(", e, ")"] if isinstance(e, kinds) else [e]
 
 
 # A block is a diagram before its slices are typed: its level words, source

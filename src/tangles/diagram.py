@@ -569,7 +569,10 @@ def from_text(text: str) -> Diagram:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("source:"):
         raise DiagramError("serialized diagram must start with a 'source:' line")
-    source = tuple(int(x) for x in lines[0][len("source:") :].split())
+    try:
+        source = tuple(int(x) for x in lines[0][len("source:") :].split())
+    except ValueError as exc:
+        raise DiagramError(f"cannot parse source line {lines[0]!r}") from exc
     layers = []
     for ln in lines[1:]:
         if not ln.startswith("slice:"):

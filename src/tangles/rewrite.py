@@ -105,17 +105,17 @@ def expand(d: Diagram) -> Diagram:
         return d
     layers: list[list[Event]] = []
     for s in d.slices:
+        shift = 0  # each event reads the word its predecessors in the slice left
         for e in s.events:
-            # position of e relative to the word with previous events of
-            # this slice already applied
-            shift = 0
-            for prev in s.events:
-                if prev is e:
-                    break
-                if prev.position <= e.position:
-                    shift += prev.arity_out - prev.arity_in
             layers.append([Event(e.kind, e.position + shift, e.labels)])
+            shift += e.arity_out - e.arity_in
     return Diagram.from_events(d.source, layers)
+
+
+def _through(e: Event, q: int) -> int:
+    """Where a strand at position q below the one-event slice of e sits
+    above it; e must leave the strand alone."""
+    return q + e.arity_out - e.arity_in if e.position + e.arity_in <= q else q
 
 
 def _single_event(s: Slice) -> Event | None:
@@ -141,23 +141,13 @@ def _track_pair(d: Diagram, start: int, left: int):
     pos = left
     for j in range(start, len(d.slices)):
         e = _single_event(d.slices[j])
-        touches = False
-        if e is not None:
-            if e.arity_in:
-                span = (e.position, e.position + 1)
-                if span[0] in (pos, pos + 1) or span[1] in (pos, pos + 1):
-                    touches = True
-            else:
-                if e.position == pos + 1:
-                    touches = True  # insertion between the pair
+        # e consumes a strand of the pair or inserts strictly between them
+        touches = e is not None and e.position < pos + 2 and pos < e.position + e.arity_in
         out.append((j, pos, e, touches))
         if touches:
             break
         if e is not None:
-            if e.arity_in and e.position + 1 < pos:
-                pos += e.arity_out - e.arity_in
-            elif e.arity_in == 0 and e.position <= pos:
-                pos += e.arity_out
+            pos = _through(e, pos)
     return out
 
 
@@ -217,9 +207,7 @@ def _zigzag_forward(d: Diagram) -> Iterator[Move]:
         e = _single_event(s)
         if e is None or e.kind is not EventKind.CUP:
             continue
-        _, _, placements = s.layout()
-        legs = placements[0].outputs[0]
-        track = _track_pair(d, i + 1, legs)
+        track = _track_pair(d, i + 1, e.position)
         if not track:
             continue
         j, pos, f, touches = track[-1]
@@ -306,7 +294,7 @@ def _kink2_forward(d: Diagram) -> Iterator[Move]:
 
 def _interchange_moves(d: Diagram) -> Iterator[Move]:
     for i in range(len(d.slices) - 1):
-        if _interchange_apply(d, i, dry_run=True) is not None:
+        if _interchange_apply(d, i) is not None:
             yield Move(MoveKind.INTERCHANGE, True, i, i + 1)
 
 
@@ -346,10 +334,10 @@ def apply_move(d: Diagram, m: Move) -> Diagram:
         if m.kind is MoveKind.KINK2:
             return _apply_kink2(d, m)
         if m.kind is MoveKind.INTERCHANGE:
-            result = _interchange_apply(d, m.slice_index)
-            if result is None:
+            pair = _interchange_apply(d, m.slice_index)
+            if pair is None:
                 raise MoveError("events are not interchangeable")
-            return result
+            return _splice(d, m.slice_index, m.slice_index + 2, [[f] for f in pair])
     except DiagramError as exc:
         raise MoveError(f"move {m} failed to apply: {exc}") from exc
     raise MoveError(f"unknown move kind {m.kind}")
@@ -396,13 +384,10 @@ def _apply_zigzag(d: Diagram, m: Move) -> Diagram:
         return _splice(d, m.slice_index, m.slice_index, pair)
 
     i, j = m.slice_index, m.other_index
-    s = d.slices[i]
-    e = _single_event(s)
+    e = _single_event(d.slices[i])
     if e is None or e.kind is not EventKind.CUP or e.position != m.position:
         raise MoveError("no cup at the move site")
-    _, _, placements = s.layout()
-    legs = placements[0].outputs[0]
-    track = _track_pair(d, i + 1, legs)
+    track = _track_pair(d, i + 1, e.position)
     if not track or track[-1][0] != j or not track[-1][3]:
         raise MoveError("cap is no longer reachable from the cup")
     between = [_remap_after_removal(d.slices[jj].events, pos) for jj, pos, _, _ in track[:-1]]
@@ -466,65 +451,25 @@ def _apply_kink2(d: Diagram, m: Move) -> Diagram:
     return _splice(d, i, i + 4, [])
 
 
-def _interchange_apply(d: Diagram, i: int, dry_run: bool = False) -> Diagram | None:
-    """Swap the events of slices i and i+1 when independent; returns None
-    when the swap is illegal (and dry_run suppresses the rebuild)."""
+def _interchange_apply(d: Diagram, i: int) -> tuple[Event, Event] | None:
+    """The events e of slice i and f of slice i+1 swapped, as the pair
+    (f', e') to stack in that order, or None when they are not independent.
+
+    With e at p and f at q, they are dependent when f's input interval
+    [q, q + f.arity_in) meets e's output interval [p, p + e.arity_out),
+    an empty interval meeting one that holds it strictly inside.  f' is f
+    read on the word below e, and e' is e read on the word above f'."""
     if i + 1 >= len(d.slices):
         return None
-    lower = d.slices[i]
-    upper = d.slices[i + 1]
-    e = _single_event(lower)
-    f = _single_event(upper)
+    e, f = _single_event(d.slices[i]), _single_event(d.slices[i + 1])
     if e is None or f is None:
         return None
-    _, passthrough, placements = lower.layout()
-    outputs = placements[0].outputs
-    out_start = outputs[0] if outputs else None
-    inverse = {q: p for p, q in passthrough.items()}
-
-    if f.arity_in:
-        span = (f.position, f.position + 1)
-        if any(q in outputs for q in span):
-            return None
-        if span[0] not in inverse or span[1] not in inverse:
-            return None
-        pre0, pre1 = inverse[span[0]], inverse[span[1]]
-        if pre1 != pre0 + 1:
-            return None
-        f_new = Event(f.kind, pre0, f.labels)
-        f_span = (pre0, pre1)
-    else:
-        q = f.position
-        if outputs and outputs[0] < q <= outputs[-1]:
-            return None  # insertion strictly inside the lower event's block
-        mid_len = len(upper.input)
-        if q == mid_len:
-            pre = len(lower.input)
-        elif q in inverse:
-            pre = inverse[q]
-        elif outputs and q == outputs[0]:
-            pre = e.position
-        elif outputs and q == outputs[-1] + 1:
-            pre = e.position + e.arity_in
-        else:
-            return None
-        f_new = Event(f.kind, pre, f.labels)
-        f_span = (pre, pre - 1)  # insertion: empty span at pre
-
-    delta = f.arity_out - f.arity_in
-    if f.arity_in:
-        shift = delta if f_span[1] < e.position else 0
-    else:
-        shift = delta if f_span[0] <= e.position else 0
-    e_new = Event(e.kind, e.position + shift, e.labels)
-    if dry_run:
-        try:
-            first = Slice(lower.input, (f_new,))
-            Slice(first.output(), (e_new,))
-            return d
-        except DiagramError:
-            return None
-    return _splice(d, i, i + 2, [[f_new], [e_new]])
+    p, q = e.position, f.position
+    if p < q + f.arity_in and q < p + e.arity_out:
+        return None
+    pre = q if q < p or (q == p and e.arity_out) else q - e.arity_out + e.arity_in
+    f_new = Event(f.kind, pre, f.labels)
+    return f_new, Event(e.kind, _through(f_new, p), e.labels)
 
 
 # ---------------------------------------------------------------------------

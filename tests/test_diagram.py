@@ -230,6 +230,8 @@ def test_serialization_errors():
         from_text("source: 0\nslice: cup@x(0)\n")
     with pytest.raises(DiagramError):
         from_text("source: 0\nslice: twist@0(0)\n")
+    with pytest.raises(DiagramError):
+        from_text("source: a")
 
 
 def test_component_count_subadditive_under_compose():

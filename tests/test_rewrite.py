@@ -152,6 +152,19 @@ def test_backward_zigzag_roundtrip():
         assert normalize_planar(bigger) == normalize_planar(d)
 
 
+def test_expand_places_repeated_event_objects_in_turn():
+    c = cup(0)
+    aliased = Diagram.from_events((0,), [[c, c]])
+    separate = Diagram.from_events((0,), [[cup(0), cup(0)]])
+    assert aliased == separate
+    stacked = Diagram.from_events((0,), [[cup(0, at=0)], [cup(0, at=2)]])
+    assert expand(aliased) == expand(separate) == stacked
+    c = cup(0, at=1)
+    d = Diagram.from_events((0,), [[cup(-1, at=0), c, c]])
+    assert [str(e) for _, e in expand(d).events()] == ["cup@0(-1)", "cup@3(0)", "cup@5(0)"]
+    assert expand(d).target == d.target
+
+
 def test_interchange_preserves_normal_form():
     d = Diagram.from_events((0, 0), [[cup(0, at=0)], [cup(0, at=4)]])
     moves = [m for m in applicable_moves(d, PLANAR) if m.kind is MoveKind.INTERCHANGE]
@@ -170,6 +183,69 @@ def test_interchange_blocked_on_dependency():
     d = Diagram.from_events((0,), [[cup(0, at=1)], [cap(0, at=0)]])
     moves = [m for m in applicable_moves(d, PLANAR) if m.kind is MoveKind.INTERCHANGE]
     assert not moves
+
+
+def layout_interchange(d, i):
+    """The reference swap, read off the lower slice's layout: f is pulled
+    below e through the inverted passthrough map (or beside e's output
+    block), e is shifted by f's arity change when f lies to its left, and
+    the swapped pair is typed on two throwaway slices."""
+    if i + 1 >= len(d.slices):
+        return None
+    lower, upper = d.slices[i], d.slices[i + 1]
+    (e,), (f,) = lower.events, upper.events
+    _, passthrough, placements = lower.layout()
+    outputs = placements[0].outputs
+    inverse = {q: p for p, q in passthrough.items()}
+    if f.arity_in:
+        span = (f.position, f.position + 1)
+        if any(q in outputs for q in span):
+            return None
+        if span[0] not in inverse or span[1] not in inverse:
+            return None
+        pre0, pre1 = inverse[span[0]], inverse[span[1]]
+        if pre1 != pre0 + 1:
+            return None
+        f_new = diagram.Event(f.kind, pre0, f.labels)
+        shift = f.arity_out - f.arity_in if pre1 < e.position else 0
+    else:
+        q = f.position
+        if outputs and outputs[0] < q <= outputs[-1]:
+            return None
+        if q == len(upper.input):
+            pre = len(lower.input)
+        elif q in inverse:
+            pre = inverse[q]
+        elif outputs and q == outputs[0]:
+            pre = e.position
+        elif outputs and q == outputs[-1] + 1:
+            pre = e.position + e.arity_in
+        else:
+            return None
+        f_new = diagram.Event(f.kind, pre, f.labels)
+        shift = f.arity_out if pre <= e.position else 0
+    e_new = diagram.Event(e.kind, e.position + shift, e.labels)
+    try:
+        Slice(Slice(lower.input, (f_new,)).output(), (e_new,))
+    except DiagramError:
+        return None
+    return f_new, e_new
+
+
+def test_interchange_matches_the_layout_reference():
+    cases = [(d, BRAIDED) for d in iter_closed_diagrams(6, 3)]
+    for dim in (PLANAR, BRAIDED, SYMMETRIC):
+        rng = random.Random(70 + dim.value)
+        cases += [(random_diagram(rng, dim), dim) for _ in range(1500)]
+    swaps = refusals = 0
+    for d, dim in cases:
+        pairs = [rewrite._interchange_apply(d, i) for i in range(len(d.slices) - 1)]
+        assert pairs == [layout_interchange(d, i) for i in range(len(d.slices) - 1)], to_text(d)
+        listed = [m.slice_index for m in applicable_moves(d, dim) if m.kind is MoveKind.INTERCHANGE]
+        assert listed == [i for i, pair in enumerate(pairs) if pair is not None]
+        swaps += len(listed)
+        refusals += len(pairs) - len(listed)
+    assert swaps > 4000 and refusals > 4000
 
 
 def test_r2_forward_and_backward():
