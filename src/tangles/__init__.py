@@ -28,6 +28,7 @@ from .diagram import (
 )
 from .evaluate import (
     RigidDatum,
+    bracket,
     bracket_state_sum,
     datum_from_text,
     datum_to_text,

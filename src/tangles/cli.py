@@ -31,6 +31,7 @@ import functools
 import re
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import links
 from .diagram import (
@@ -49,16 +50,14 @@ from .evaluate import (
     DatumReport,
     EvaluationError,
     RigidDatum,
+    bracket,
     datum_from_text,
     evaluate,
     kink_factor,
-    kauffman_datum,
-    loop_value,
-    trivial_datum,
+    preset_datum,
     validate_datum,
 )
 from .rewrite import MoveError, normalize_planar, reduce_diagram
-from .rings import Laurent
 from .segal import SimplicialError, complete, nerve_of_monoid, one_truncated, pushout_of_nerves
 from .simplex import ConvexSubset, MonotoneMap, SimplexObject, outer_hull, SimplexError
 from .words import MonoidError, PointedMonoid, alternating_factorization, free_product_enumerate
@@ -95,14 +94,44 @@ class Named(Expr):
     name: str
 
 
-@dataclass(frozen=True)
-class Seq(Expr):
+class _Node(Expr):
+    """The base of Seq and Par.  Their ==, hash and repr are structural, as
+    the dataclass ones are, but read one walk of the tree with an explicit
+    stack instead of recursing, so a chain of any length costs no
+    recursion."""
+
+    def _tokens(self) -> Iterator:
+        """The dataclass repr of the tree as a stream: the text around each
+        Seq or Par, and each leaf as it is."""
+        todo: list = [self]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, _Node):
+                a, b = e.__match_args__
+                todo += (")", getattr(e, b), f", {b}=", getattr(e, a), f"{type(e).__name__}({a}=")
+            else:
+                yield e
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return list(self._tokens()) == list(other._tokens())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._tokens()))
+
+    def __repr__(self) -> str:
+        return "".join(t if isinstance(t, str) else repr(t) for t in self._tokens())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Node):
     first: Expr
     second: Expr
 
 
-@dataclass(frozen=True)
-class Par(Expr):
+@dataclass(frozen=True, eq=False, repr=False)
+class Par(_Node):
     left: Expr
     right: Expr
 
@@ -384,13 +413,8 @@ def _dim(args) -> AmbientDim:
 
 
 @functools.cache
-def _preset_datum(name: str) -> RigidDatum:
-    return kauffman_datum() if name == "kauffman" else trivial_datum()
-
-
-@functools.cache
 def _preset_report(name: str, dim: AmbientDim) -> DatumReport:
-    return validate_datum(_preset_datum(name), dim)
+    return validate_datum(preset_datum(name), dim)
 
 
 def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
@@ -398,7 +422,7 @@ def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
     presets are built and validated once per process; a datum file is
     read and validated on every call."""
     if name in ("kauffman", "trivial"):
-        return _preset_datum(name), _preset_report(name, dim)
+        return preset_datum(name), _preset_report(name, dim)
     with open(name, "r", encoding="utf-8") as fh:
         datum = datum_from_text(fh.read())
     return datum, validate_datum(datum, dim)
@@ -476,20 +500,17 @@ def _cmd_invariant(args) -> int:
     d = _diagram_from_args(args, dim)
     if d.source or d.target:
         raise DiagramError("invariants need a closed diagram")
-    if not d.num_events:
-        raise EvaluationError("the bracket of a diagram with no strands is undefined")
+    value = bracket(d)
     crossings = sum(1 for _, e in d.events() if e.is_crossing)
     framings = component_framings(d)
     w = writhe(d)
-    value = evaluate(d, _preset_datum("kauffman")).scalar()
-    bracket = Laurent.promote(value).divide_exact(loop_value())
     print(f"components: {len(framings)}")
     print(f"crossings: {crossings}")
     print(f"writhe: {w}")
     print(f"self-writhe: {sum(framings)}")
     print("framings: " + " ".join(str(f) for f in framings))
-    print(f"bracket: {bracket}")
-    print(f"normalized: {kink_factor(-w) * bracket}")
+    print(f"bracket: {value}")
+    print(f"normalized: {kink_factor(-w) * value}")
     return 0
 
 

@@ -30,14 +30,16 @@ Conventions pinned here (and exercised by the mirror tests):
   crossing by A (by A^-1 for a negative crossing) and scores a state with
   m loops as delta^(m-1), with loop value delta = -A^2 - A^-2.  For every
   closed diagram with a strand, evaluate == delta * bracket_state_sum
-  under the preset; ``tangles invariant`` reads the bracket as that
-  quotient, and the 2^c state sum stays as the tests' oracle.
+  under the preset.  ``bracket`` reads the bracket as that quotient, from
+  one evaluation; ``jones_normalized`` and ``tangles invariant`` both go
+  through it, and the 2^c state sum stays as the tests' oracle.
 
 Everything is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -427,13 +429,30 @@ def kink_factor(w: int) -> Laurent:
     return Laurent.monomial(3 * w, -1 if w % 2 else 1)
 
 
+@functools.cache
+def preset_datum(name: str) -> RigidDatum:
+    """The preset "kauffman" or "trivial", built once per process."""
+    return kauffman_datum() if name == "kauffman" else trivial_datum()
+
+
+def bracket(d: Diagram) -> Laurent:
+    """Kauffman bracket of a closed diagram, read from one evaluation under
+    the Kauffman datum as evaluate / delta; it agrees with
+    ``bracket_state_sum`` without enumerating smoothings."""
+    if d.source or d.target:
+        raise EvaluationError("the bracket needs a closed diagram")
+    if not d.num_events:
+        raise EvaluationError("the bracket of a diagram with no strands is undefined")
+    value = evaluate(d, preset_datum("kauffman")).scalar()
+    return Laurent.promote(value).divide_exact(loop_value())
+
+
 def jones_normalized(d: Diagram) -> Laurent:
-    """Writhe-normalized bracket: (-A^3)^(-writhe) * bracket_state_sum.
+    """Writhe-normalized bracket: (-A^3)^(-writhe) * bracket(d).
 
     Invariant under the framed moves and under kink insertion or removal.
     """
-    w = writhe(d)
-    return kink_factor(-w) * bracket_state_sum(d)
+    return kink_factor(-writhe(d)) * bracket(d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Moves are detected and applied on *expanded* diagrams (one event per
 slice); ``expand`` produces that layout and every application returns one.
-The rule set, by ambient dimension:
+Each forward rule is written once, as a matcher that finds the redex of
+its kind whose lowest slice is a given one.  ``applicable_moves`` lists
+what the matchers find, ``apply_move`` applies a forward move exactly when
+its kind's matcher finds that move at its slice, and ``reduce_diagram``
+rewrites the first redex found.  The rule set, by ambient dimension:
 
 * zigzag (all dimensions): a cup whose two strands are consumed, together
   with an adjacent through strand, by a matching cap; forward removes the
@@ -47,7 +51,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .diagram import (
     AmbientDim,
@@ -140,31 +144,172 @@ def _track_pair(d: Diagram, start: int, left: int):
     out = []
     pos = left
     for j in range(start, len(d.slices)):
-        e = _single_event(d.slices[j])
+        e = d.slices[j].events[0]
         # e consumes a strand of the pair or inserts strictly between them
-        touches = e is not None and e.position < pos + 2 and pos < e.position + e.arity_in
+        touches = e.position < pos + 2 and pos < e.position + e.arity_in
         out.append((j, pos, e, touches))
         if touches:
             break
-        if e is not None:
-            pos = _through(e, pos)
-    return out
-
-
-def _remap_after_removal(events: Sequence[Event], left: int) -> list[Event]:
-    """Shift event positions after deleting the strand pair (left, left+1)
-    from their slice's input word; the events are known not to touch it."""
-    out = []
-    for e in events:
-        q = e.position
-        if q > left + 1:
-            q -= 2
-        out.append(Event(e.kind, q, e.labels))
+        pos = _through(e, pos)
     return out
 
 
 # ---------------------------------------------------------------------------
-# move detection
+# one matcher per forward rule
+#
+# ``_<kind>_at(d, i, dim)`` looks in the expanded diagram d for the redex of
+# its kind whose lowest slice is i.  It returns None, or (move, stop, layers):
+# the Move naming the redex and the event layers that replace slices i..stop-1.
+
+_Site = tuple[Move, int, Iterable[Iterable[Event]]]
+
+
+def _zigzag_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+    """A cup whose strand pair, tracked upward, is next touched by a cap
+    that consumes it together with the strand on its left or right."""
+    e = d.slices[i].events[0]
+    if e.kind is not EventKind.CUP or i + 1 == len(d.slices):
+        return None
+    track = _track_pair(d, i + 1, e.position)
+    j, pos, f, touches = track[-1]
+    if not touches or f.kind is not EventKind.CAP or abs(f.position - pos) != 1:
+        return None
+    variant = "cap_left" if f.position < pos else "cap_right"
+    # the slices between lose the pair; an event right of it moves down by two
+    between = (
+        [Event(g.kind, g.position - 2 if g.position > p + 1 else g.position, g.labels)]
+        for _, p, g, _ in track[:-1]
+    )
+    return Move(MoveKind.ZIGZAG, True, i, j, e.position, e.labels, variant), j + 1, between
+
+
+def _r2_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+    """A crossing whose strand pair, tracked upward, is next touched by a
+    crossing of exactly that pair that undoes it: of the opposite sign, or
+    of either sign in the symmetric case, where the two are identified."""
+    e = d.slices[i].events[0]
+    if not e.is_crossing or i + 1 == len(d.slices):
+        return None
+    j, pos, f, touches = _track_pair(d, i + 1, e.position)[-1]
+    # of all events only a crossing has two labels
+    if not touches or f.position != pos or f.labels != (e.labels[1], e.labels[0]):
+        return None
+    if f.sign == e.sign and dim is not AmbientDim.SYMMETRIC:
+        return None
+    between = [s.events for s in d.slices[i + 1 : j]]
+    return Move(MoveKind.R2, True, i, j, e.position, e.labels), j + 1, between
+
+
+def _r3_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+    """Three crossings of one sign on the strands q..q+2, at positions
+    q, q+1, q ("left") or q+1, q, q+1 ("right"): the two sides of the
+    braid relation, each rewritten into the other."""
+    if i + 2 >= len(d.slices):
+        return None
+    e1, e2, e3 = (s.events[0] for s in d.slices[i : i + 3])
+    sign, q = e1.sign, e1.position  # the sign of a cup or cap is 0
+    if not sign or e2.sign != sign or e3.sign != sign:
+        return None
+    if e3.position != q or abs(e2.position - q) != 1:
+        return None
+    left = e2.position == q + 1
+    q = min(q, e2.position)
+    a, b, c = d.slices[i].input[q : q + 3]
+    x = cross_pos if sign > 0 else cross_neg
+    if left:
+        layers = [[x(b, c, at=q + 1)], [x(a, c, at=q)], [x(a, b, at=q + 1)]]
+    else:
+        layers = [[x(a, b, at=q)], [x(a, c, at=q + 1)], [x(b, c, at=q)]]
+    move = Move(MoveKind.R3, True, i, i + 2, q, (sign,), "left" if left else "right")
+    return move, i + 3, layers
+
+
+def _collapse_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+    """A crossing, which becomes the crossing of the other sign."""
+    e = d.slices[i].events[0]
+    if not e.is_crossing:
+        return None
+    flip = EventKind.XNEG if e.kind is EventKind.XPOS else EventKind.XPOS
+    move = Move(MoveKind.SYM_COLLAPSE, True, i, position=e.position)
+    return move, i + 1, [[Event(flip, e.position, e.labels)]]
+
+
+def _kink2_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+    """A cup, two crossings and a cap on four consecutive slices whose block
+    carries every strand back to its own position (no turnbacks, no closed
+    components): a double framing twist, possibly padded with a cancelling
+    pair.  Sound for symmetric data, where the squared braiding is the
+    identity: the block is then a composite of sign collapses, second
+    Reidemeister pairs and zigzags."""
+    if i + 3 >= len(d.slices):
+        return None
+    e0, e1, e2, e3 = (s.events[0] for s in d.slices[i : i + 4])
+    if e0.kind is not EventKind.CUP or e3.kind is not EventKind.CAP:
+        return None
+    if not (e1.is_crossing and e2.is_crossing):
+        return None
+    block = Diagram(d.slices[i].input, d.slices[i : i + 4])
+    if block.target != block.source:
+        return None
+    for comp in trace_components(block):
+        if comp.closed or len(comp.ends) != 2:
+            return None
+        (sa, pa), (sb, pb) = comp.ends
+        if {sa, sb} != {"source", "target"} or pa != pb:
+            return None
+    return Move(MoveKind.KINK2, True, i, i + 3), i + 4, []
+
+
+def _interchange_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+    """Independent events at slices i and i+1, which trade places."""
+    pair = _interchange_apply(d, i)
+    if pair is None:
+        return None
+    return Move(MoveKind.INTERCHANGE, True, i, i + 1), i + 2, [[f] for f in pair]
+
+
+def _interchange_apply(d: Diagram, i: int) -> tuple[Event, Event] | None:
+    """The events e of slice i and f of slice i+1 swapped, as the pair
+    (f', e') to stack in that order, or None when they are not independent.
+
+    With e at p and f at q, they are dependent when f's input interval
+    [q, q + f.arity_in) meets e's output interval [p, p + e.arity_out),
+    an empty interval meeting one that holds it strictly inside.  f' is f
+    read on the word below e, and e' is e read on the word above f'."""
+    if i + 1 >= len(d.slices):
+        return None
+    e, f = _single_event(d.slices[i]), _single_event(d.slices[i + 1])
+    if e is None or f is None:
+        return None
+    p, q = e.position, f.position
+    if p < q + f.arity_in and q < p + e.arity_out:
+        return None
+    pre = q if q < p or (q == p and e.arity_out) else q - e.arity_out + e.arity_in
+    f_new = Event(f.kind, pre, f.labels)
+    return f_new, Event(e.kind, _through(f_new, p), e.labels)
+
+
+_MATCHERS = {
+    MoveKind.ZIGZAG: _zigzag_at,
+    MoveKind.R2: _r2_at,
+    MoveKind.R3: _r3_at,
+    MoveKind.SYM_COLLAPSE: _collapse_at,
+    MoveKind.KINK2: _kink2_at,
+    MoveKind.INTERCHANGE: _interchange_at,
+}
+
+
+def _sites(d: Diagram, matchers, dim: AmbientDim) -> Iterator[_Site]:
+    """The redexes that each matcher finds in turn, from the lowest slice up."""
+    for at in matchers:
+        for i in range(len(d.slices)):
+            site = at(d, i, dim)
+            if site is not None:
+                yield site
+
+
+# ---------------------------------------------------------------------------
+# listing and applying moves
 
 
 def applicable_moves(
@@ -176,171 +321,86 @@ def applicable_moves(
     """Enumerate the redexes of the dimension-legal rule set on an
     expanded diagram, kind by kind in a fixed order.
 
-    Forward moves are enumerated completely.  Backward insertions (zigzag
-    and second Reidemeister pairs) are enumerated only when requested
-    since they are parametrized by a level, bounded by ``label_window``
-    (defaults to the diagram's label range widened by one).
-
-    Each finder is a generator that does its work only as its moves are
-    asked for; this function drains them all, while ``reduce_diagram``
-    chains only the kinds it applies and stops at the first move.
+    Forward moves are what each kind's matcher finds, slice by slice.
+    Backward insertions (zigzag and second Reidemeister pairs) are
+    enumerated only when requested since they are parametrized by a level,
+    bounded by ``label_window`` (defaults to the diagram's label range
+    widened by one).
     """
     d = expand(d)
-    finders: list[Iterable[Move]] = [_zigzag_forward(d)]
+    matchers = [_zigzag_at]
     if dim.allows_crossings:
-        finders += [_r2_forward(d, dim), _r3_moves(d)]
+        matchers += [_r2_at, _r3_at]
     if dim is AmbientDim.SYMMETRIC:
-        finders += [_collapse_moves(d), _kink2_forward(d)]
+        matchers += [_collapse_at, _kink2_at]
+    moves = [m for m, _, _ in _sites(d, matchers, dim)]
     if include_backward:
         if label_window is None:
             labels = d.labels() or {0}
             label_window = (min(labels) - 1, max(labels) + 1)
-        finders.append(_zigzag_backward(d, label_window))
-        if dim.allows_crossings:
-            finders.append(_r2_backward(d))
-    finders.append(_interchange_moves(d))
-    return list(itertools.chain.from_iterable(finders))
+        moves += _insertions(d, label_window, dim.allows_crossings)
+    moves += [m for m, _, _ in _sites(d, [_interchange_at], dim)]
+    return moves
 
 
-def _zigzag_forward(d: Diagram) -> Iterator[Move]:
-    for i, s in enumerate(d.slices):
-        e = _single_event(s)
-        if e is None or e.kind is not EventKind.CUP:
-            continue
-        track = _track_pair(d, i + 1, e.position)
-        if not track:
-            continue
-        j, pos, f, touches = track[-1]
-        if not touches or f is None or f.kind is not EventKind.CAP:
-            continue
-        variant = {pos - 1: "cap_left", pos + 1: "cap_right"}.get(f.position)
-        if variant:
-            yield Move(MoveKind.ZIGZAG, True, i, j, e.position, e.labels, variant)
-
-
-def _r2_forward(d: Diagram, dim: AmbientDim) -> Iterator[Move]:
-    for i, s in enumerate(d.slices):
-        e = _single_event(s)
-        if e is None or not e.is_crossing:
-            continue
-        track = _track_pair(d, i + 1, e.position)
-        if not track:
-            continue
-        j, pos, f, touches = track[-1]
-        if not touches or f is None or not f.is_crossing:
-            continue
-        if f.position != pos:
-            continue
-        opposite = f.sign == -e.sign or dim is AmbientDim.SYMMETRIC
-        if opposite and f.labels == (e.labels[1], e.labels[0]):
-            yield Move(MoveKind.R2, True, i, j, e.position, e.labels)
-
-
-def _r3_moves(d: Diagram) -> Iterator[Move]:
-    for i in range(len(d.slices) - 2):
-        es = [_single_event(d.slices[i + k]) for k in range(3)]
-        if any(e is None or not e.is_crossing for e in es):
-            continue
-        e1, e2, e3 = es
-        if not (e1.sign == e2.sign == e3.sign):
-            continue
-        q = e1.position
-        if e2.position == q + 1 and e3.position == q:
-            yield Move(MoveKind.R3, True, i, i + 2, q, (e1.sign,), "left")
-        elif e2.position == q - 1 and e3.position == q:
-            yield Move(MoveKind.R3, True, i, i + 2, q - 1, (e1.sign,), "right")
-
-
-def _collapse_moves(d: Diagram) -> Iterator[Move]:
-    for i, s in enumerate(d.slices):
-        e = _single_event(s)
-        if e is not None and e.is_crossing:
-            yield Move(MoveKind.SYM_COLLAPSE, True, i, position=e.position)
-
-
-def _is_trivial_block(d: Diagram, i: int, length: int) -> bool:
-    """True when slices i..i+length-1 form a block with equal input and
-    output words whose strand matching is the identity (every strand comes
-    back to its own position, no turnbacks, no closed components)."""
-    block = Diagram(d.slices[i].input, d.slices[i : i + length])
-    if block.target != block.source:
-        return False
-    for comp in trace_components(block):
-        if comp.closed or len(comp.ends) != 2:
-            return False
-        (sa, pa), (sb, pb) = comp.ends
-        if {sa, sb} != {"source", "target"} or pa != pb:
-            return False
-    return True
-
-
-def _kink2_forward(d: Diagram) -> Iterator[Move]:
-    """Four consecutive slices cup, crossing, crossing, cap whose block
-    matches every strand back to itself: a double framing twist (possibly
-    padded with a cancelling pair).  Sound for symmetric data, where the
-    squared braiding is the identity: the block is then a composite of
-    sign collapses, second Reidemeister pairs and zigzags."""
-    for i in range(len(d.slices) - 3):
-        events = [_single_event(d.slices[i + k]) for k in range(4)]
-        if any(e is None for e in events):
-            continue
-        if events[0].kind is not EventKind.CUP or events[3].kind is not EventKind.CAP:
-            continue
-        if not (events[1].is_crossing and events[2].is_crossing):
-            continue
-        if _is_trivial_block(d, i, 4):
-            yield Move(MoveKind.KINK2, True, i, i + 3)
-
-
-def _interchange_moves(d: Diagram) -> Iterator[Move]:
-    for i in range(len(d.slices) - 1):
-        if _interchange_apply(d, i) is not None:
-            yield Move(MoveKind.INTERCHANGE, True, i, i + 1)
-
-
-def _zigzag_backward(d: Diagram, window: tuple[int, int]) -> Iterator[Move]:
+def _insertions(d: Diagram, window: tuple[int, int], crossings: bool) -> list[Move]:
+    """The backward moves, in one walk over the level words: a zigzag pair
+    beside every strand at every level of the window that fits, then (when
+    crossings are allowed) an R2 pair of either sign on every adjacent
+    strand pair."""
+    zigzags, pairs = [], []
     for i, word in enumerate([d.source] + [s.output() for s in d.slices]):
         for t, label in enumerate(word):
             for k, variant in ((label, "cap_left"), (label - 1, "cap_right")):
                 if window[0] <= k <= window[1]:
-                    yield Move(MoveKind.ZIGZAG, False, i, position=t, labels=(k,), variant=variant)
+                    move = Move(MoveKind.ZIGZAG, False, i, position=t, labels=(k,), variant=variant)
+                    zigzags.append(move)
+            if crossings and t + 1 < len(word):
+                for sign in (1, -1):
+                    pairs.append(Move(MoveKind.R2, False, i, position=t, labels=(sign,)))
+    return zigzags + pairs
 
 
-def _r2_backward(d: Diagram) -> Iterator[Move]:
-    for i, word in enumerate([d.source] + [s.output() for s in d.slices]):
-        for t in range(len(word) - 1):
-            for sign in (1, -1):
-                yield Move(MoveKind.R2, False, i, position=t, labels=(sign,))
-
-
-# ---------------------------------------------------------------------------
-# move application
+def _inserted(d: Diagram, m: Move) -> list[list[Event]]:
+    """The event layers that the backward move m inserts at its level."""
+    word = _boundary(d, m.slice_index)
+    t = m.position
+    if m.kind is MoveKind.ZIGZAG:
+        k = m.labels[0]
+        left = m.variant == "cap_left"  # the pair right of strand k, else left of strand k+1
+        if t >= len(word) or word[t] != (k if left else k + 1):
+            raise MoveError("no strand of the required level at the site")
+        cup_at, cap_at = (t + 1, t) if left else (t, t + 1)
+        return [[cup(k, at=cup_at)], [cap(k, at=cap_at)]]
+    if m.kind is MoveKind.R2:
+        if t + 1 >= len(word):
+            raise MoveError("no adjacent strand pair at the site")
+        a, b = word[t], word[t + 1]
+        x, y = (cross_pos, cross_neg) if m.labels[0] > 0 else (cross_neg, cross_pos)
+        return [[x(a, b, at=t)], [y(b, a, at=t)]]
+    raise MoveError(f"{m.kind.value} has no backward move")
 
 
 def apply_move(d: Diagram, m: Move) -> Diagram:
     """Apply a move; boundary words are unchanged and the result is valid
     (the slices of the redex are rebuilt through the event-typing
-    constructor, the others are shared with ``d``)."""
+    constructor, the others are shared with ``d``).
+
+    A forward move applies exactly when its kind's matcher, run at
+    ``m.slice_index``, finds that same move there.  R2 is matched under
+    the symmetric rule, pairs of either sign, since no dimension is given.
+    A backward move applies where its level has the strands it needs."""
     d = expand(d)
+    i = m.slice_index
     try:
-        if m.kind is MoveKind.ZIGZAG:
-            return _apply_zigzag(d, m)
-        if m.kind is MoveKind.R2:
-            return _apply_r2(d, m)
-        if m.kind is MoveKind.R3:
-            return _apply_r3(d, m)
-        if m.kind is MoveKind.SYM_COLLAPSE:
-            return _apply_collapse(d, m)
-        if m.kind is MoveKind.KINK2:
-            return _apply_kink2(d, m)
-        if m.kind is MoveKind.INTERCHANGE:
-            pair = _interchange_apply(d, m.slice_index)
-            if pair is None:
-                raise MoveError("events are not interchangeable")
-            return _splice(d, m.slice_index, m.slice_index + 2, [[f] for f in pair])
+        if not m.forward:
+            return _splice(d, i, i, _inserted(d, m))
+        site = _MATCHERS[m.kind](d, i, AmbientDim.SYMMETRIC) if 0 <= i < len(d.slices) else None
+        if site is None or site[0] != m:
+            raise MoveError(f"no {m.kind.value} redex at slice {i} matches {m}")
+        return _splice(d, i, site[1], site[2])
     except DiagramError as exc:
         raise MoveError(f"move {m} failed to apply: {exc}") from exc
-    raise MoveError(f"unknown move kind {m.kind}")
 
 
 def _boundary(d: Diagram, i: int) -> ObjectWord:
@@ -366,110 +426,6 @@ def _splice(d: Diagram, start: int, stop: int, layers: Iterable[Iterable[Event]]
         slices.append(s)
         word = s.output()
     return Diagram(d.source, tuple(slices))
-
-
-def _apply_zigzag(d: Diagram, m: Move) -> Diagram:
-    if not m.forward:
-        word = _boundary(d, m.slice_index)
-        t = m.position
-        k = m.labels[0]
-        if m.variant == "cap_left":
-            if t >= len(word) or word[t] != k:
-                raise MoveError("no strand of the required level at the site")
-            pair = [[cup(k, at=t + 1)], [cap(k, at=t)]]
-        else:
-            if t >= len(word) or word[t] != k + 1:
-                raise MoveError("no strand of the required level at the site")
-            pair = [[cup(k, at=t)], [cap(k, at=t + 1)]]
-        return _splice(d, m.slice_index, m.slice_index, pair)
-
-    i, j = m.slice_index, m.other_index
-    e = _single_event(d.slices[i])
-    if e is None or e.kind is not EventKind.CUP or e.position != m.position:
-        raise MoveError("no cup at the move site")
-    track = _track_pair(d, i + 1, e.position)
-    if not track or track[-1][0] != j or not track[-1][3]:
-        raise MoveError("cap is no longer reachable from the cup")
-    between = [_remap_after_removal(d.slices[jj].events, pos) for jj, pos, _, _ in track[:-1]]
-    return _splice(d, i, j + 1, between)
-
-
-def _apply_r2(d: Diagram, m: Move) -> Diagram:
-    if not m.forward:
-        word = _boundary(d, m.slice_index)
-        t = m.position
-        if t + 1 >= len(word):
-            raise MoveError("no adjacent strand pair at the site")
-        a, b = word[t], word[t + 1]
-        sign = m.labels[0]
-        first = cross_pos(a, b, at=t) if sign > 0 else cross_neg(a, b, at=t)
-        second = cross_neg(b, a, at=t) if sign > 0 else cross_pos(b, a, at=t)
-        return _splice(d, m.slice_index, m.slice_index, [[first], [second]])
-
-    i, j = m.slice_index, m.other_index
-    e = _single_event(d.slices[i])
-    if e is None or not e.is_crossing or e.position != m.position:
-        raise MoveError("no crossing at the move site")
-    track = _track_pair(d, i + 1, e.position)
-    if not track or track[-1][0] != j or not track[-1][3]:
-        raise MoveError("partner crossing is no longer reachable")
-    return _splice(d, i, j + 1, [s.events for s in d.slices[i + 1 : j]])
-
-
-def _apply_r3(d: Diagram, m: Move) -> Diagram:
-    i = m.slice_index
-    es = [_single_event(d.slices[i + k]) for k in range(3)]
-    if any(e is None or not e.is_crossing for e in es):
-        raise MoveError("no braid-relation pattern at the site")
-    sign = es[0].sign  # type: ignore[union-attr]
-    word = d.slices[i].input
-    q = m.position
-    a, b, c = word[q], word[q + 1], word[q + 2]
-
-    def x(u, v, at):
-        return cross_pos(u, v, at=at) if sign > 0 else cross_neg(u, v, at=at)
-
-    if m.variant == "left":
-        replacement = [[x(b, c, q + 1)], [x(a, c, q)], [x(a, b, q + 1)]]
-    else:
-        replacement = [[x(a, b, q)], [x(a, c, q + 1)], [x(b, c, q)]]
-    return _splice(d, i, i + 3, replacement)
-
-
-def _apply_collapse(d: Diagram, m: Move) -> Diagram:
-    e = _single_event(d.slices[m.slice_index])
-    if e is None or not e.is_crossing:
-        raise MoveError("no crossing at the collapse site")
-    flip = EventKind.XNEG if e.kind is EventKind.XPOS else EventKind.XPOS
-    return _splice(d, m.slice_index, m.slice_index + 1, [[Event(flip, e.position, e.labels)]])
-
-
-def _apply_kink2(d: Diagram, m: Move) -> Diagram:
-    i = m.slice_index
-    if i + 3 >= len(d.slices) or not _is_trivial_block(d, i, 4):
-        raise MoveError("no double twist block at the site")
-    return _splice(d, i, i + 4, [])
-
-
-def _interchange_apply(d: Diagram, i: int) -> tuple[Event, Event] | None:
-    """The events e of slice i and f of slice i+1 swapped, as the pair
-    (f', e') to stack in that order, or None when they are not independent.
-
-    With e at p and f at q, they are dependent when f's input interval
-    [q, q + f.arity_in) meets e's output interval [p, p + e.arity_out),
-    an empty interval meeting one that holds it strictly inside.  f' is f
-    read on the word below e, and e' is e read on the word above f'."""
-    if i + 1 >= len(d.slices):
-        return None
-    e, f = _single_event(d.slices[i]), _single_event(d.slices[i + 1])
-    if e is None or f is None:
-        return None
-    p, q = e.position, f.position
-    if p < q + f.arity_in and q < p + e.arity_out:
-        return None
-    pre = q if q < p or (q == p and e.arity_out) else q - e.arity_out + e.arity_in
-    f_new = Event(f.kind, pre, f.labels)
-    return f_new, Event(e.kind, _through(f_new, p), e.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -551,26 +507,28 @@ def reduce_diagram(d: Diagram, dim: AmbientDim, max_steps: int = 10_000) -> Diag
     symmetric case sign collapse and double-kink removal) until none is
     left.  Every forward move removes events, so this terminates.
 
-    Each step applies the first move that ``applicable_moves`` would list
-    among those kinds.  It chains only the finders of the kinds it applies
-    and, the finders being lazy, stops at the first move found, so no
-    other kind of redex (R3, interchange) is ever searched for."""
+    In the symmetric case every negative crossing is first made positive,
+    in one pass.  Each step then splices in the first redex that
+    ``applicable_moves`` would list among the zigzag, R2 and double-twist
+    kinds.  Only those kinds' matchers run, and the scan stops at the first
+    site, so no other kind of redex (R3, interchange) is ever searched for."""
     d = expand(d)
+    matchers = [_zigzag_at]
+    if dim.allows_crossings:
+        matchers.append(_r2_at)
     if dim is AmbientDim.SYMMETRIC:
-        for i, s in enumerate(d.slices):
-            e = _single_event(s)
-            if e is not None and e.kind is EventKind.XNEG:
-                d = _apply_collapse(d, Move(MoveKind.SYM_COLLAPSE, True, i))
+        matchers.append(_kink2_at)
+        layers = [list(s.events) for s in d.slices]
+        for layer in layers:
+            if layer[0].kind is EventKind.XNEG:
+                layer[0] = Event(EventKind.XPOS, layer[0].position, layer[0].labels)
+        d = Diagram.from_events(d.source, layers)
     for _ in range(max_steps):
-        finders = [_zigzag_forward(d)]
-        if dim.allows_crossings:
-            finders.append(_r2_forward(d, dim))
-        if dim is AmbientDim.SYMMETRIC:
-            finders.append(_kink2_forward(d))
-        move = next(itertools.chain.from_iterable(finders), None)
-        if move is None:
+        site = next(_sites(d, matchers, dim), None)
+        if site is None:
             return d
-        d = apply_move(d, move)
+        m, stop, layers = site
+        d = _splice(d, m.slice_index, stop, layers)
     raise MoveError("reduction did not terminate within the step bound")
 
 

@@ -519,6 +519,11 @@ def test_criterion_07_functoriality_and_move_invariance():
 # criterion 8: the Kauffman oracle
 
 
+def state_sum_jones(d):
+    """The writhe-normalized bracket read from the state-sum oracle."""
+    return kink_factor(-writhe(d)) * bracket_state_sum(d)
+
+
 def test_criterion_08_kauffman_oracle():
     K = kauffman_datum()
 
@@ -535,7 +540,9 @@ def test_criterion_08_kauffman_oracle():
     u = unknot(True)
     assert kink_factor(-writhe(u)) * Laurent.promote(evaluate(u, K).scalar()) == DELTA
     assert jones_normalized(u) == Laurent.one()
+    assert state_sum_jones(u) == Laurent.one()
     assert jones_normalized(unknot(False)) == Laurent.one()
+    assert state_sum_jones(unknot(False)) == Laurent.one()
 
     # kink insertion: a double twist shifts writhe by 2 and the bracket by
     # the exact kink factor, so the normalized value is unchanged
@@ -555,12 +562,17 @@ def test_criterion_08_kauffman_oracle():
     assert writhe(twisted) == writhe(base) + 2
     assert bracket_state_sum(twisted) == kink_factor(2) * bracket_state_sum(base)
     assert jones_normalized(twisted) == jones_normalized(base)
+    assert state_sum_jones(twisted) == state_sum_jones(base)
 
     # separation
     jt, jm = jones_normalized(trefoil(True)), jones_normalized(trefoil(False))
+    st, sm = state_sum_jones(trefoil(True)), state_sum_jones(trefoil(False))
     assert jt != jones_normalized(unknot())
+    assert st != state_sum_jones(unknot())
     assert jones_normalized(hopf()) != jones_normalized(unlink())
+    assert state_sum_jones(hopf()) != state_sum_jones(unlink())
     assert jt != jm and jm == jt.substitute_inverse()
+    assert st != sm and sm == st.substitute_inverse()
     print(f"\n[criterion 8] PASS oracle agreement on {count} closed diagrams; "
           "unknot -> loop value; kinks cancel; trefoil/unknot/hopf/unlink/mirror separated")
 

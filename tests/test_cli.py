@@ -91,13 +91,24 @@ def test_print_parse_roundtrip():
     for _ in range(300):
         e = random_expr(rng)
         assert parse_expr(print_expr(e)) == e
-    # the Seq/Par dataclasses' own ==, hash and repr still recurse on long
-    # chains, so these round trips are compared as text
     for op in (";", "|"):
         text = f" {op} ".join(["id[0]"] * 3000)
         printed = print_expr(parse_expr(text))
         assert printed == text
-        assert print_expr(parse_expr(printed)) == printed
+        assert parse_expr(printed) == parse_expr(text)
+
+
+def test_long_chains_compare_hash_and_print_without_recursion():
+    assert repr(parse_expr("id[0] ; id[1] | cup(0)")) == (
+        "Seq(first=IdWord(labels=(0,)), "
+        "second=Par(left=IdWord(labels=(1,)), right=Gen(kind='cup', args=(0,))))"
+    )
+    for op in (";", "|"):
+        terms = ["id[0]"] * 3000
+        a, b = parse_expr(f" {op} ".join(terms)), parse_expr(f" {op} ".join(terms))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != parse_expr(f" {op} ".join(terms[:-1] + ["id[1]"]))
+        assert repr(a) == repr(b) and repr(a).count("IdWord(labels=(0,))") == 3000
 
 
 def test_to_diagram_zigzag():
@@ -368,18 +379,20 @@ def test_cli_invariant_mirror_pair(capsys):
 
 
 def test_cli_invariant_one_evaluation(capsys, monkeypatch):
-    # the bracket is read from one evaluation; the state sum is only an
-    # oracle.  The package exports a function named ``evaluate``, so the
-    # modules are taken from sys.modules
+    # the bracket is read from one evaluation, inside evaluate.bracket; the
+    # state sum is only an oracle.  The package exports a function named
+    # ``evaluate``, so the modules are taken from sys.modules
     cli_module, evaluate_module = sys.modules["tangles.cli"], sys.modules["tangles.evaluate"]
     assert not hasattr(cli_module, "bracket_state_sum")
     sums, evaluations = [], []
-    real_sum, real_evaluate = evaluate_module.bracket_state_sum, cli_module.evaluate
+    real_sum, real_evaluate = evaluate_module.bracket_state_sum, evaluate_module.evaluate
     monkeypatch.setattr(
         evaluate_module, "bracket_state_sum", lambda d: sums.append(d) or real_sum(d)
     )
     monkeypatch.setattr(
-        cli_module, "evaluate", lambda d, datum: evaluations.append(d) or real_evaluate(d, datum)
+        evaluate_module,
+        "evaluate",
+        lambda d, datum: evaluations.append(d) or real_evaluate(d, datum),
     )
     for name in ("unknot", "trefoil", "hopf"):
         sums.clear()

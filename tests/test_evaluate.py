@@ -1,5 +1,7 @@
+import itertools
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -18,6 +20,7 @@ from tangles.diagram import (
 )
 from tangles.evaluate import (
     EvaluationError,
+    bracket,
     bracket_state_sum,
     datum_from_text,
     datum_to_text,
@@ -137,14 +140,38 @@ def test_bracket_needs_a_strand():
         bracket_state_sum(Diagram.identity(()))
 
 
+def test_bracket_reads_one_evaluation(monkeypatch):
+    for d in itertools.islice(iter_closed_diagrams(6, 3), 150):
+        assert bracket(d) == bracket_state_sum(d)
+    with pytest.raises(EvaluationError, match="closed diagram"):
+        bracket(Diagram.identity((0,)))
+    with pytest.raises(EvaluationError, match="no strands"):
+        bracket(Diagram.identity(()))
+    # jones_normalized reads the same bracket, not the 2^c state sum
+    module = sys.modules["tangles.evaluate"]
+    monkeypatch.setattr(module, "bracket_state_sum", lambda d: pytest.fail("state sum ran"))
+    assert jones_normalized(trefoil(True)) == kink_factor(-3) * bracket(trefoil(True))
+
+
+def state_sum_jones(d):
+    """The writhe-normalized bracket read from the state-sum oracle."""
+    return kink_factor(-writhe(d)) * bracket_state_sum(d)
+
+
 def test_jones_values():
     assert jones_normalized(unknot(True)) == Laurent.one()
+    assert state_sum_jones(unknot(True)) == Laurent.one()
     assert jones_normalized(unknot(False)) == Laurent.one()
+    assert state_sum_jones(unknot(False)) == Laurent.one()
     assert jones_normalized(unlink()) == DELTA
+    assert state_sum_jones(unlink()) == DELTA
     jt = jones_normalized(trefoil(True))
+    assert state_sum_jones(trefoil(True)) == jt
     assert jt != Laurent.one()
     assert jones_normalized(trefoil(False)) == jt.substitute_inverse()
+    assert state_sum_jones(trefoil(False)) == jt.substitute_inverse()
     assert jones_normalized(hopf()) != jones_normalized(unlink())
+    assert state_sum_jones(hopf()) != state_sum_jones(unlink())
 
 
 def test_jones_kink_insertion_invariance():
@@ -166,6 +193,7 @@ def test_jones_kink_insertion_invariance():
     )
     assert writhe(twisted) == writhe(base) + 2
     assert jones_normalized(twisted) == jones_normalized(base)
+    assert state_sum_jones(twisted) == state_sum_jones(base)
 
 
 def test_mirror_symmetry_random_closed():
@@ -174,6 +202,7 @@ def test_mirror_symmetry_random_closed():
         count += 1
         assert bracket_state_sum(mirror(d)) == bracket_state_sum(d).substitute_inverse()
         assert jones_normalized(mirror(d)) == jones_normalized(d).substitute_inverse()
+        assert state_sum_jones(mirror(d)) == state_sum_jones(d).substitute_inverse()
         if count >= 150:
             break
     assert count >= 100

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,11 @@ def test_r2_requires_same_strands():
         (0, 1, 0, 1), [[cross_pos(0, 1, at=0)], [cross_neg(0, 1, at=2)]]
     )
     assert not [m for m in applicable_moves(d, BRAIDED) if m.kind is MoveKind.R2]
+    # the second crossing takes one strand of the pair and its neighbour;
+    # equal labels make its labels those of an undoing crossing
+    for at in (0, 2):
+        d = Diagram.from_events((0, 0, 0, 0), [[cross_pos(0, 0, at=1)], [cross_neg(0, 0, at=at)]])
+        assert not [m for m in applicable_moves(d, SYMMETRIC) if m.kind is MoveKind.R2]
 
 
 def test_r3_exchange():
@@ -334,6 +340,57 @@ def test_kink2_does_not_drop_closed_components():
     assert not moves
 
 
+def test_apply_move_refuses_hand_built_moves_off_their_redex():
+    # three crossings of mixed sign are no side of the braid relation
+    mixed = Diagram.from_events(
+        (0, 1, 2),
+        [[cross_pos(0, 1, at=0)], [cross_neg(0, 2, at=1)], [cross_pos(1, 2, at=0)]],
+    )
+    with pytest.raises(MoveError):
+        apply_move(mixed, Move(MoveKind.R3, True, 0, 2, 0, (1,), "left"))
+    # the cup's strand pair is next touched by a crossing, not by a cap
+    crossed = Diagram.from_events((0,), [[cup(0, at=1)], [cross_pos(0, 1, at=0)]])
+    assert crossed.target == (1, 0, 0)
+    with pytest.raises(MoveError):
+        apply_move(crossed, Move(MoveKind.ZIGZAG, True, 0, 1, 1, (0,), "cap_left"))
+
+
+_OTHER_VARIANT = {"cap_left": "cap_right", "cap_right": "cap_left", "left": "right", "right": "left"}
+
+
+def single_field_changes(m):
+    """m with one of position, other_index, variant or labels changed."""
+    labels = m.labels[:-1] + (m.labels[-1] + 1,) if m.labels else (0,)
+    return [
+        replace(m, position=m.position - 1),
+        replace(m, position=m.position + 1),
+        replace(m, other_index=m.other_index - 1),
+        replace(m, other_index=m.other_index + 1),
+        replace(m, variant=_OTHER_VARIANT.get(m.variant, "left")),
+        replace(m, labels=labels),
+    ]
+
+
+def test_forward_moves_apply_only_at_their_redex():
+    cases = [(d, dim) for d in iter_closed_diagrams(6, 3) for dim in (BRAIDED, SYMMETRIC)]
+    rng = random.Random(71)
+    for dim in (BRAIDED, SYMMETRIC):
+        cases += [(random_diagram(rng, dim, max_events=8, width=6), dim) for _ in range(300)]
+    changed = refused = 0
+    for d, dim in cases:
+        listed = applicable_moves(d, dim)
+        for m in listed:
+            for other in single_field_changes(m):
+                changed += 1
+                try:
+                    apply_move(d, other)
+                except MoveError:
+                    refused += 1
+                    continue
+                assert other in listed, (to_text(d), m, other)
+    assert refused > changed // 2  # most single-field changes leave the redex
+
+
 def test_reduce_symmetric_normalizes_double_twists():
     base = (0,)
     d = Diagram.from_events(base, double_twist_layers(0, 0, 1))
@@ -357,8 +414,9 @@ def reference_reduce(d, dim):
     d = expand(d)
     if dim is SYMMETRIC:
         for i, s in enumerate(d.slices):
-            if s.events[0].kind is EventKind.XNEG:
-                d = apply_move(d, Move(MoveKind.SYM_COLLAPSE, True, i))
+            e = s.events[0]
+            if e.kind is EventKind.XNEG:
+                d = apply_move(d, Move(MoveKind.SYM_COLLAPSE, True, i, position=e.position))
     reducing = (MoveKind.ZIGZAG, MoveKind.R2, MoveKind.KINK2)
     while True:
         moves = [m for m in applicable_moves(d, dim) if m.forward and m.kind in reducing]
