@@ -49,6 +49,7 @@ exhaustion without separation returns Unknown.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -394,6 +395,8 @@ def apply_move(d: Diagram, m: Move) -> Diagram:
     i = m.slice_index
     try:
         if not m.forward:
+            if not 0 <= i <= len(d.slices):
+                raise MoveError(f"no level {i} in a diagram of {len(d.slices)} slices")
             return _splice(d, i, i, _inserted(d, m))
         site = _MATCHERS[m.kind](d, i, AmbientDim.SYMMETRIC) if 0 <= i < len(d.slices) else None
         if site is None or site[0] != m:
@@ -502,10 +505,12 @@ def _assert_planar_matching(arcs, n_source: int, n_target: int) -> None:
 # reduction and equality
 
 
-def reduce_diagram(d: Diagram, dim: AmbientDim, max_steps: int = 10_000) -> Diagram:
+def reduce_diagram(d: Diagram, dim: AmbientDim) -> Diagram:
     """Apply forward moves (zigzag, second Reidemeister, and in the
     symmetric case sign collapse and double-kink removal) until none is
-    left.  Every forward move removes events, so this terminates.
+    left.  Every step removes at least two events (a zigzag or R2 pair two,
+    a double twist four), so at most half the event count of steps run;
+    one more is a fault.
 
     In the symmetric case every negative crossing is first made positive,
     in one pass.  Each step then splices in the first redex that
@@ -523,7 +528,7 @@ def reduce_diagram(d: Diagram, dim: AmbientDim, max_steps: int = 10_000) -> Diag
             if layer[0].kind is EventKind.XNEG:
                 layer[0] = Event(EventKind.XPOS, layer[0].position, layer[0].labels)
         d = Diagram.from_events(d.source, layers)
-    for _ in range(max_steps):
+    for _ in range(d.num_events // 2 + 1):
         site = next(_sites(d, matchers, dim), None)
         if site is None:
             return d
@@ -606,13 +611,21 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
                 break
         frontier[:] = nxt
 
-    from .evaluate import evaluate, flip_datum, kauffman_datum, unit_datum
+    from .evaluate import evaluate
 
-    if dim is AmbientDim.SYMMETRIC:
-        data = [flip_datum(), unit_datum(0, -1)]
-    else:
-        data = [kauffman_datum(), unit_datum(2, 1)]
-    for datum in data:
+    for datum in _separating_data(dim is AmbientDim.SYMMETRIC):
         if evaluate(d1, datum) != evaluate(d2, datum):
             return Equality.DISTINCT
     return Equality.UNKNOWN
+
+
+@functools.cache
+def _separating_data(symmetric: bool) -> tuple:
+    """The data ``equal`` evaluates under when its search does not join two
+    diagrams, built once per process: the Kauffman datum and a rank-one
+    unit datum, or their symmetric counterparts."""
+    from .evaluate import flip_datum, kauffman_datum, unit_datum
+
+    if symmetric:
+        return flip_datum(), unit_datum(0, -1)
+    return kauffman_datum(), unit_datum(2, 1)

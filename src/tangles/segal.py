@@ -3,15 +3,18 @@ category presentation, and a truncated colimit computing the same thing.
 
 A ``SimplicialData`` stores finite levels X_0 ... X_K together with all
 face and degeneracy maps in that range; the simplicial identities are
-checked at construction.  ``act`` evaluates the contravariant action of an
-arbitrary monotone map by factoring it into faces and degeneracies.
+checked at construction.  The standard inputs (monoid nerves, their
+pushouts, interval posets and graphs) are built from face and degeneracy
+formulas.  ``act`` evaluates the contravariant action of an arbitrary
+monotone map by factoring it into faces and degeneracies.
 
 ``is_segal`` tests whether level p is exactly the set of p-chains of
-composable edges.  ``complete`` builds the category presented by the
-nondegenerate edges modulo the triangle relations read off level 2 (with
-degenerate edges as identities), and enumerates hom-sets by congruence
-closure on bounded generator words; whether the enumeration stopped
-growing strictly below the budget is reported, never assumed.
+composable edges, read from a cut fiber product.  ``complete`` builds the
+category presented by the nondegenerate edges modulo the triangle
+relations read off level 2 (with degenerate edges as identities), and
+enumerates hom-sets by congruence closure on bounded generator words;
+whether the enumeration stopped growing strictly below the budget is
+reported, never assumed.
 
 ``cut_fiber_product`` evaluates, for a monotone map f into [a], the
 iterated fiber product of the levels over the convex pieces into which
@@ -21,13 +24,15 @@ the values of f cut [a]; the pieces agree with the outer hulls (from
 bounded simplex sizes into zigzag classes via union-find; on inputs
 satisfying the Segal condition it reproduces level p on the nose, and in
 general it grows towards the completion's hom-sets as the bound rises.
+Whether it stabilized is read from the same forest, which holds the
+bound-(N-1) classes before it joins the rest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .simplex import (
     ConvexSubset,
@@ -149,7 +154,9 @@ class SimplicialData:
 
 def is_segal(X: SimplicialData, p: int) -> bool:
     """True iff the spine map X_p -> X_1 x_{X_0} ... x_{X_0} X_1 is a
-    bijection."""
+    bijection.  The composable p-chains of edges are the cut fiber product
+    of the map [p-2] -> [p] with values 1..p-1, whose pieces are the unit
+    intervals [0, 1], ..., [p-1, p]."""
     if p > X.K:
         raise SimplicialError(f"level {p} not stored (K = {X.K})")
     if p <= 1:
@@ -160,28 +167,10 @@ def is_segal(X: SimplicialData, p: int) -> bool:
         if spine in spines and spines[spine] != x:
             return False
         spines[spine] = x
-    count = 0
-    for chain in _composable_chains(X, p):
-        count += 1
-        if chain not in spines:
-            return False
-    return count == len(X.levels[p])
-
-
-def _composable_chains(X: SimplicialData, p: int) -> Iterable[tuple]:
-    edges_by_source: dict[Hashable, list] = {}
-    for e in X.levels[1]:
-        edges_by_source.setdefault(X.vertex(1, e, 0), []).append(e)
-
-    def extend(chain: tuple, cursor) -> Iterable[tuple]:
-        if len(chain) == p:
-            yield chain
-            return
-        for e in edges_by_source.get(cursor, ()):  # matching endpoints only
-            yield from extend(chain + (e,), X.vertex(1, e, 1))
-
-    for v in X.levels[0]:
-        yield from extend((), v)
+    chains = cut_fiber_product(
+        X, MonotoneMap(SimplexObject(p - 2), SimplexObject(p), tuple(range(1, p)))
+    )
+    return len(chains) == len(X.levels[p]) and all(chain in spines for chain in chains)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +397,8 @@ class TruncatedColimit:
 
 
 def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
-    """Union-find pass for the truncated colimit at bound N.
+    """Union-find pass for the truncated colimit at bound N; returns its
+    classes and whether they stabilized.
 
     An index object is (a, phi: [b] -> [a], s: [p] -> [a]); its value is
     the cut fiber product of phi, which does not depend on the anchor s.
@@ -427,37 +417,46 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     numbered in registration order, object by object and chain by chain
     within an object, and mapped back at the end.  Classes list their
     members in that order and come ordered by their first member.
+
+    The bound-(N-1) colimit is the forest on the tags with a, b <= N - 1
+    and the morphisms among them, so those are united first and their
+    classes counted.  Its map into the bound-N classes is a bijection when
+    uniting the rest leaves that count unchanged and equal to the final
+    class count (no two classes merge, and every class is reached).
     """
     uf = UnionFind()
     simplex = [SimplexObject(a) for a in range(N + 1)]
     anchor_obj = SimplexObject(p)
     anchors = {a: all_monotone_maps(anchor_obj, simplex[a]) for a in range(N + 1)}
     maps_into = {
-        a: [
-            phi
-            for b in range(N + 1)
-            for phi in all_monotone_maps(simplex[b], simplex[a])
-        ]
+        a: [phi for b in range(N + 1) for phi in all_monotone_maps(simplex[b], simplex[a])]
         for a in range(N + 1)
     }
 
     # each (a, phi) maps the chains of its value to their places in it; a
     # tag's number is first[index object] plus its chain's place
     values: dict[tuple[int, tuple], dict[tuple, int]] = {}
+    first: dict[tuple[int, tuple, tuple], int] = {}
+    tags: list[tuple] = []
+    small: list[int] = []  # the tags of the bound-(N-1) colimit
     for a in range(N + 1):
         for phi in maps_into[a]:
             chains = cut_fiber_product(C, phi)
             values[(a, phi.values)] = {chain: i for i, chain in enumerate(chains)}
-    first: dict[tuple[int, tuple, tuple], int] = {}
-    tags: list[tuple] = []
-    for a in range(N + 1):
-        for phi in maps_into[a]:
             for s in anchors[a]:
                 key = (a, phi.values, s.values)
                 first[key] = len(tags)
-                tags.extend((key, chain) for chain in values[(a, phi.values)])
+                tags.extend((key, chain) for chain in chains)
+                if max(a, phi.source.p) < N:
+                    small.extend(range(first[key], len(tags)))
     for tag in range(len(tags)):  # groups() orders classes by first registration
         uf.find(tag)
+
+    bounded, rest = [], []  # the morphisms within bound N - 1, and the others
+
+    def add_move(a0, phi0, a1, phi1, f, anchor_pairs):
+        inside = max(a0, a1, phi0.source.p, phi1.source.p) < N
+        (bounded if inside else rest).append((a0, phi0, a1, phi1, f, anchor_pairs))
 
     def union_moves(a0, phi0, a1, phi1, f, anchor_pairs):
         plan = restriction_plan(f, phi0, phi1)
@@ -482,19 +481,24 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
             b1 = phi1.source.p
             for b0 in range(N + 1):
                 for g in elementary_maps(simplex[b0], simplex[b1]):
-                    union_moves(a, compose_monotone(g, phi1), a, phi1, ident, same_anchor)
+                    add_move(a, compose_monotone(g, phi1), a, phi1, ident, same_anchor)
 
     # Family 2: change the ambient simplex along f (phi's source fixed).
     for a1 in range(N + 1):
         for a0 in range(N + 1):
             for f in elementary_maps(simplex[a1], simplex[a0]):
-                anchor_pairs = [
-                    (compose_monotone(s1, f), s1) for s1 in anchors[a1]
-                ]
+                anchor_pairs = [(compose_monotone(s1, f), s1) for s1 in anchors[a1]]
                 for phi1 in maps_into[a1]:
-                    union_moves(a0, compose_monotone(phi1, f), a1, phi1, f, anchor_pairs)
+                    add_move(a0, compose_monotone(phi1, f), a1, phi1, f, anchor_pairs)
 
-    return [[tags[tag] for tag in group] for group in uf.groups()]
+    for move in bounded:
+        union_moves(*move)
+    smaller = len({uf.find(tag) for tag in small})
+    for move in rest:
+        union_moves(*move)
+    classes = [[tags[tag] for tag in group] for group in uf.groups()]
+    stabilized = N >= 1 and smaller == len({uf.find(tag) for tag in small}) == len(classes)
+    return classes, stabilized
 
 
 def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
@@ -507,123 +511,91 @@ def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
     """
     if max(p, N) > C.K:
         raise SimplicialError(f"levels up to {max(p, N)} needed, stored {C.K}")
-    classes = _colimit_tags_and_classes(C, p, N)
-    stabilized = False
-    if N >= 1:
-        smaller = _colimit_tags_and_classes(C, p, N - 1)
-        # Each bound-(N-1) class lies inside one bound-N class, so the map
-        # is a bijection when it is onto and the class counts agree.
-        small_tags = {tag for group in smaller for tag in group}
-        stabilized = len(smaller) == len(classes) and all(
-            any(tag in small_tags for tag in group) for group in classes
-        )
-    return TruncatedColimit(p, N, classes, stabilized)
+    return TruncatedColimit(p, N, *_colimit_tags_and_classes(C, p, N))
 
 
 # ---------------------------------------------------------------------------
 # constructors for the standard inputs
 
 
+def _from_maps(levels: Sequence[tuple], face: Callable, degeneracy: Callable) -> SimplicialData:
+    """Simplicial data on ``levels`` whose d_i and s_i at level p send x to
+    ``face(p, i, x)`` and ``degeneracy(p, i, x)``."""
+
+    def table(rule: Callable, ps: range) -> dict:
+        return {(p, i): {x: rule(p, i, x) for x in levels[p]} for p in ps for i in range(p + 1)}
+
+    K = len(levels) - 1
+    return SimplicialData(tuple(levels), table(face, range(1, K + 1)), table(degeneracy, range(K)))
+
+
+def _nerve_face(multiply: Callable, p: int, i: int, x: tuple) -> tuple:
+    """d_i of a nerve p-tuple: drop an end, or multiply the entries
+    around i."""
+    if i == 0:
+        return x[1:]
+    if i == p:
+        return x[:-1]
+    return x[: i - 1] + (multiply(x[i - 1], x[i]),) + x[i + 1 :]
+
+
+def _nerve_maps(M: PointedMonoid) -> tuple[Callable, Callable]:
+    """The face and degeneracy of M's nerve; s_i inserts the unit at i."""
+    return (
+        lambda p, i, x: _nerve_face(M.multiply, p, i, x),
+        lambda p, i, x: x[:i] + (M.unit,) + x[i:],
+    )
+
+
 def nerve_of_monoid(M: PointedMonoid, K: int = 3) -> SimplicialData:
     """The nerve of a finite monoid: level p is the set of p-tuples."""
     elements = M.elements(1)
     levels = [tuple(itertools.product(elements, repeat=p)) for p in range(K + 1)]
-    faces = {}
-    degeneracies = {}
-    for p in range(1, K + 1):
-        for i in range(p + 1):
-            m = {}
-            for x in levels[p]:
-                if i == 0:
-                    m[x] = x[1:]
-                elif i == p:
-                    m[x] = x[:-1]
-                else:
-                    m[x] = x[: i - 1] + (M.multiply(x[i - 1], x[i]),) + x[i + 1 :]
-            faces[(p, i)] = m
-    for p in range(K):
-        for i in range(p + 1):
-            degeneracies[(p, i)] = {
-                x: x[:i] + (M.unit,) + x[i:] for x in levels[p]
-            }
-    return SimplicialData(tuple(levels), faces, degeneracies)
-
-
-_POINT = ("pt",)
+    return _from_maps(levels, *_nerve_maps(M))
 
 
 def pushout_of_nerves(A: PointedMonoid, B: PointedMonoid, K: int = 3) -> SimplicialData:
     """Levelwise pushout of the nerves of A and B over the point: tuples
     from one factor at each level, with the all-units tuples identified."""
-
-    def canon(side: str, tup: tuple, monoid: PointedMonoid):
-        if all(monoid.is_unit(x) for x in tup):
-            return ("U", len(tup))
-        return (side, tup)
-
-    def level(p: int):
-        out = [("U", p)]
-        for side, monoid in (("L", A), ("R", B)):
-            for tup in itertools.product(monoid.elements(1), repeat=p):
-                tagged = canon(side, tup, monoid)
-                if tagged[0] != "U":
-                    out.append(tagged)
-        return tuple(out)
-
-    def untag(x, p: int):
-        if x[0] == "U":
-            return [("L", (A.unit,) * p), ("R", (B.unit,) * p)]
-        return [x]
-
-    levels = [level(p) for p in range(K + 1)]
-    faces = {}
-    degeneracies = {}
     nerves = {"L": A, "R": B}
-    for p in range(1, K + 1):
-        for i in range(p + 1):
-            m = {}
-            for x in levels[p]:
-                side, tup = untag(x, p)[0]
-                monoid = nerves[side]
-                if i == 0:
-                    res = tup[1:]
-                elif i == p:
-                    res = tup[:-1]
-                else:
-                    res = tup[: i - 1] + (monoid.multiply(tup[i - 1], tup[i]),) + tup[i + 1 :]
-                m[x] = canon(side, res, monoid)
-            faces[(p, i)] = m
-    for p in range(K):
-        for i in range(p + 1):
-            m = {}
-            for x in levels[p]:
-                side, tup = untag(x, p)[0]
-                monoid = nerves[side]
-                m[x] = canon(side, tup[:i] + (monoid.unit,) + tup[i:], monoid)
-            degeneracies[(p, i)] = m
-    return SimplicialData(tuple(levels), faces, degeneracies)
+
+    def tagged(side: str, tup: tuple) -> tuple:
+        return ("U", len(tup)) if all(map(nerves[side].is_unit, tup)) else (side, tup)
+
+    levels = [
+        (("U", p),)
+        + tuple(
+            (side, tup)
+            for side, monoid in nerves.items()
+            for tup in itertools.product(monoid.elements(1), repeat=p)
+            if tagged(side, tup)[0] != "U"
+        )
+        for p in range(K + 1)
+    ]
+
+    maps = {side: _nerve_maps(monoid) for side, monoid in nerves.items()}
+
+    def lifted(k: int) -> Callable:  # k = 0: the face, 1: the degeneracy
+        def mapped(p: int, i: int, x):  # the all-units tuple is read in A's nerve
+            side, tup = ("L", (A.unit,) * p) if x[0] == "U" else x
+            return tagged(side, maps[side][k](p, i, tup))
+
+        return mapped
+
+    return _from_maps(levels, lifted(0), lifted(1))
 
 
 def nerve_of_interval_poset(n: int, K: int = 3) -> SimplicialData:
     """The nerve of the linear poset 0 < 1 < ... < n: level p is the set
     of monotone (p+1)-tuples."""
     levels = [
-        tuple(
-            t
-            for t in itertools.product(range(n + 1), repeat=p + 1)
-            if all(a <= b for a, b in zip(t, t[1:]))
-        )
-        for p in range(K + 1)
+        tuple(itertools.combinations_with_replacement(range(n + 1), p + 1)) for p in range(K + 1)
     ]
-    faces = {}
-    degeneracies = {}
-    for p in range(1, K + 1):
-        for i in range(p + 1):
-            faces[(p, i)] = {x: x[:i] + x[i + 1 :] for x in levels[p]}
-    for p in range(K):
-        for i in range(p + 1):
-            degeneracies[(p, i)] = {x: x[: i + 1] + x[i:] for x in levels[p]}
-    return SimplicialData(tuple(levels), faces, degeneracies)
+    return _from_maps(
+        levels,
+        lambda p, i, x: x[:i] + x[i + 1 :],
+        lambda p, i, x: x[: i + 1] + x[i:],
+    )
 
 
 def one_truncated(
@@ -637,61 +609,37 @@ def one_truncated(
     verts = tuple(vertices)
     edge_list = [("id", v, v) for v in verts] + [tuple(e) for e in edges]
 
-    def src(e):
-        return e[1]
-
-    def tgt(e):
-        return e[2]
-
-    # A degenerate word of an edge path: level p elements are p-tuples of
-    # edges, composable, with at most one nondegenerate entry (so every
-    # simplex above level 1 is a degeneracy).
-    def is_identity(e):
+    def is_identity(e) -> bool:
         return e[0] == "id"
 
-    def level(p: int):
-        if p == 0:
-            return verts
-        out = []
-        for tup in itertools.product(edge_list, repeat=p):
-            if any(tgt(a) != src(b) for a, b in zip(tup, tup[1:])):
-                continue
-            if sum(0 if is_identity(e) else 1 for e in tup) <= (1 if p > 1 else p):
-                out.append(tup)
-        return tuple(out)
+    # level p > 0 holds the composable p-tuples of edges with at most one
+    # nondegenerate entry, so every simplex above level 1 is a degeneracy
+    levels = [verts] + [
+        tuple(
+            tup
+            for tup in itertools.product(edge_list, repeat=p)
+            if all(a[2] == b[1] for a, b in zip(tup, tup[1:]))
+            and sum(not is_identity(e) for e in tup) <= 1
+        )
+        for p in range(1, K + 1)
+    ]
 
-    levels = [level(p) for p in range(K + 1)]
-    faces = {}
-    degeneracies = {}
-    for p in range(1, K + 1):
-        for i in range(p + 1):
-            m = {}
-            for x in levels[p]:
-                if p == 1:
-                    m[x] = tgt(x[0]) if i == 0 else src(x[0])
-                    continue
-                if i == 0:
-                    m[x] = x[1:]
-                elif i == p:
-                    m[x] = x[:-1]
-                else:
-                    a, b = x[i - 1], x[i]
-                    if is_identity(a):
-                        merged = b
-                    elif is_identity(b):
-                        merged = a
-                    else:
-                        raise SimplicialError("graph data cannot compose two edges")
-                    m[x] = x[: i - 1] + (merged,) + x[i + 1 :]
-            faces[(p, i)] = m
-    for p in range(K):
-        for i in range(p + 1):
-            m = {}
-            for x in levels[p]:
-                if p == 0:
-                    m[x] = (("id", x, x),)
-                else:
-                    v = src(x[i]) if i < p else tgt(x[-1])
-                    m[x] = x[:i] + (("id", v, v),) + x[i:]
-            degeneracies[(p, i)] = m
-    return SimplicialData(tuple(levels), faces, degeneracies)
+    def compose(a, b):
+        if is_identity(a):
+            return b
+        if is_identity(b):
+            return a
+        raise SimplicialError("graph data cannot compose two edges")
+
+    def face(p: int, i: int, x):
+        if p == 1:  # an edge's d_0 is its target, d_1 its source
+            return x[0][2] if i == 0 else x[0][1]
+        return _nerve_face(compose, p, i, x)
+
+    def degeneracy(p: int, i: int, x):
+        if p == 0:
+            return (("id", x, x),)
+        v = x[i][1] if i < p else x[-1][2]
+        return x[:i] + (("id", v, v),) + x[i:]
+
+    return _from_maps(levels, face, degeneracy)

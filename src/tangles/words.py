@@ -69,9 +69,10 @@ class PointedMonoid:
     """A monoid with a distinguished unit and weight-graded enumeration.
 
     ``elements_by_weight(n)`` must return the (finite) list of nonunit
-    elements of weight exactly n >= 1.  Associativity and the unit laws are
-    checked on the enumerated range at construction; a table that makes
-    ``is_unit`` hold for more than one listed element is rejected.
+    elements of weight exactly n >= 1.  The unit laws (on weights up to 2)
+    and associativity (on weights up to 1) are checked at construction; a
+    table that makes ``is_unit`` hold for more than one listed element is
+    rejected.
     """
 
     def __init__(
@@ -80,13 +81,12 @@ class PointedMonoid:
         unit: Hashable,
         multiply: Callable[[Hashable, Hashable], Hashable],
         elements_by_weight: Callable[[int], list],
-        check_depth: int = 2,
     ):
         self.name = name
         self.unit = unit
         self._multiply = multiply
         self._elements_by_weight = elements_by_weight
-        self._validate(check_depth)
+        self._validate()
 
     def multiply(self, a: Hashable, b: Hashable) -> Hashable:
         return self._multiply(a, b)
@@ -103,8 +103,8 @@ class PointedMonoid:
     def elements(self, max_weight: int) -> list:
         return [self.unit] + self.nonunits(max_weight)
 
-    def _validate(self, depth: int) -> None:
-        elems = self.elements(depth)
+    def _validate(self) -> None:
+        elems = self.elements(2)
         if sum(1 for e in elems if self.is_unit(e)) != 1:
             raise MonoidError(f"{self.name}: unit must appear exactly once")
         for a in elems:

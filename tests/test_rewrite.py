@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -355,6 +356,16 @@ def test_apply_move_refuses_hand_built_moves_off_their_redex():
         apply_move(crossed, Move(MoveKind.ZIGZAG, True, 0, 1, 1, (0,), "cap_left"))
 
 
+def test_apply_move_refuses_a_backward_move_off_the_levels():
+    d = Diagram.from_events((0,), [[cup(0, at=1)]])
+    for i in (5, -1):  # past the top level, and a negative level
+        with pytest.raises(MoveError):
+            apply_move(d, Move(MoveKind.ZIGZAG, False, i, position=0, labels=(0,), variant="cap_left"))
+    for i in (0, 1):  # the source and the target are levels
+        grown = apply_move(d, Move(MoveKind.ZIGZAG, False, i, position=0, labels=(0,), variant="cap_left"))
+        assert grown.num_events == 3 and [len(s.events) for s in grown.slices[i : i + 2]] == [1, 1]
+
+
 _OTHER_VARIANT = {"cap_left": "cap_right", "cap_right": "cap_left", "left": "right", "right": "left"}
 
 
@@ -647,4 +658,38 @@ def test_normalize_planar_at_scale():
     assert normalize_planar(tall) == normalize_planar(Diagram.identity((0,)))
     # full rewriting to the empty diagram, at a smaller height
     shorter = Diagram.from_events((0,), layers[:200])
-    assert reduce_diagram(shorter, PLANAR, max_steps=200) == Diagram.identity((0,))
+    assert reduce_diagram(shorter, PLANAR) == Diagram.identity((0,))
+
+
+def test_reduce_diagram_bounds_its_steps_by_the_event_count(monkeypatch):
+    # every step removes at least two events, so a reduction that has not
+    # ended after num_events // 2 + 1 steps is a fault: a splice that
+    # removes nothing is stopped there
+    d = Diagram.from_events((0,), [[cup(0, at=1)], [cap(0, at=0)]] * 3)
+    calls = []
+
+    def stuck(d, start, stop, layers):
+        calls.append(start)
+        return d
+
+    monkeypatch.setattr(rewrite, "_splice", stuck)
+    with pytest.raises(MoveError):
+        reduce_diagram(d, PLANAR)
+    assert len(calls) == d.num_events // 2 + 1 == 4
+
+
+def test_equal_builds_its_evaluation_data_once(monkeypatch):
+    # ``tangles.evaluate`` is shadowed by the function the package exports
+    evaluate_module = sys.modules["tangles.evaluate"]
+    calls = []
+    real = evaluate_module.kauffman_datum
+    monkeypatch.setattr(evaluate_module, "kauffman_datum", lambda: calls.append(1) or real())
+    # an unknot with three kinks has the trefoil's writhe, so the search
+    # runs out and evaluation decides
+    kinked = Diagram.from_events(
+        (),
+        [[cup(0)], [cross_pos(1, 0)], [cross_pos(0, 1)], [cross_pos(1, 0)], [cap(0)]],
+    )
+    for _ in range(3):
+        assert equal(trefoil(), kinked, BRAIDED, budget=5) is Equality.DISTINCT
+    assert len(calls) <= 1

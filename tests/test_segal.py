@@ -97,6 +97,61 @@ def test_degenerate_only_is_segal():
     assert is_segal(x, 2)
 
 
+def _composable_chains(X, p):
+    """The composable p-chains of edges, grown edge by edge from each
+    vertex: an enumeration independent of the cut fiber product."""
+    edges_by_source = {}
+    for e in X.levels[1]:
+        edges_by_source.setdefault(X.vertex(1, e, 0), []).append(e)
+
+    def extend(chain, cursor):
+        if len(chain) == p:
+            yield chain
+            return
+        for e in edges_by_source.get(cursor, ()):
+            yield from extend(chain + (e,), X.vertex(1, e, 1))
+
+    for v in X.levels[0]:
+        yield from extend((), v)
+
+
+def _is_segal_by_chains(X, p):
+    if p <= 1:
+        return True
+    spines = {}
+    for x in X.levels[p]:
+        spine = tuple(X.edge(p, x, i) for i in range(1, p + 1))
+        if spines.setdefault(spine, x) != x:
+            return False
+    chains = list(_composable_chains(X, p))
+    return len(chains) == len(X.levels[p]) and all(chain in spines for chain in chains)
+
+
+_CONSTRUCTED = {
+    "nerve-1": lambda: nerve_of_monoid(PointedMonoid.trivial(), K=3),
+    "nerve-z2": lambda: nerve_of_monoid(Z2, K=4),
+    "nerve-z3": lambda: nerve_of_monoid(Z3, K=3),
+    "pushout-z2-z2": lambda: pushout_of_nerves(Z2, Z2, K=3),
+    "pushout-z2-z3": lambda: pushout_of_nerves(Z2, Z3, K=3),
+    "pushout-z3-1": lambda: pushout_of_nerves(Z3, PointedMonoid.trivial(), K=3),
+    **{f"interval-{n}": (lambda n=n: nerve_of_interval_poset(n, K=3)) for n in range(4)},
+    "graph-uvw": lambda: one_truncated("uvw", [("a", "u", "v"), ("b", "v", "w")], K=3),
+    "graph-ab": lambda: one_truncated("ab", [], K=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTED))
+def test_is_segal_agrees_with_the_composable_chains(name):
+    X = _CONSTRUCTED[name]()
+    for p in range(X.K + 1):
+        assert is_segal(X, p) == _is_segal_by_chains(X, p), p
+        if p >= 2:
+            spine_map = MonotoneMap(SimplexObject(p - 2), SimplexObject(p), tuple(range(1, p)))
+            chains = cut_fiber_product(X, spine_map)
+            reference = list(_composable_chains(X, p))
+            assert len(chains) == len(reference) and set(chains) == set(reference), p
+
+
 def test_completion_of_monoid_nerve():
     for monoid in (Z2, Z3):
         comp = complete(nerve_of_monoid(monoid, K=2), budget=4)
@@ -385,6 +440,21 @@ def test_colimit_matches_the_all_maps_relation(name):
             assert (col.classes, col.stabilized) == (classes, stabilized), (p, N)
             smaller = classes
             small_tags = {tag for group in classes for tag in group}
+
+
+def test_colimit_reads_stabilized_from_one_forest(monkeypatch):
+    calls = []
+
+    def counted(C, p, N):
+        calls.append(N)
+        return tags_and_classes(C, p, N)
+
+    tags_and_classes = segal._colimit_tags_and_classes
+    monkeypatch.setattr(segal, "_colimit_tags_and_classes", counted)
+    C = _PRESETS["pushout-z2-z2"]()
+    for N in range(3):
+        colimit_truncated(C, 1, N)
+    assert calls == [0, 1, 2]
 
 
 def test_close_words_matches_brute_force_closure():
