@@ -19,6 +19,13 @@ keeps the datum and its validation surface small.
 
 ``evaluate`` keeps a sparse map from (source basis word, current basis
 word) to a coefficient, and each event rewrites only its own strands' digits.
+A closed diagram is split into groups, the components linked by crossings:
+each group keeps its own state over its own strands, and the value is the
+product of the groups' scalars, as a monoidal functor sends a split union
+to the product of its parts.  Both exponential paths refuse oversized work
+up front with EvaluationError: ``evaluate`` a group whose state could range
+over more than EVALUATE_LIMIT words, and ``bracket_state_sum`` more than
+STATE_SUM_LIMIT smoothings.
 
 Conventions pinned here (and exercised by the mirror tests):
 
@@ -57,6 +64,8 @@ from .unionfind import UnionFind
 
 A = Laurent.monomial(1)
 A_INV = Laurent.monomial(-1)
+EVALUATE_LIMIT = 1 << 20  # the most basis words one group's state may range over
+STATE_SUM_LIMIT = 1 << 16  # the most smoothings bracket_state_sum enumerates
 
 
 def loop_value() -> Laurent:
@@ -247,21 +256,60 @@ def validate_datum(datum: RigidDatum, dim: AmbientDim) -> DatumReport:
 # evaluation
 
 
-def evaluate(d: Diagram, datum: RigidDatum) -> Matrix:
-    """The r^|target| by r^|source| matrix of the diagram.  Events in a slice
-    run right to left, so the input positions of those still to come hold."""
-    sources = list(product(range(datum.rank), repeat=len(d.source)))
-    state: dict = {(w, w): 1 for w in sources}
+def _schedule(d: Diagram) -> tuple[list[tuple[Event, int, int]], int]:
+    """Each event in evaluation order with its group and its position among
+    that group's strands, and the most digits a group's state words hold
+    (source digits included).  A diagram with boundary is group 0."""
+    n, closed = len(d.source), not (d.source or d.target)
+    ids, into, mine, fresh = [0] * n, {}, [], 0
     for s in d.slices:
         for e in reversed(s.events):
-            columns = datum.columns(e)
-            p, q = e.position, e.position + e.arity_in
-            acc: dict = {}
-            for (src, cur), x in state.items():
-                for digits, v in columns.get(cur[p:q], ()):
-                    key = (src, cur[:p] + digits + cur[q:])
-                    acc[key] = acc[key] + x * v if key in acc else x * v
-            state = {k: x for k, x in acc.items() if not is_zero(x)}
+            p = e.position
+            if e.kind is EventKind.CUP:
+                ids[p:p] = (fresh, fresh)
+                fresh += closed
+            elif ids[p] != ids[p + 1]:  # the older id stays, so the first group is 0
+                into[max(ids[p], ids[p + 1])] = min(ids[p], ids[p + 1])
+                ids = [into.get(x, x) for x in ids]
+            mine.append((e, ids[p]))
+            if e.kind is EventKind.CAP:
+                del ids[p : p + 2]
+    owners, steps, widest = [0] * n, [], 2 * n
+    for e, g in mine:
+        while g in into:
+            g = into[g]
+        p = e.position
+        steps.append((e, g, owners[:p].count(g)))
+        if e.kind is EventKind.CUP:
+            owners[p:p] = (g, g)
+            widest = max(widest, n + owners.count(g))
+        elif e.kind is EventKind.CAP:
+            del owners[p : p + 2]
+    return steps, widest
+
+
+def evaluate(d: Diagram, datum: RigidDatum) -> Matrix:
+    """The r^|target| by r^|source| matrix of the diagram.  Events in a slice
+    run right to left, so the input positions of those still to come hold.
+    Raises EvaluationError, before contracting, if a group's state could
+    range over more than EVALUATE_LIMIT words."""
+    steps, widest = _schedule(d)
+    if datum.rank**widest > EVALUATE_LIMIT:
+        raise EvaluationError(f"{datum.rank}^{widest} words exceed {EVALUATE_LIMIT} in one group")
+    sources = list(product(range(datum.rank), repeat=len(d.source)))
+    states = {0: {(w, w): 1 for w in sources}}
+    for e, g, p in steps:
+        columns = datum.columns(e)
+        q = p + e.arity_in
+        acc: dict = {}
+        for (src, cur), x in states.setdefault(g, {((), ()): 1}).items():
+            for digits, v in columns.get(cur[p:q], ()):
+                key = (src, cur[:p] + digits + cur[q:])
+                acc[key] = acc[key] + x * v if key in acc else x * v
+        states[g] = {k: x for k, x in acc.items() if not is_zero(x)}
+    state = states.pop(0)
+    for other in states.values():  # every group of a closed diagram ends as a scalar
+        state = {k: y * x for k, y in state.items() for x in other.values()}
     rows = {w: i for i, w in enumerate(product(range(datum.rank), repeat=len(d.target)))}
     cols = {w: j for j, w in enumerate(sources)}
     return Matrix(
@@ -383,11 +431,14 @@ def bracket_state_sum(d: Diagram) -> Laurent:
     types.  Independent of ``evaluate``: no matrices are involved, loops
     are counted on the strand graph of :func:`tangles.diagram.strand_graph`.
     The fixed edges join the nodes into arcs once; each state then joins
-    arcs only, and loops = arcs - successful joins.
+    arcs only, and loops = arcs - successful joins.  More than
+    STATE_SUM_LIMIT smoothings are refused before the first.
     """
     if d.source or d.target:
         raise EvaluationError("the bracket needs a closed diagram")
     edges, crossings = strand_graph(d)
+    if 1 << len(crossings) > STATE_SUM_LIMIT:
+        raise EvaluationError(f"2^{len(crossings)} smoothings exceed {STATE_SUM_LIMIT}")
     nodes = UnionFind()
     for a, b in edges:
         nodes.union(a, b)

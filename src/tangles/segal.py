@@ -117,19 +117,22 @@ class SimplicialData:
     def act(self, u: MonotoneMap, x):
         """Apply the simplicial operator of u: [k] -> [m] to x in X_m,
         producing an element of X_k."""
+        return self._act(u.target.p, u.values, x)
+
+    def _act(self, m: int, values: tuple[int, ...], x):
         cache = self.__dict__.setdefault("_act_cache", {})
-        key = (u.source.p, u.target.p, u.values, x)
+        key = (m, values, x)
         if key in cache:
             return cache[key]
-        m = u.target.p
-        image = sorted(set(u.values))
+        MonotoneMap(SimplexObject(len(values) - 1), SimplexObject(m), values)  # refuses bad values
+        image = sorted(set(values))
         y = x
         level = m
         for i in sorted((i for i in range(m + 1) if i not in image), reverse=True):
             y = self.face(level, i, y)
             level -= 1
         rank = {v: r for r, v in enumerate(image)}
-        sigma = [rank[v] for v in u.values]
+        sigma = [rank[v] for v in values]
         result = self._apply_surjection(sigma, y)
         cache[key] = result
         return result
@@ -145,11 +148,11 @@ class SimplicialData:
 
     def vertex(self, p: int, x, v: int):
         """The v-th vertex of a p-simplex."""
-        return self.act(MonotoneMap(SimplexObject(0), SimplexObject(p), (v,)), x)
+        return self._act(p, (v,), x)
 
     def edge(self, p: int, x, i: int):
         """The restriction of a p-simplex to the edge {i-1 < i}."""
-        return self.act(MonotoneMap(SimplexObject(1), SimplexObject(p), (i - 1, i)), x)
+        return self._act(p, (i - 1, i), x)
 
 
 def is_segal(X: SimplicialData, p: int) -> bool:
@@ -327,17 +330,19 @@ def cut_fiber_product(C: SimplicialData, f: MonotoneMap) -> list[tuple]:
     a = f.target.p
     if a > C.K:
         raise SimplicialError(f"level {a} not stored (K = {C.K})")
-    pieces = pieces_of(f)
-    chains: list[tuple[tuple, Hashable]] = [((), None)]
-    for piece in pieces:
+    index: dict[int, dict] = {}  # dimension -> first vertex (None: any) -> [(simplex, last)]
+    chains: list[tuple[tuple, Hashable]] = [((), None)]  # the first piece may start anywhere
+    for piece in pieces_of(f):
         dim = piece.hi - piece.lo
-        nxt = []
-        for prefix, cursor in chains:
+        if dim not in index:
+            by_first = index[dim] = {}
             for x in C.levels[dim]:
-                if cursor is not None and C.vertex(dim, x, 0) != cursor:
-                    continue
-                nxt.append((prefix + (x,), C.vertex(dim, x, dim)))
-        chains = nxt
+                pair = (x, C.vertex(dim, x, dim))
+                for first in (None, C.vertex(dim, x, 0)):
+                    by_first.setdefault(first, []).append(pair)
+        chains = [
+            (prefix + (x,), end) for prefix, at in chains for x, end in index[dim].get(at, ())
+        ]
     return [prefix for prefix, _ in chains]
 
 

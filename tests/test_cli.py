@@ -2,6 +2,7 @@ import json
 import random
 import shlex
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -561,3 +562,24 @@ def test_cli_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 1 and "error: " in capsys.readouterr().err
+
+
+def test_cli_eval_refuses_a_wide_group_at_once(capsys):
+    # twelve unknots in a chain, each linked to the next by a double
+    # crossing: one group of 24 strands, 2^24 words at rank 2
+    def ids(word):
+        return "id[" + ",".join(map(str, word)) + "]"
+
+    m, word = 12, (1, 0) * 12
+    terms = [" | ".join(["cup(0)"] * m)]
+    for i in range(m - 1):
+        for x in ("x+(0,1)", "x+(1,0)"):
+            terms.append(f"{ids(word[: 2 * i + 1])} | {x} | {ids(word[2 * i + 3 :])}")
+    for i in range(m):
+        terms += [f"x+(1,0) | {ids(word[2 * i + 2 :])}", f"cap(0) | {ids(word[2 * i + 2 :])}"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--dim", "3", "--datum", "kauffman", " ; ".join(terms))
+    assert time.perf_counter() - start < 0.1
+    assert code == 1 and out == "" and "2^24 words exceed" in err
+    code, out, _ = run(capsys, "eval", "--dim", "3", "--datum", "trivial", " ; ".join(terms))
+    assert code == 0 and out == "1\n"

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -19,6 +21,8 @@ from tangles.diagram import (
     writhe,
 )
 from tangles.evaluate import (
+    EVALUATE_LIMIT,
+    STATE_SUM_LIMIT,
     EvaluationError,
     bracket,
     bracket_state_sum,
@@ -36,7 +40,7 @@ from tangles.evaluate import (
 )
 from tangles.generate import iter_closed_diagrams, random_composable_pair, random_diagram
 from tangles.links import hopf, trefoil, unknot, unlink
-from tangles.rings import Laurent, Matrix, kron_all
+from tangles.rings import Laurent, Matrix, is_zero, kron_all
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "kauffman.datum"
 BRAIDED = AmbientDim.BRAIDED
@@ -356,3 +360,164 @@ def test_evaluate_reads_a_replaced_braiding():
         for pb in (0, 1):
             for sign in (1, -1):
                 assert datum.crossing(pa, pb, sign) == fresh.crossing(pa, pb, sign)
+
+
+# ---------------------------------------------------------------------------
+# group by group: the split against one state over the whole width
+
+
+def single_state_evaluate(d, datum):
+    """Reference: the contraction walk with one state over the whole width,
+    whatever the groups of crossing-linked components."""
+    sources = list(itertools.product(range(datum.rank), repeat=len(d.source)))
+    state = {(w, w): 1 for w in sources}
+    for s in d.slices:
+        for e in reversed(s.events):
+            columns = datum.columns(e)
+            p, q = e.position, e.position + e.arity_in
+            acc = {}
+            for (src, cur), x in state.items():
+                for digits, v in columns.get(cur[p:q], ()):
+                    key = (src, cur[:p] + digits + cur[q:])
+                    acc[key] = acc[key] + x * v if key in acc else x * v
+            state = {k: x for k, x in acc.items() if not is_zero(x)}
+    targets = itertools.product(range(datum.rank), repeat=len(d.target))
+    rows = {w: i for i, w in enumerate(targets)}
+    cols = {w: j for j, w in enumerate(sources)}
+    return Matrix(
+        len(rows), len(cols), {(rows[cur], cols[src]): x for (src, cur), x in state.items()}
+    )
+
+
+def assert_split_matches(d, datum):
+    split, whole = evaluate(d, datum), single_state_evaluate(d, datum)
+    assert split == whole, (datum.name, str(d))
+    assert str(split.to_rows()) == str(whole.to_rows())  # prints as before, zeros included
+
+
+SPLIT_DATA = {
+    "kauffman": kauffman_datum(),
+    "flip": flip_datum(),
+    "trivial": trivial_datum(),
+    "unit": unit_datum(2, -1),
+}
+
+
+@functools.cache
+def criterion_08_universe():
+    return list(iter_closed_diagrams(max_events=7, max_crossings=5, width=4, lo=-1, hi=1))
+
+
+def nest(outer, inner, level, position):
+    """The closed diagram ``inner`` drawn between strands position - 1 and
+    position of ``outer``, after outer's first ``level`` slices."""
+    layers = [list(s.events) for s in outer.slices]
+    middle = [[e.shifted(position) for e in s.events] for s in inner.slices]
+    return Diagram.from_events(outer.source, layers[:level] + middle + layers[level:])
+
+
+def stack(k):
+    d = Diagram.identity(())
+    for _ in range(k):
+        d = tensor(d, trefoil(True))
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_DATA))
+def test_evaluate_by_groups_matches_one_state_on_the_criterion_08_universe(name):
+    datum = SPLIT_DATA[name]
+    for d in criterion_08_universe():
+        assert_split_matches(d, datum)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_DATA))
+def test_evaluate_by_groups_matches_one_state_on_stacks_tensors_nests_and_open(name):
+    datum = SPLIT_DATA[name]
+    for k in range(1, 5):
+        assert_split_matches(stack(k), datum)
+    assert_split_matches(tensor(trefoil(False), tensor(hopf(), unknot(True))), datum)
+    rng = random.Random(71)
+    for _ in range(20):  # split unions of random closed diagrams, some of them twice
+        parts = rng.sample(criterion_08_universe(), rng.randint(2, 3))
+        d = parts[0]
+        for part in parts[1:]:
+            d = tensor(d, part)
+        assert_split_matches(d, datum)
+        assert_split_matches(tensor(d, parts[0]), datum)
+    # a trefoil inside a hopf link and a hopf link inside a trefoil, at
+    # every level where they fit between two strands
+    for outer, inner in ((hopf(), trefoil(True)), (trefoil(True), hopf())):
+        for level in range(1, len(outer.slices)):
+            for position in range(1, len(outer.slices[level].input)):
+                assert_split_matches(nest(outer, inner, level, position), datum)
+    for dim in AmbientDim:  # a diagram with boundary keeps one state
+        for _ in range(15):
+            d = random_diagram(rng, dim, max_events=5, width=4, lo=-1, hi=1)
+            assert_split_matches(d, datum)
+            if dim.allows_crossings:
+                assert_split_matches(tensor(d, trefoil(True)), datum)
+
+
+def test_a_stack_of_six_trefoils_evaluates_to_the_sixth_power_quickly():
+    K = kauffman_datum()
+    start = time.perf_counter()
+    value = evaluate(stack(6), K).scalar()
+    assert time.perf_counter() - start < 1.0
+    assert value == evaluate(trefoil(True), K).scalar() ** 6
+
+
+# ---------------------------------------------------------------------------
+# the cost guards
+
+
+def linked_chain(m):
+    """Expression text for a chain of m unknots, each linked to the next by
+    a double crossing: one group whose widest slice holds 2m strands."""
+    def ids(word):
+        return "id[" + ",".join(map(str, word)) + "]"
+
+    terms = [" | ".join(["cup(0)"] * m)]
+    word = (1, 0) * m
+    for i in range(m - 1):
+        for x in ("x+(0,1)", "x+(1,0)"):
+            terms.append(f"{ids(word[: 2 * i + 1])} | {x} | {ids(word[2 * i + 3 :])}")
+    for i in range(m):
+        rest = ids(word[2 * i + 2 :])
+        terms += [f"x+(1,0) | {rest}", f"cap(0) | {rest}"]
+    return " ; ".join(terms)
+
+
+def test_evaluate_admits_a_group_at_the_limit_and_refuses_one_past_it():
+    assert EVALUATE_LIMIT == 2**20
+    flip = flip_datum()  # a permuting braiding: the state stays small
+    at_limit = to_diagram(parse_expr(linked_chain(10)), BRAIDED)  # 20 strands at rank 2
+    assert evaluate(at_limit, flip).scalar() == 2**10
+    past = to_diagram(parse_expr(linked_chain(11)), BRAIDED)
+    with pytest.raises(EvaluationError, match="exceed"):
+        evaluate(past, flip)
+    assert evaluate(past, trivial_datum()).scalar() == 1  # rank 1 is never refused
+    # with boundary, the source digits count as well as the live strands
+    assert evaluate(Diagram.identity((0,) * 10), flip) == Matrix.identity(2**10)
+    with pytest.raises(EvaluationError, match=r"2\^22 words exceed"):
+        evaluate(Diagram.identity((0,) * 11), flip)
+
+
+def test_evaluate_refuses_a_wide_group_before_contracting():
+    d = to_diagram(parse_expr(linked_chain(30)), BRAIDED)
+    start = time.perf_counter()
+    with pytest.raises(EvaluationError, match=r"2\^60 words exceed"):
+        evaluate(d, kauffman_datum())
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    with pytest.raises(EvaluationError):
+        bracket(d)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_state_sum_refuses_more_than_sixteen_crossings_up_front():
+    assert STATE_SUM_LIMIT == 2**16
+    start = time.perf_counter()
+    with pytest.raises(EvaluationError, match=r"2\^17 smoothings exceed"):
+        bracket_state_sum(torus(17))
+    assert time.perf_counter() - start < 0.1
+    assert bracket(torus(17)) != Laurent.zero()  # one evaluation has no such limit

@@ -26,6 +26,7 @@ from tangles.segal import (
 from tangles.simplex import (
     ConvexSubset,
     MonotoneMap,
+    SimplexError,
     SimplexObject,
     all_monotone_maps,
     compose_monotone,
@@ -150,6 +151,74 @@ def test_is_segal_agrees_with_the_composable_chains(name):
             chains = cut_fiber_product(X, spine_map)
             reference = list(_composable_chains(X, p))
             assert len(chains) == len(reference) and set(chains) == set(reference), p
+
+
+def _cut_fiber_product_by_scan(C, f):
+    """The cut fiber product as it was first written: every prefix scans
+    the whole level of the next piece for simplices starting at its end."""
+    chains = [((), None)]
+    for piece in pieces_of(f):
+        dim = piece.hi - piece.lo
+        nxt = []
+        for prefix, cursor in chains:
+            for x in C.levels[dim]:
+                if cursor is not None and C.vertex(dim, x, 0) != cursor:
+                    continue
+                nxt.append((prefix + (x,), C.vertex(dim, x, dim)))
+        chains = nxt
+    return [prefix for prefix, _ in chains]
+
+
+def _segal_check_data(K):
+    """Nerves and all pushouts over Z/2, Z/3, Z/4 and the trivial monoid,
+    the interval posets n <= 3, and three graphs: 27 data at each K."""
+    monoids = [PointedMonoid.trivial(), Z2, Z3, PointedMonoid.cyclic(4)]
+    return (
+        [nerve_of_monoid(M, K=K) for M in monoids]
+        + [pushout_of_nerves(A, B, K=K) for A in monoids for B in monoids]
+        + [nerve_of_interval_poset(n, K=K) for n in range(4)]
+        + [
+            one_truncated("uvw", [("a", "u", "v"), ("b", "v", "w")], K=K),
+            one_truncated("ab", [], K=K),
+            one_truncated("uv", [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")], K=K),
+        ]
+    )
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_cut_fiber_product_indexed_by_first_vertex_matches_the_scan(K):
+    # same chains in the same order, for every monotone map [b] -> [a] with
+    # b <= min(a, 2) and a <= K
+    for X in _segal_check_data(K):
+        for a in range(K + 1):
+            for b in range(min(a, 2) + 1):
+                for f in all_monotone_maps(SimplexObject(b), SimplexObject(a)):
+                    assert cut_fiber_product(X, f) == _cut_fiber_product_by_scan(X, f), f
+
+
+def test_cut_fiber_product_reads_each_vertex_once_per_piece_dimension(monkeypatch):
+    # the spine of [4] cuts it into four edges: the index reads the two end
+    # vertices of every edge once, where the scan read them per prefix
+    X = pushout_of_nerves(Z3, Z3, K=4)
+    calls = []
+    real = X.vertex
+    monkeypatch.setattr(X, "vertex", lambda p, x, v: calls.append(p) or real(p, x, v))
+    spine = MonotoneMap(SimplexObject(2), SimplexObject(4), (1, 2, 3))
+    chains = cut_fiber_product(X, spine)
+    assert len(calls) == 2 * len(X.levels[1])
+    calls.clear()
+    assert _cut_fiber_product_by_scan(X, spine) == chains
+    assert len(calls) > 10 * len(X.levels[1])
+    assert not is_segal(X, 4)
+
+
+def test_vertex_and_edge_refuse_indices_outside_the_simplex():
+    X = nerve_of_monoid(Z2, K=2)
+    x = X.levels[2][1]
+    assert X.edge(2, x, 1) == (x[0],) and X.vertex(2, x, 2) == ()
+    for bad in (lambda: X.edge(2, x, 0), lambda: X.edge(2, x, 3), lambda: X.vertex(2, x, 3)):
+        with pytest.raises(SimplexError):
+            bad()
 
 
 def test_completion_of_monoid_nerve():
