@@ -36,11 +36,13 @@ from typing import Iterator
 from . import links
 from .diagram import (
     AmbientDim,
+    Block,
     Diagram,
     DiagramError,
     Event,
     EventKind,
-    ObjectWord,
+    side_by_side,
+    to_block,
     to_text,
     validate,
     writhe,
@@ -278,10 +280,6 @@ def _grouped(e: Expr, kinds) -> list:
     return ["(", e, ")"] if isinstance(e, kinds) else [e]
 
 
-# A block is a diagram before its slices are typed: its level words, source
-# first and target last, and the events of each slice between them.
-_Block = tuple[list[ObjectWord], list[list[Event]]]
-
 _THEN = object()  # on the work stack: compose the top two blocks
 
 
@@ -289,17 +287,16 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
     """The diagram of an expression, built in one pass.
 
     Each subexpression becomes a block.  ";" checks the boundary and
-    extends the lower block in place; "|" lays a chain of factors side by
-    side, shifting each factor's events by the width to its left and
-    padding the shorter factors on top with identity levels, as
-    ``compose`` and ``tensor`` do.  No intermediate diagram is built:
+    extends the lower block in place, as ``compose`` does; "|" lays a
+    chain of factors out with ``side_by_side``, the rule ``tensor``
+    applies to two diagrams.  No intermediate diagram is built:
     each slice of the result is typed once, when the result is.  The tree
     is walked with an explicit stack, children left to right before their
     parent, so errors come in the order of a fold through ``compose`` and
     ``tensor``, and a chain of any length or depth costs no recursion.
     """
     todo: list = [e]
-    blocks: list[_Block] = []
+    blocks: list[Block] = []
     while todo:
         item = todo.pop()
         if item is _THEN:
@@ -315,7 +312,7 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
         elif isinstance(item, int):  # juxtapose the top `item` blocks
             factors = blocks[-item:]
             del blocks[-item:]
-            blocks.append(_side_by_side(factors))
+            blocks.append(side_by_side(factors))
         elif isinstance(item, Seq):
             terms = [item.second]  # the left spine t1 ; ... ; tk, last first
             while isinstance(item.first, Seq):
@@ -338,7 +335,7 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
     return Diagram.from_events(words[0], layers)
 
 
-def _leaf(e: Expr, dim: AmbientDim) -> _Block:
+def _leaf(e: Expr, dim: AmbientDim) -> Block:
     if isinstance(e, Gen):
         event = Event(EventKind(e.kind), 0, e.args)  # the kinds are spelled as in the grammar
         if event.is_crossing and not dim.allows_crossings:
@@ -350,26 +347,8 @@ def _leaf(e: Expr, dim: AmbientDim) -> _Block:
         d = links.BUILTINS[e.name]()
         if not dim.allows_crossings:
             raise DiagramError(f"builtin {e.name!r} has crossings, illegal for n=2")
-        return [d.source, *(s.output() for s in d.slices)], [list(s.events) for s in d.slices]
+        return to_block(d)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def _side_by_side(factors: list[_Block]) -> _Block:
-    height = max(len(layers) for _, layers in factors)
-    words: list[ObjectWord] = []
-    layers: list[list[Event]] = []
-    for i in range(height + 1):
-        word: list[int] = []
-        events: list[Event] = []
-        for factor_words, factor_layers in factors:
-            if i < len(factor_layers):
-                offset, level = len(word), factor_layers[i]
-                events += [ev.shifted(offset) for ev in level] if offset else level
-            word += factor_words[min(i, len(factor_layers))]
-        words.append(tuple(word))
-        if i < height:
-            layers.append(events)
-    return words, layers
 
 
 # ---------------------------------------------------------------------------

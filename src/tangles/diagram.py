@@ -179,9 +179,10 @@ class Placement:
 class Slice:
     """One horizontal layer: an input word and in-order disjoint events.
 
-    The output word is computed once, by the typing walk at construction,
-    and kept; the passthrough map and placements are recomputed by
-    ``layout()`` when asked for.
+    The typing walk at construction lays the slice out once and keeps its
+    output word.  The passthrough map and placements that ``layout()``
+    also returns are not kept: strand connectivity is read by position
+    arithmetic in ``strand_segments``.
     """
 
     input: ObjectWord
@@ -330,19 +331,41 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     return Diagram(d1.source, d1.slices + d2.slices)
 
 
+# A block is a diagram before its slices are typed: its level words, source
+# first and target last, and the events of each slice between them.
+Block = tuple[list[ObjectWord], list[Sequence[Event]]]
+
+
+def to_block(d: Diagram) -> Block:
+    return [d.source, *(s.output() for s in d.slices)], [s.events for s in d.slices]
+
+
+def side_by_side(factors: list[Block]) -> Block:
+    """The factors juxtaposed left to right: each factor's events shift by
+    the width to its left, and the shorter factors are padded on top with
+    identity levels."""
+    height = max(len(layers) for _, layers in factors)
+    words: list[ObjectWord] = []
+    layers: list[Sequence[Event]] = []
+    for i in range(height + 1):
+        word: list[int] = []
+        events: list[Event] = []
+        for factor_words, factor_layers in factors:
+            if i < len(factor_layers):
+                offset, level = len(word), factor_layers[i]
+                events += [ev.shifted(offset) for ev in level] if offset else level
+            word += factor_words[min(i, len(factor_layers))]
+        words.append(tuple(word))
+        if i < height:
+            layers.append(events)
+    return words, layers
+
+
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     """Horizontal juxtaposition, d1 on the left; the shorter diagram is
     padded on top with identity slices."""
-    height = max(len(d1.slices), len(d2.slices))
-    slices = []
-    word1, word2 = d1.source, d2.source
-    for i in range(height):
-        s1 = d1.slices[i] if i < len(d1.slices) else Slice(word1, ())
-        s2 = d2.slices[i] if i < len(d2.slices) else Slice(word2, ())
-        events = tuple(s1.events) + tuple(e.shifted(len(word1)) for e in s2.events)
-        slices.append(Slice(word1 + word2, events))
-        word1, word2 = s1.output(), s2.output()
-    return Diagram(d1.source + d2.source, tuple(slices))
+    words, layers = side_by_side([to_block(d1), to_block(d2)])
+    return Diagram.from_events(words[0], layers)
 
 
 def degree(w: Sequence[int]) -> int:
@@ -428,68 +451,66 @@ class Component:
     # listed once per strand of the crossing that lies on this component.
 
 
-Node = tuple[int, int]
-CrossingLegs = tuple[Node, Node, Node, Node, tuple[int, int, int]]
+def strand_segments(
+    d: Diagram,
+) -> tuple[list[tuple[int, Event, tuple[int, ...], tuple[int, ...]]], ObjectWord]:
+    """The strand segments of d, numbered by position arithmetic.
 
-
-def strand_graph(d: Diagram) -> tuple[list[tuple[Node, Node]], list[CrossingLegs]]:
-    """The strand segments of d as a graph, in slice order.
-
-    Nodes are (level, position) pairs; level i is the word below slice i,
-    with the top boundary at level len(slices).  Returns the fixed edges
-    (through strands, cups, caps) and, for each crossing, its legs
-    (lower left, lower right, upper left, upper right) and its tag
-    (slice index, event position, sign).
+    A segment runs from where an event (or the source) emits a strand to
+    where an event (or the target) takes it.  The source strands are
+    segments 0..n-1 and each emitted strand takes the next number in
+    reading order, so a strand that passes a slice keeps its number.
+    Returns, for each event in reading order, (slice index, event,
+    segments consumed, segments emitted), and the target's segments.
     """
-    edges: list[tuple[Node, Node]] = []
-    crossings: list[CrossingLegs] = []
+    ids = list(range(len(d.source)))
+    fresh = len(ids)
+    events = []
     for i, s in enumerate(d.slices):
-        _, passthrough, placements = s.layout()
-        for p, q in passthrough.items():
-            edges.append(((i, p), (i + 1, q)))
-        for pl in placements:
-            e = pl.event
-            if e.kind is EventKind.CUP:
-                edges.append(((i + 1, pl.outputs[0]), (i + 1, pl.outputs[1])))
-            elif e.kind is EventKind.CAP:
-                edges.append(((i, pl.inputs[0]), (i, pl.inputs[1])))
-            else:
-                (sw, se), (nw, ne) = pl.inputs, pl.outputs
-                tag = (i, e.position, e.sign)
-                crossings.append(((i, sw), (i, se), (i + 1, nw), (i + 1, ne), tag))
-    return edges, crossings
+        shift = 0  # strands emitted minus strands consumed so far in this slice
+        for e in s.events:
+            p = e.position + shift
+            ins = tuple(ids[p : p + e.arity_in])
+            outs = tuple(range(fresh, fresh + e.arity_out))
+            ids[p : p + e.arity_in] = outs
+            fresh += e.arity_out
+            shift += e.arity_out - e.arity_in
+            events.append((i, e, ins, outs))
+    return events, tuple(ids)
 
 
 def trace_components(d: Diagram) -> list[Component]:
     """Partition strand segments into maximal components.
 
-    Closed components that tie in the sort keep the order in which they
-    are first reached from below (at their lowest cup).
+    A cup joins the two segments it emits, a cap the two it consumes, and
+    each strand of a crossing leaves on the other side.  Closed components
+    that tie in the sort keep the reading order of their lowest cups: the
+    segments are registered in number order.
     """
-    edges, crossings = strand_graph(d)
+    events, target = strand_segments(d)
+    n = len(d.source)
     uf = UnionFind()
-    for p in range(len(d.source)):  # isolated when there are no slices
-        uf.find((0, p))
-    for a, b in edges:
-        uf.union(a, b)
-    for sw, se, nw, ne, _ in crossings:
-        uf.union(sw, ne)
-        uf.union(se, nw)
+    for p in range(n):  # isolated when no event touches them
+        uf.find(p)
+    tagged = []
+    for i, e, ins, outs in events:
+        if e.kind is EventKind.CUP:
+            uf.union(*outs)
+        elif e.kind is EventKind.CAP:
+            uf.union(*ins)
+        else:
+            uf.union(ins[1], outs[0])
+            uf.union(ins[0], outs[1])
+            tagged += [(x, (i, e.position, e.sign)) for x in ins]
     tags: dict = {}
-    for sw, se, _, _, tag in crossings:
-        for leg in (sw, se):
-            tags.setdefault(uf.find(leg), []).append(tag)
-
-    top = len(d.slices)
+    for x, tag in tagged:
+        tags.setdefault(uf.find(x), []).append(tag)
+    at_target = {x: q for q, x in enumerate(target)}
     components = []
-    for nodes in uf.groups():
-        ends = []
-        for level, pos in nodes:
-            if level == 0:
-                ends.append(("source", pos))
-            if level == top:
-                ends.append(("target", pos))
-        crossings_on = tuple(sorted(tags.get(uf.find(nodes[0]), ())))
+    for segments in uf.groups():
+        ends = [("source", x) for x in segments if x < n]
+        ends += [("target", at_target[x]) for x in segments if x in at_target]
+        crossings_on = tuple(sorted(tags.get(uf.find(segments[0]), ())))
         components.append(Component(not ends, tuple(sorted(ends)), crossings_on))
     components.sort(key=lambda c: (c.closed, c.ends))
     return components

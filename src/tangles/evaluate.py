@@ -50,13 +50,14 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import is_
 
 from .diagram import (
     AmbientDim,
     Diagram,
     Event,
     EventKind,
-    strand_graph,
+    strand_segments,
     writhe,
 )
 from .rings import Laurent, Matrix, is_zero
@@ -91,8 +92,7 @@ class RigidDatum:
     braiding: Matrix | None = None
     braiding_inv: Matrix | None = None
     symmetric: bool = False
-    # (parities, sign) -> (the matrices it was derived from, crossing)
-    _crossings: dict = field(default_factory=dict, repr=False)
+    # (kind, first and last label parities) -> (the six matrices read, columns)
     _columns: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -117,35 +117,25 @@ class RigidDatum:
     def crossing(self, parity_a: int, parity_b: int, sign: int) -> Matrix:
         """Matrix of the crossing that consumes strands of the given label
         parities (0 = V, 1 = V*) and the given sign, derived by bending."""
-        if self.braiding is None:
+        if self.braiding is None or self.braiding_inv is None:
             raise EvaluationError(f"datum {self.name} has no braiding")
-        key = (bool(parity_a), bool(parity_b), sign)
-        sources = (self.b, self.b_prime, self.d, self.d_prime, self.braiding, self.braiding_inv)
-        hit = self._crossings.get(key)
-        if hit is None or any(x is not y for x, y in zip(hit[0], sources)):
-            hit = self._crossings[key] = (sources, self._derive_crossing(*key))
-        return hit[1]
-
-    def _derive_crossing(self, dual_a: bool, dual_b: bool, sign: int) -> Matrix:
+        if not parity_a and not parity_b:
+            return self.braiding if sign > 0 else self.braiding_inv
         r = self.rank
         idr = Matrix.identity(r)
         id2 = Matrix.identity(r * r)
-        if self.braiding is None or self.braiding_inv is None:
-            raise RuntimeError(f"datum {self.name} lost its braiding")
-        if not dual_a and not dual_b:
-            return self.braiding if sign > 0 else self.braiding_inv
         # Bending one strand of a crossing around a duality turns the
         # crossing over: each single bend wraps the opposite-sign crossing
         # of the less-dual parity pair.
-        if dual_a:
+        if parity_a:
             # V* x V bends the left strand around the V x V crossing,
             # V* x V* around the V* x V one.
-            inner = self._derive_crossing(dual_b, False, -sign)
+            inner = self.crossing(parity_b, 0, -sign)
             lift = id2.kron(self.b)
             mid = idr.kron(inner).kron(idr)
             drop = self.d.kron(id2)
             return drop @ mid @ lift
-        inner = self._derive_crossing(False, False, -sign)
+        inner = self.crossing(0, 0, -sign)
         lift = self.b_prime.kron(id2)
         mid = idr.kron(inner).kron(idr)
         drop = id2.kron(self.d_prime)
@@ -160,16 +150,18 @@ class RigidDatum:
         return self.crossing(labels[0] % 2, labels[1] % 2, sign)
 
     def columns(self, e: Event) -> dict:
-        """The event's matrix as input digits -> [(output digits, entry)], cached per matrix."""
-        m = self.event_matrix(e.kind, e.labels)
-        source, table = self._columns.get((e.kind, e.labels), (None, None))
-        if source is not m:
+        """The event's matrix as input digits -> [(output digits, entry)], kept
+        per kind and label parities until a matrix it is read from is replaced."""
+        key = (e.kind, e.labels[0] % 2, e.labels[-1] % 2)
+        sources = (self.b, self.b_prime, self.d, self.d_prime, self.braiding, self.braiding_inv)
+        hit = self._columns.get(key)
+        if hit is None or not all(map(is_, hit[0], sources)):
             ins, outs = (list(product(range(self.rank), repeat=n)) for n in (e.arity_in, e.arity_out))
-            table = {}
-            for (i, j), v in m.entries.items():
+            table: dict = {}
+            for (i, j), v in self.event_matrix(e.kind, e.labels).entries.items():
                 table.setdefault(ins[j], []).append((outs[i], v))
-            self._columns[e.kind, e.labels] = (m, table)
-        return table
+            hit = self._columns[key] = (sources, table)
+        return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +227,13 @@ def validate_datum(datum: RigidDatum, dim: AmbientDim) -> DatumReport:
             lhs = (c.kron(idr)) @ (idr.kron(c)) @ (c.kron(idr))
             rhs = (idr.kron(c)) @ (c.kron(idr)) @ (idr.kron(c))
             check("Yang-Baxter on V x V x V", lhs, rhs)
-            for pa in (0, 1):
-                for pb in (0, 1):
-                    for s in (1, -1):
-                        forward = datum.crossing(pa, pb, s)
-                        backward = datum.crossing(pb, pa, -s)
-                        check(
-                            f"mixed second Reidemeister ({pa},{pb},{'+' if s > 0 else '-'})",
-                            backward @ forward,
-                            Matrix.identity(r * r),
-                        )
+            crossings = {k: datum.crossing(*k) for k in product((0, 1), (0, 1), (1, -1))}
+            for (pa, pb, s), forward in crossings.items():
+                check(
+                    f"mixed second Reidemeister ({pa},{pb},{'+' if s > 0 else '-'})",
+                    crossings[pb, pa, -s] @ forward,
+                    Matrix.identity(r * r),
+                )
             if datum.symmetric or dim is AmbientDim.SYMMETRIC:
                 check("symmetric: c^2 = 1", c @ c, id2)
     elif datum.symmetric:
@@ -429,31 +418,31 @@ def bracket_state_sum(d: Diagram) -> Laurent:
     Sums, over the 2^c ways of smoothing the c crossings, the monomial
     A^(a - b) * delta^(loops - 1), where a and b count the two smoothing
     types.  Independent of ``evaluate``: no matrices are involved, loops
-    are counted on the strand graph of :func:`tangles.diagram.strand_graph`.
-    The fixed edges join the nodes into arcs once; each state then joins
-    arcs only, and loops = arcs - successful joins.  More than
-    STATE_SUM_LIMIT smoothings are refused before the first.
+    are counted on the strand segments of
+    :func:`tangles.diagram.strand_segments`.  Cups and caps join the
+    segments into arcs once; each state then joins arcs only, and
+    loops = arcs - successful joins.  More than STATE_SUM_LIMIT smoothings
+    are refused before the first.
     """
     if d.source or d.target:
         raise EvaluationError("the bracket needs a closed diagram")
-    edges, crossings = strand_graph(d)
+    events, _ = strand_segments(d)
+    crossings = [(e.sign, *ins, *outs) for _, e, ins, outs in events if e.is_crossing]
     if 1 << len(crossings) > STATE_SUM_LIMIT:
         raise EvaluationError(f"2^{len(crossings)} smoothings exceed {STATE_SUM_LIMIT}")
-    nodes = UnionFind()
-    for a, b in edges:
-        nodes.union(a, b)
-    for sw, se, nw, ne, _ in crossings:
-        for leg in (sw, se, nw, ne):
-            nodes.find(leg)
-    arcs: dict = {}  # root node -> arc number
-    for x in nodes.parent:
-        arcs.setdefault(nodes.find(x), len(arcs))
+    segments = UnionFind()
+    for _, e, ins, outs in events:
+        if e.kind is EventKind.CUP:
+            segments.union(*outs)
+        elif e.kind is EventKind.CAP:
+            segments.union(*ins)
+    arcs: dict = {}  # root segment -> arc number
+    for _, _, _, outs in events:  # a closed diagram emits every segment
+        for x in outs:
+            arcs.setdefault(segments.find(x), len(arcs))
     if not arcs:
         raise EvaluationError("the bracket of a diagram with no strands is undefined")
-    legs = [
-        (sign, *(arcs[nodes.find(leg)] for leg in (sw, se, nw, ne)))
-        for sw, se, nw, ne, (_, _, sign) in crossings
-    ]
+    legs = [(sign, *(arcs[segments.find(x)] for x in ends)) for sign, *ends in crossings]
 
     delta = loop_value()
     total = Laurent.zero()

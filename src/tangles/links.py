@@ -11,11 +11,14 @@ mirror).  Framing-sensitive quantities therefore never vanish on these
 diagrams; the writhe-normalized invariants in :mod:`tangles.evaluate`
 remove exactly that dependence.
 
-Each builtin is assembled from generators at import time, so a typing bug
-cannot produce a stale golden value silently.
+Each builtin is assembled from generators, validated and traced once, at
+import time, so a typing bug cannot produce a stale golden value silently;
+``BUILTINS[name]()`` returns that one diagram.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .diagram import (
     AmbientDim,
@@ -85,19 +88,19 @@ def unlink() -> Diagram:
     return tensor(unknot(True), unknot(False))
 
 
-def _check(d: Diagram, components: int) -> Diagram:
+def _checked(d: Diagram, components: int) -> Callable[[], Diagram]:
     report = validate(d, AmbientDim.BRAIDED)
     if not report.valid:
         raise AssertionError(f"builtin diagram failed validation: {report}")
     comps = trace_components(d)
     if len(comps) != components or any(not c.closed for c in comps):
         raise AssertionError("builtin diagram has the wrong component structure")
-    return d
+    return lambda: d
 
 
 BUILTINS = {
-    "unknot": lambda: _check(unknot(), 1),
-    "trefoil": lambda: _check(trefoil(), 1),
-    "hopf": lambda: _check(hopf(), 2),
-    "unlink": lambda: _check(unlink(), 2),
+    "unknot": _checked(unknot(), 1),
+    "trefoil": _checked(trefoil(), 1),
+    "hopf": _checked(hopf(), 2),
+    "unlink": _checked(unlink(), 2),
 }

@@ -5,8 +5,10 @@ import pytest
 
 from tangles.diagram import (
     AmbientDim,
+    Component,
     Diagram,
     DiagramError,
+    EventKind,
     Slice,
     cap,
     component_framings,
@@ -24,8 +26,11 @@ from tangles.diagram import (
     validate,
     writhe,
 )
-from tangles.generate import iter_closed_diagrams, random_diagram
-from tangles.links import hopf, trefoil, unknot, unlink
+from tangles.evaluate import bracket_state_sum, loop_value
+from tangles.generate import iter_closed_diagrams, random_composable_pair, random_diagram
+from tangles.links import BUILTINS, hopf, trefoil, unknot, unlink
+from tangles.rings import Laurent
+from tangles.unionfind import UnionFind
 
 PLANAR = AmbientDim.PLANAR
 BRAIDED = AmbientDim.BRAIDED
@@ -243,3 +248,145 @@ def test_component_count_subadditive_under_compose():
         assert len(trace_components(whole)) <= len(trace_components(d1)) + len(
             trace_components(d2)
         )
+
+
+# ---------------------------------------------------------------------------
+# strand segments against the layout-built strand graph they replaced
+
+
+def reference_strand_graph(d):
+    """Nodes are (level, position) pairs read from each slice's layout;
+    returns the fixed edges and, per crossing, its legs (lower left, lower
+    right, upper left, upper right) and its tag."""
+    edges, crossings = [], []
+    for i, s in enumerate(d.slices):
+        _, passthrough, placements = s.layout()
+        for p, q in passthrough.items():
+            edges.append(((i, p), (i + 1, q)))
+        for pl in placements:
+            e = pl.event
+            if e.kind is EventKind.CUP:
+                edges.append(((i + 1, pl.outputs[0]), (i + 1, pl.outputs[1])))
+            elif e.kind is EventKind.CAP:
+                edges.append(((i, pl.inputs[0]), (i, pl.inputs[1])))
+            else:
+                (sw, se), (nw, ne) = pl.inputs, pl.outputs
+                crossings.append(((i, sw), (i, se), (i + 1, nw), (i + 1, ne), (i, e.position, e.sign)))
+    return edges, crossings
+
+
+def reference_trace_components(d):
+    edges, crossings = reference_strand_graph(d)
+    uf = UnionFind()
+    for p in range(len(d.source)):
+        uf.find((0, p))
+    for a, b in edges:
+        uf.union(a, b)
+    for sw, se, nw, ne, _ in crossings:
+        uf.union(sw, ne)
+        uf.union(se, nw)
+    tags = {}
+    for sw, se, _, _, tag in crossings:
+        for leg in (sw, se):
+            tags.setdefault(uf.find(leg), []).append(tag)
+    top = len(d.slices)
+    components = []
+    for nodes in uf.groups():
+        ends = [("source", pos) for level, pos in nodes if level == 0]
+        ends += [("target", pos) for level, pos in nodes if level == top]
+        crossings_on = tuple(sorted(tags.get(uf.find(nodes[0]), ())))
+        components.append(Component(not ends, tuple(sorted(ends)), crossings_on))
+    components.sort(key=lambda c: (c.closed, c.ends))
+    return components
+
+
+def reference_framings(components):
+    framings = []
+    for c in components:
+        seen = {}
+        for tag in c.crossings:
+            seen[tag] = seen.get(tag, 0) + 1
+        framings.append(sum(tag[2] for tag, n in seen.items() if n == 2))
+    return framings
+
+
+def reference_bracket_state_sum(d):
+    """The state sum with its arcs built from the strand graph's nodes."""
+    edges, crossings = reference_strand_graph(d)
+    nodes = UnionFind()
+    for a, b in edges:
+        nodes.union(a, b)
+    for sw, se, nw, ne, _ in crossings:
+        for leg in (sw, se, nw, ne):
+            nodes.find(leg)
+    arcs = {}
+    for x in nodes.parent:
+        arcs.setdefault(nodes.find(x), len(arcs))
+    legs = [
+        (sign, *(arcs[nodes.find(leg)] for leg in (sw, se, nw, ne)))
+        for sw, se, nw, ne, (_, _, sign) in crossings
+    ]
+    total = Laurent.zero()
+    for state in range(1 << len(legs)):
+        uf, joins, exponent = UnionFind(), 0, 0
+        for idx, (sign, sw, se, nw, ne) in enumerate(legs):
+            turnback = bool(state >> idx & 1)
+            exponent += sign if turnback else -sign
+            if turnback:
+                joins += uf.union(sw, se) + uf.union(nw, ne)
+            else:
+                joins += uf.union(sw, nw) + uf.union(se, ne)
+        total = total + Laurent.monomial(exponent) * loop_value() ** (len(arcs) - joins - 1)
+    return total
+
+
+def assert_segments_match_the_strand_graph(diagrams):
+    count = closed = 0
+    for d in diagrams:
+        reference = reference_trace_components(d)
+        assert trace_components(d) == reference, to_text(d)
+        assert component_framings(d) == reference_framings(reference)
+        if not (d.source or d.target) and d.num_events:
+            assert bracket_state_sum(d) == reference_bracket_state_sum(d), to_text(d)
+            closed += 1
+        count += 1
+    return count, closed
+
+
+def test_strand_segments_match_the_strand_graph_on_closed_diagrams():
+    closed_63 = list(iter_closed_diagrams(6, 3))
+    assert assert_segments_match_the_strand_graph(closed_63) == (404, 404)
+    universe = iter_closed_diagrams(max_events=7, max_crossings=5, width=4, lo=-1, hi=1)
+    assert assert_segments_match_the_strand_graph(universe) == (3056, 3056)
+
+
+def test_strand_segments_match_the_strand_graph_on_random_diagrams():
+    rng = random.Random(14)
+    for dim in AmbientDim:
+        diagrams = [random_diagram(rng, dim, max_events=8, width=6) for _ in range(3000)]
+        assert assert_segments_match_the_strand_graph(diagrams)[0] == 3000
+
+
+def test_strand_segments_match_the_strand_graph_on_tensors_and_composites():
+    rng = random.Random(15)
+    closed = list(iter_closed_diagrams(6, 3))
+    diagrams = []
+    for _ in range(300):  # several closed components whose lowest cups share a slice
+        diagrams.append(tensor(rng.choice(closed), rng.choice(closed)))
+    for dim in AmbientDim:
+        for _ in range(300):
+            d1, d2 = random_composable_pair(rng, dim, max_events=6, width=6)
+            whole = compose(d1, d2)
+            diagrams += [whole, tensor(whole, rng.choice(closed)), tensor(rng.choice(closed), d1)]
+    count, closed_count = assert_segments_match_the_strand_graph(diagrams)
+    assert count == 3000 and closed_count >= 300
+
+
+def test_closed_components_that_tie_keep_the_order_of_their_lowest_cups():
+    assert component_framings(unlink()) == [1, -1]
+    assert component_framings(tensor(unknot(False), unknot(True))) == [-1, 1]
+
+
+def test_each_builtin_is_built_once():
+    for make in BUILTINS.values():
+        assert make() is make()
