@@ -526,8 +526,8 @@ def _cmd_seg_complete(args) -> int:
     print(f"objects: {len(comp.presentation.objects)}")
     print(f"generators: {len(comp.presentation.generators)}")
     print(f"relations: {len(comp.presentation.relations)}")
-    for key in sorted(comp.hom_classes, key=repr):
-        print(f"hom {key[0]} -> {key[1]}: {comp.class_count(*key)} classes")
+    for key in sorted(comp.class_counts, key=repr):
+        print(f"hom {key[0]} -> {key[1]}: {comp.class_counts[key]} classes")
     print(f"stabilized: {comp.stabilized}")
     return 0
 

@@ -12,9 +12,12 @@ monotone map by factoring it into faces and degeneracies.
 composable edges, read from a cut fiber product.  ``complete`` builds the
 category presented by the nondegenerate edges modulo the triangle
 relations read off level 2 (with degenerate edges as identities), and
-enumerates hom-sets by congruence closure on bounded generator words;
-whether the enumeration stopped growing strictly below the budget is
-reported, never assumed.
+counts its hom-sets up to a word-length budget.  When the relations,
+oriented by shortlex, form a convergent rewriting system (every critical
+pair resolves), the classes are the irreducible words and are counted
+without building any word; otherwise the bounded generator words are
+closed by congruence closure.  Whether the count stopped growing below
+the budget is reported, never assumed; it is exact on the counted route.
 
 ``cut_fiber_product`` evaluates, for a monotone map f into [a], the
 iterated fiber product of the levels over the convex pieces into which
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 from .simplex import (
@@ -195,19 +199,25 @@ class CategoryPresentation:
 
 @dataclass
 class Completion:
-    """Hom-sets of the presented category, enumerated up to a word-length
-    budget by congruence closure."""
+    """Hom-sets of the presented category up to a word-length budget: the
+    class count of each nonempty hom-set and whether each is the same at
+    budget - 1.  ``hom_classes``, the classes themselves, closes the words
+    on first read unless ``complete`` had to close them already."""
 
     presentation: CategoryPresentation
     budget: int
-    hom_classes: dict[tuple[Hashable, Hashable], list[list[tuple]]]
+    class_counts: dict[tuple[Hashable, Hashable], int]
     stabilized: bool
+
+    @cached_property
+    def hom_classes(self) -> dict[tuple[Hashable, Hashable], list[list[tuple]]]:
+        return _close_words(self.presentation, self.budget)[0]
 
     def hom(self, x, y) -> list[list[tuple]]:
         return self.hom_classes.get((x, y), [])
 
     def class_count(self, x, y) -> int:
-        return len(self.hom(x, y))
+        return self.class_counts.get((x, y), 0)
 
 
 def presentation_of(X: SimplicialData) -> CategoryPresentation:
@@ -290,15 +300,75 @@ def _close_words(pres: CategoryPresentation, budget: int):
     return hom, budget > 1 and smaller == counts
 
 
+def _count_normal_forms(pres: CategoryPresentation, budget: int):
+    """(class counts, stabilized) of the closure at ``budget``, counted
+    without building a word, or None unless the relations form a
+    convergent rewriting system.
+
+    Each relation is oriented from its shortlex-larger side (length, then
+    generator order) to the smaller one, so no rule lengthens a word.  The
+    system is convergent when its critical pairs resolve (Knuth-Bendix):
+    two rules on one left side, a one-letter left side inside a two-letter
+    one, and two two-letter left sides overlapping in a letter.  A word
+    then reduces, through words no longer than itself, to its one
+    irreducible word, so the classes at budget B are the irreducible words
+    of length <= B, counted per (source, last letter) one length at a time.
+    Their factors are irreducible too, so when none has length B none is
+    longer, and ``stabilized`` (B > 1 and none has length B) is exact."""
+    rank = {g: i for i, (g, _, _) in enumerate(pres.generators)}
+    rules: dict[tuple, list[tuple]] = {}  # left side -> its right sides
+    for sides in pres.relations:
+        small, big = sorted(sides, key=lambda w: (len(w), [rank[g] for g in w]))
+        rules.setdefault(big, []).append(small)
+
+    def normal(w: tuple) -> tuple:
+        while sites := [(i, n) for i in range(len(w)) for n in (1, 2) if w[i : i + n] in rules]:
+            i, n = sites[0]
+            w = w[:i] + rules[w[i : i + n]][0] + w[i + n :]
+        return w
+
+    pairs = [(rs[0], r) for rs in rules.values() for r in rs[1:]]
+    for left, (r, *_) in rules.items():
+        if len(left) == 2:
+            pairs += [(r, left[:i] + rules[left[i : i + 1]][0] + left[i + 1 :])
+                      for i in (0, 1) if left[i : i + 1] in rules]
+            pairs += [(r + other[1:], left[:1] + s)
+                      for other, (s, *_) in rules.items() if len(other) == 2 and other[0] == left[1]]
+    if any(normal(u) != normal(v) for u, v in pairs):
+        return None
+    ends = pres.endpoints()
+    letters = [g for g, _, _ in pres.generators if (g,) not in rules]
+    after = {g: [h for h in letters if ends[h][0] == ends[g][1] and (g, h) not in rules] for g in letters}
+    counts = {(x, x): 1 for x in pres.objects}
+    walks = {(ends[g][0], g): 1 for g in letters}  # (source, last letter) -> words of one length
+    for length in range(1, budget + 1):
+        if length > 1:
+            step: dict[tuple, int] = {}
+            for (x, g), n in walks.items():
+                for h in after[g]:
+                    step[x, h] = step.get((x, h), 0) + n
+            walks = step
+        for (x, g), n in walks.items():
+            counts[x, ends[g][1]] = counts.get((x, ends[g][1]), 0) + n
+    return counts, budget > 1 and not walks
+
+
 def complete(X: SimplicialData, budget: int) -> Completion:
-    """Segal completion at set level: presented category with hom-sets
-    enumerated by congruence closure up to the word-length budget, in one
-    pass; ``stabilized`` compares with the closure at budget - 1, which
-    the same pass holds just before its last level."""
+    """Segal completion at set level: the presented category with its
+    hom-sets counted up to the word-length budget.  A convergent system
+    counts its irreducible words (``_count_normal_forms``), and then
+    ``stabilized`` is exact; otherwise the bounded words are closed at once,
+    and ``stabilized`` only says that no count changed from budget - 1."""
     if budget < 0:
         raise SimplicialError(f"word-length budget must be >= 0, got {budget}")
     pres = presentation_of(X)
-    return Completion(pres, budget, *_close_words(pres, budget))
+    counted = _count_normal_forms(pres, budget)
+    if counted is not None:
+        return Completion(pres, budget, *counted)
+    hom, stabilized = _close_words(pres, budget)
+    comp = Completion(pres, budget, {key: len(classes) for key, classes in hom.items()}, stabilized)
+    comp.hom_classes = hom
+    return comp
 
 
 # ---------------------------------------------------------------------------

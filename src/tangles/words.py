@@ -241,19 +241,25 @@ def free_product_enumerate(
     if max_weight < 0:
         raise MonoidError(f"weight bound must be >= 0, got {max_weight}")
     found: list[FreeProductElement] = [FREE_PRODUCT_UNIT]
+    weighed = {  # side -> (weight, nonunits of that weight) for the weights that have any
+        side: [(w, els) for w in range(1, max_weight + 1) if (els := m._elements_by_weight(w))]
+        for side, m in ((LEFT, A), (RIGHT, B))
+    }
 
-    def extend(prefix: tuple, remaining: int, last_side: str | None) -> None:
-        for side in (LEFT, RIGHT):
-            if side == last_side:
-                continue
-            monoid = A if side == LEFT else B
-            for w in range(1, remaining + 1):
-                for el in monoid._elements_by_weight(w):
-                    element = prefix + ((side, el),)
-                    found.append(FreeProductElement(element))
-                    extend(element, remaining - w, side)
+    def extensions(prefix: tuple, remaining: int, last: str | None):
+        return iter([(prefix + ((side, el),), remaining - w, side) for side in (LEFT, RIGHT)
+                     if side != last for w, els in weighed[side] if w <= remaining for el in els])
 
-    extend((), max_weight, None)
+    # depth first without recursion: an element, then its extensions, then its next sibling
+    stack = [extensions((), max_weight, None)]
+    while stack:
+        for prefix, remaining, side in stack[-1]:
+            found.append(FreeProductElement(prefix))
+            if remaining:
+                stack.append(extensions(prefix, remaining, side))
+                break
+        else:
+            stack.pop()
     return found
 
 

@@ -459,6 +459,13 @@ def test_cli_star_enum(capsys):
     assert out.splitlines()[0] == "total: 11"
 
 
+def test_cli_star_enum_deeper_than_the_recursion_limit(capsys):
+    # 1,200 alternating letters: the enumeration keeps its own stack
+    code, out, err = run(capsys, "star", "enum", "--left", "z2", "--right", "z2", "--bound", "1200")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "total: 2401"
+
+
 def test_cli_seg_complete(capsys):
     code, out, _ = run(capsys, "seg", "complete", "--preset", "nerve-z3", "--budget", "4")
     assert code == 0

@@ -1,15 +1,17 @@
+import functools
 import itertools
 import random
 
 import pytest
 
 from tangles import segal
-from tangles.cli import _PRESETS
+from tangles.cli import _PRESETS, main
 from tangles.segal import (
     CategoryPresentation,
     SimplicialData,
     SimplicialError,
     _close_words,
+    _count_normal_forms,
     colimit_truncated,
     complete,
     cut_fiber_product,
@@ -635,7 +637,7 @@ def test_completion_matches_the_two_pass_closure(name):
         assert (comp.hom_classes, comp.stabilized) == _two_pass_completion(X, budget), budget
 
 
-def test_completion_closes_the_words_once(monkeypatch):
+def test_completion_closes_the_words_once(monkeypatch, capsys):
     calls = []
 
     def counted(pres, budget):
@@ -643,6 +645,160 @@ def test_completion_closes_the_words_once(monkeypatch):
         return _close_words(pres, budget)
 
     monkeypatch.setattr(segal, "_close_words", counted)
+    # the counts and the CLI, which prints the flag, never close the words on a preset
+    for name in sorted(_PRESETS):
+        for budget in range(6):
+            comp = complete(_PRESETS[name](), budget)
+            assert all(comp.class_count(*key) == n >= 1 for key, n in comp.class_counts.items())
+        assert main(["seg", "complete", "--preset", name, "--budget", "5"]) == 0
+    assert calls == [] and "classes" in capsys.readouterr().out
+    # the classes themselves are closed on first read, once
     for budget in range(6):
-        complete(_PRESETS["pushout-z2-z3"](), budget)
+        comp = complete(_PRESETS["pushout-z2-z3"](), budget)
+        first = comp.hom_classes
+        assert comp.hom_classes is first and comp.hom(("U", 0), ("U", 0)) is first[("U", 0), ("U", 0)]
     assert calls == list(range(6))
+    # without a convergent system, complete closes them at once, and once
+    calls.clear()
+    for budget in range(6):
+        comp = complete(_magma_nerve(), budget)
+        assert comp.class_counts == {key: len(c) for key, c in comp.hom_classes.items()}
+    assert calls == list(range(6))
+
+
+# ---------------------------------------------------------------------------
+# counting hom-sets from a convergent rewriting system
+
+
+def _monoid_tables(order):
+    """The multiplication tables of the monoids on 0..order-1 with unit 0,
+    one per isomorphism class (1, 2, 7 and 35 of them for orders 1 to 4)."""
+    others = range(1, order)
+    seen, tables = set(), []
+    for block in itertools.product(range(order), repeat=(order - 1) ** 2):
+        t = [list(range(order))] + [[a] + list(block[(a - 1) * (order - 1) : a * (order - 1)]) for a in others]
+        if any(t[t[a][b]][c] != t[a][t[b][c]] for a in others for b in others for c in others):
+            continue
+        relabelled = (
+            tuple(tuple(p.index(t[p[a]][p[b]]) for b in range(order)) for a in range(order))
+            for p in ([0, *q] for q in itertools.permutations(others))
+        )
+        key = min(relabelled)
+        if key not in seen:
+            seen.add(key)
+            tables.append(t)
+    return tables
+
+
+@functools.cache
+def _certification_cases():
+    """436 (name, datum, budget) cases: the six presets at budgets 0-8, the
+    2-truncated nerves of the 45 monoids of order <= 4 at budgets 0-5, and
+    the 16 pushouts over Z/2, Z/3, Z/4 and the trivial monoid at 0-6."""
+    cases = [(name, _PRESETS[name](), range(9)) for name in sorted(_PRESETS)]
+    for order in range(1, 5):
+        for t in _monoid_tables(order):
+            M = PointedMonoid.from_table(str(t), t)
+            cases.append((f"nerve {t}", nerve_of_monoid(M, K=2), range(6)))
+    base = [PointedMonoid.trivial(), Z2, Z3, PointedMonoid.cyclic(4)]
+    for A, B in itertools.product(base, repeat=2):
+        cases.append((f"{A.name} * {B.name}", pushout_of_nerves(A, B, K=2), range(7)))
+    return [(name, X, budget) for name, X, budgets in cases for budget in budgets]
+
+
+def _closure_counts(pres, budget):
+    hom, stabilized = _close_words(pres, budget)
+    return {key: len(classes) for key, classes in hom.items()}, stabilized
+
+
+def test_normal_form_counts_equal_the_closure():
+    cases = _certification_cases()
+    assert len(cases) == 436
+    for name, X, budget in cases:
+        pres = presentation_of(X)
+        counted = _count_normal_forms(pres, budget)
+        assert counted == _closure_counts(pres, budget), (name, budget)
+        comp = complete(X, budget)
+        assert (comp.class_counts, comp.stabilized) == counted
+
+
+def test_certified_stabilized_is_exact():
+    flagged = 0
+    for name, X, budget in _certification_cases():
+        pres = presentation_of(X)
+        counts, stabilized = _count_normal_forms(pres, budget)
+        if stabilized:
+            flagged += 1
+            for more in range(budget + 1, budget + 5):
+                assert _count_normal_forms(pres, more) == (counts, True), (name, budget, more)
+    assert flagged > 100
+
+
+def test_pushout_counts_equal_the_free_product():
+    base = [PointedMonoid.trivial(), Z2, Z3, PointedMonoid.cyclic(4)]
+    for A, B in itertools.product(base, repeat=2):
+        X = pushout_of_nerves(A, B, K=2)
+        sizes = [len(free_product_enumerate(A, B, budget)) for budget in range(11)]
+        for budget, size in enumerate(sizes):
+            comp = complete(X, budget)
+            assert comp.class_counts == {(("U", 0), ("U", 0)): size}, (A, B, budget)
+            assert comp.stabilized == (budget > 1 and size == sizes[budget - 1])
+
+
+def _magma_nerve():
+    """The 2-truncated nerve of the unital magma on {0, 1, 2} with unit 0
+    and rows [0,1,2], [1,2,0], [2,2,1]; it is not associative: (2*1)*1 = 2
+    but 2*(1*1) = 1."""
+    rows = ((0, 1, 2), (1, 2, 0), (2, 2, 1))
+    levels = [tuple(itertools.product(range(3), repeat=p)) for p in range(3)]
+    return segal._from_maps(
+        levels,
+        lambda p, i, x: segal._nerve_face(lambda a, b: rows[a][b], p, i, x),
+        lambda p, i, x: x[:i] + (0,) + x[i:],
+    )
+
+
+def test_a_failed_critical_pair_falls_back_to_the_closure():
+    X = _magma_nerve()
+    pres = presentation_of(X)
+    for budget in range(6):
+        assert _count_normal_forms(pres, budget) is None
+        comp = complete(X, budget)
+        hom, stabilized = _close_words(pres, budget)
+        assert (comp.hom_classes, comp.stabilized) == (hom, stabilized)
+        assert comp.class_counts == {key: len(classes) for key, classes in hom.items()}
+    # the closure's flag is not exact: it reads True at 2, and the count moves at 3
+    counts = [complete(X, budget).class_count((), ()) for budget in range(5)]
+    assert counts == [1, 3, 3, 1, 1] and complete(X, 2).stabilized
+
+
+def _random_presentation(rng):
+    """One or two objects, up to three generators, and up to four relations
+    of the shape read off level 2: a word of length <= 2 against a parallel
+    word of length <= 1."""
+    objects = ("x", "y")[: rng.randint(1, 2)]
+    generators = tuple((g, rng.choice(objects), rng.choice(objects)) for g in "abc"[: rng.randint(1, 3)])
+    paths = [((), x, x) for x in objects] + [((g,), s, t) for g, s, t in generators]
+    paths += [((g, h), s, u) for g, s, t in generators for h, t2, u in generators if t == t2]
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        lhs, s, t = rng.choice(paths)
+        short = [w for w, s2, t2 in paths if (s2, t2) == (s, t) and len(w) <= 1 and w != lhs]
+        if short:
+            relations.append((lhs, rng.choice(short)))
+    return CategoryPresentation(objects, generators, tuple(relations))
+
+
+def test_normal_form_counts_equal_the_closure_on_random_presentations():
+    rng = random.Random(15)
+    certified = failed = 0
+    for _ in range(1500):
+        pres = _random_presentation(rng)
+        for budget in range(5):
+            counted = _count_normal_forms(pres, budget)
+            if counted is None:
+                failed += 1
+            else:
+                certified += 1
+                assert counted == _closure_counts(pres, budget), (pres, budget)
+    assert certified > 1000 and failed > 1000

@@ -215,3 +215,43 @@ def test_normalize_drops_units():
     A, B = PointedMonoid.cyclic(2), PointedMonoid.cyclic(2)
     raw = [(LEFT, 0), (RIGHT, 1), (RIGHT, 1), (LEFT, 1), (LEFT, 0)]
     assert free_product_normalize(A, B, raw) == el((LEFT, 1))
+
+
+def _enumerate_by_recursion(A, B, max_weight):
+    """free_product_enumerate as it was first written: one recursive call
+    per letter, so its depth is the weight bound."""
+    found = [FREE_PRODUCT_UNIT]
+
+    def extend(prefix, remaining, last_side):
+        for side in (LEFT, RIGHT):
+            if side == last_side:
+                continue
+            monoid = A if side == LEFT else B
+            for w in range(1, remaining + 1):
+                for el in monoid._elements_by_weight(w):
+                    element = prefix + ((side, el),)
+                    found.append(FreeProductElement(element))
+                    extend(element, remaining - w, side)
+
+    extend((), max_weight, None)
+    return found
+
+
+def test_enumerate_lists_the_recursive_order_for_every_monoid_pair():
+    from tangles.cli import _MONOIDS
+
+    for left, right in itertools.product(sorted(_MONOIDS), repeat=2):
+        A, B = _MONOIDS[left](), _MONOIDS[right]()
+        for bound in range(9):
+            assert free_product_enumerate(A, B, bound) == _enumerate_by_recursion(A, B, bound), (
+                left, right, bound
+            )
+
+
+def test_enumerate_walks_past_the_recursion_limit():
+    import sys
+
+    bound = sys.getrecursionlimit() + 500
+    elements = free_product_enumerate(PointedMonoid.cyclic(2), PointedMonoid.cyclic(2), bound)
+    assert len(elements) == 2 * bound + 1
+    assert max(e.alternation_length() for e in elements) == bound
