@@ -563,11 +563,20 @@ def _neighbors(d: Diagram, dim: AmbientDim, window) -> Iterable[Diagram]:
 def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equality:
     """Decide equality of two diagrams with the given ambient dimension.
 
-    Planar diagrams are decided by normal form.  Otherwise a bidirectional
-    search over the move graph runs within ``budget`` node expansions; if
-    the diagrams are not joined, evaluation under the Kauffman datum and a
-    rank-one unit datum (symmetric data in the symmetric case) separates
-    them or the answer stays Unknown.
+    Planar diagrams are decided by normal form.  Otherwise the cheapest
+    sound decider runs first, on the reduced pair r1, r2:
+
+    1. r1 == r2 gives Equal: reduction applies moves only.
+    2. Different signatures (components, their ends, writhe, mod 2 in the
+       symmetric case) give Distinct.  Reduction keeps all three, so they
+       are the signatures of the inputs.
+    3. Different values under the Kauffman datum or a rank-one unit datum
+       (symmetric data in the symmetric case) give Distinct.  Valid data
+       are move invariants, so no search could join such a pair.  A datum
+       whose evaluation refuses a group over ``EVALUATE_LIMIT`` is skipped,
+       so no ``EvaluationError`` escapes: the search decides, or Unknown.
+    4. A bidirectional search over the move graph, within ``budget`` node
+       expansions, gives Equal if it joins the pair, else Unknown.
     """
     if d1.source != d2.source or d1.target != d2.target:
         raise DiagramError("equality needs matching boundary words")
@@ -577,12 +586,20 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
             if normalize_planar(d1) == normalize_planar(d2)
             else Equality.DISTINCT
         )
-    if _signature(d1, dim) != _signature(d2, dim):
-        return Equality.DISTINCT
-
     r1, r2 = reduce_diagram(d1, dim), reduce_diagram(d2, dim)
     if r1 == r2:
         return Equality.EQUAL
+    if _signature(r1, dim) != _signature(r2, dim):
+        return Equality.DISTINCT
+
+    from .evaluate import EvaluationError, evaluate
+
+    for datum in _separating_data(dim is AmbientDim.SYMMETRIC):
+        try:
+            if evaluate(r1, datum) != evaluate(r2, datum):
+                return Equality.DISTINCT
+        except EvaluationError:
+            continue
 
     labels = r1.labels() | r2.labels() | {0}
     window = (min(labels) - 1, max(labels) + 1)
@@ -610,20 +627,14 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
             if spent >= budget:
                 break
         frontier[:] = nxt
-
-    from .evaluate import evaluate
-
-    for datum in _separating_data(dim is AmbientDim.SYMMETRIC):
-        if evaluate(d1, datum) != evaluate(d2, datum):
-            return Equality.DISTINCT
     return Equality.UNKNOWN
 
 
 @functools.cache
 def _separating_data(symmetric: bool) -> tuple:
-    """The data ``equal`` evaluates under when its search does not join two
-    diagrams, built once per process: the Kauffman datum and a rank-one
-    unit datum, or their symmetric counterparts."""
+    """The data ``equal`` evaluates under before it searches, built once
+    per process: the Kauffman datum and a rank-one unit datum, or their
+    symmetric counterparts."""
     from .evaluate import flip_datum, kauffman_datum, unit_datum
 
     if symmetric:

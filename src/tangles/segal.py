@@ -50,6 +50,9 @@ from .unionfind import UnionFind
 from .words import PointedMonoid
 
 
+CLOSE_LIMIT = 1 << 17  # the most generator words _close_words may build
+
+
 class SimplicialError(ValueError):
     """Raised on malformed simplicial data."""
 
@@ -202,7 +205,8 @@ class Completion:
     """Hom-sets of the presented category up to a word-length budget: the
     class count of each nonempty hom-set and whether each is the same at
     budget - 1.  ``hom_classes``, the classes themselves, closes the words
-    on first read unless ``complete`` had to close them already."""
+    on first read unless ``complete`` had to close them already; either
+    closure refuses more than CLOSE_LIMIT words up front."""
 
     presentation: CategoryPresentation
     budget: int
@@ -254,11 +258,20 @@ def _close_words(pres: CategoryPresentation, budget: int):
     and a relation is indexed only in its non-lengthening direction, so
     each edge is joined from its longer end.  The forest at the end of
     level budget - 1 is thus the closure at budget - 1, and the class
-    counts copied then say whether the last level changed anything."""
+    counts copied then say whether the last level changed anything.
+
+    Raises SimplicialError, before building any word, when there would be
+    more than CLOSE_LIMIT words."""
     ends = pres.endpoints()
     by_source: dict[Hashable, list] = {}
     for g, s, _ in pres.generators:
         by_source.setdefault(s, []).append(g)
+    letters = [g for g, _, _ in pres.generators]
+    total = len(pres.objects)
+    for walks in _walks(ends, letters, {g: by_source.get(ends[g][1], []) for g in letters}, budget):
+        total += sum(walks.values())
+        if total > CLOSE_LIMIT:
+            raise SimplicialError(f"more than {CLOSE_LIMIT} composable words of length <= {budget}")
     # side length -> side -> the sides no longer than it that may replace it
     rewrites: dict[int, dict[tuple, list[tuple]]] = {}
     for lhs, rhs in pres.relations:
@@ -340,7 +353,19 @@ def _count_normal_forms(pres: CategoryPresentation, budget: int):
     letters = [g for g, _, _ in pres.generators if (g,) not in rules]
     after = {g: [h for h in letters if ends[h][0] == ends[g][1] and (g, h) not in rules] for g in letters}
     counts = {(x, x): 1 for x in pres.objects}
-    walks = {(ends[g][0], g): 1 for g in letters}  # (source, last letter) -> words of one length
+    walks: dict = {}
+    for walks in _walks(ends, letters, after, budget):
+        for (x, g), n in walks.items():
+            counts[x, ends[g][1]] = counts.get((x, ends[g][1]), 0) + n
+    return counts, budget > 1 and not walks
+
+
+def _walks(ends: dict, letters: list, after: dict, budget: int):
+    """For each length 1..budget, the number of words of that length per
+    (source, last letter), where a word starts with any of ``letters`` and
+    ``after[g]`` lists the letters that may follow g.  Stops after the first
+    length with no word, since no longer word has one either."""
+    walks = {(ends[g][0], g): 1 for g in letters}
     for length in range(1, budget + 1):
         if length > 1:
             step: dict[tuple, int] = {}
@@ -348,9 +373,9 @@ def _count_normal_forms(pres: CategoryPresentation, budget: int):
                 for h in after[g]:
                     step[x, h] = step.get((x, h), 0) + n
             walks = step
-        for (x, g), n in walks.items():
-            counts[x, ends[g][1]] = counts.get((x, ends[g][1]), 0) + n
-    return counts, budget > 1 and not walks
+        yield walks
+        if not walks:
+            return
 
 
 def complete(X: SimplicialData, budget: int) -> Completion:

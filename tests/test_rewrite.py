@@ -26,11 +26,13 @@ from tangles.diagram import (
     validate,
 )
 from tangles.evaluate import (
+    EvaluationError,
     evaluate,
     flip_datum,
     kauffman_datum,
     trivial_datum,
     unit_datum,
+    validate_datum,
 )
 from tangles.generate import iter_closed_diagrams, random_diagram
 from tangles.links import trefoil, unknot
@@ -627,19 +629,99 @@ def test_equal_unknown_with_tiny_budget():
     assert verdict in (Equality.UNKNOWN, Equality.EQUAL)
 
 
-def test_equal_verdicts_on_the_bench_universe():
+def _bench_equal_pairs():
+    """(key, d1, d2, budget, verdict) of every recorded benchmark equal op."""
     path = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
-    recorded = {
-        key: value
-        for key, value in json.loads(path.read_text(encoding="utf-8")).items()
-        if key.startswith("equal ")
-    }
+    pairs = []
+    for key, verdict in json.loads(path.read_text(encoding="utf-8")).items():
+        if key.startswith("equal "):
+            head, rest = key.split(" [", 1)
+            d1, d2 = (to_diagram(parse_expr(t), BRAIDED) for t in rest[:-1].split("] ["))
+            pairs.append((key, d1, d2, int(head.split()[-1]), verdict))
+    return pairs
+
+
+def test_equal_verdicts_on_the_bench_universe():
+    recorded = _bench_equal_pairs()
     assert len(recorded) > 300
-    for key, verdict in recorded.items():
-        head, rest = key.split(" [", 1)
-        budget = int(head.split()[-1])
-        d1, d2 = (to_diagram(parse_expr(t), BRAIDED) for t in rest[:-1].split("] ["))
+    for key, d1, d2, budget, verdict in recorded:
         assert equal(d1, d2, BRAIDED, budget=budget).value == verdict, key
+
+
+def test_reduction_keeps_the_signature():
+    # equal compares the signatures of the reduced pair; they must be those
+    # of the inputs, or reduction would decide pairs the signature separates
+    rng = random.Random(71)
+    for dim in (BRAIDED, SYMMETRIC):
+        pool = list(iter_closed_diagrams(6, 3)) + [
+            random_diagram(rng, dim, max_events=8, width=5, lo=-1, hi=1) for _ in range(600)
+        ]
+        reduced = 0
+        for d in pool:
+            r = reduce_diagram(d, dim)
+            reduced += r.num_events < d.num_events
+            assert rewrite._signature(r, dim) == rewrite._signature(d, dim), to_text(d)
+        assert reduced > 100
+
+
+def test_pairs_the_search_joins_have_equal_values():
+    # equal evaluates before it searches, which is sound only if no pair the
+    # search joins is separated by a separating datum: the benchmark's search
+    # pairs (equal, yet reduced apart) and seeded one-move neighbours
+    pairs = [
+        (BRAIDED, d1, d2)
+        for _, d1, d2, _, verdict in _bench_equal_pairs()
+        if verdict == "equal" and reduce_diagram(d1, BRAIDED) != reduce_diagram(d2, BRAIDED)
+    ]
+    assert len(pairs) >= 8
+    rng = random.Random(73)
+    for dim in (BRAIDED, SYMMETRIC):
+        for _ in range(60):
+            d = random_diagram(rng, dim, max_events=6, width=5, lo=-1, hi=1)
+            moves = applicable_moves(d, dim, include_backward=True)
+            for m in rng.sample(moves, min(6, len(moves))):
+                try:
+                    d2 = apply_move(d, m)
+                except MoveError:
+                    continue
+                if (d2.source, d2.target) == (d.source, d.target):
+                    pairs.append((dim, d, d2))
+    assert len(pairs) > 500
+    for dim, d1, d2 in pairs:
+        for datum in rewrite._separating_data(dim is SYMMETRIC):
+            assert evaluate(d1, datum) == evaluate(d2, datum), (to_text(d1), to_text(d2))
+
+
+def test_separating_data_are_valid():
+    for symmetric, dim in ((False, BRAIDED), (True, SYMMETRIC)):
+        for datum in rewrite._separating_data(symmetric):
+            assert validate_datum(datum, dim).valid, datum.name
+
+
+def test_equal_searches_a_pair_too_wide_to_evaluate():
+    # six trefoils side by side, each joined to the next by one crossing:
+    # one component and one group 24 strands wide, which the rank-2 Kauffman
+    # datum refuses (2^24 words), so only the search can decide the pair
+    k = 6
+    layers = []
+    for t in range(k):
+        layers += [[cup(0, at=4 * t)], [cup(1, at=4 * t + 2)]]
+    for t in range(k):
+        layers += [[cross_pos(0, 2, at=4 * t + 1)], [cross_pos(2, 0, at=4 * t + 1)]]
+        layers += [[cross_pos(0, 2, at=4 * t + 1)]]
+    layers += [[cross_pos(1, 1, at=4 * t + 3)] for t in range(k - 1)]
+    for t in reversed(range(k)):
+        layers += [[cap(1, at=4 * t)], [cap(0, at=4 * t)]]
+    d1 = Diagram.from_events((), layers)
+    # the first trefoil's last twist and the second trefoil's first, swapped
+    i = 2 * k + 2
+    d2 = Diagram.from_events((), layers[:i] + [layers[i + 1], layers[i]] + layers[i + 2 :])
+    assert len(trace_components(d1)) == 1
+    assert reduce_diagram(d1, BRAIDED) != reduce_diagram(d2, BRAIDED)
+    with pytest.raises(EvaluationError):
+        evaluate(d1, kauffman_datum())
+    assert equal(d1, d2, BRAIDED, budget=5000) is Equality.EQUAL
+    assert equal(d1, d2, BRAIDED, budget=0) is Equality.UNKNOWN
 
 
 def test_equal_boundary_mismatch():
@@ -684,8 +766,8 @@ def test_equal_builds_its_evaluation_data_once(monkeypatch):
     calls = []
     real = evaluate_module.kauffman_datum
     monkeypatch.setattr(evaluate_module, "kauffman_datum", lambda: calls.append(1) or real())
-    # an unknot with three kinks has the trefoil's writhe, so the search
-    # runs out and evaluation decides
+    # an unknot with three kinks has the trefoil's signature, so evaluation
+    # decides before any search
     kinked = Diagram.from_events(
         (),
         [[cup(0)], [cross_pos(1, 0)], [cross_pos(0, 1)], [cross_pos(1, 0)], [cap(0)]],

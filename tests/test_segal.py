@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -664,6 +665,28 @@ def test_completion_closes_the_words_once(monkeypatch, capsys):
         comp = complete(_magma_nerve(), budget)
         assert comp.class_counts == {key: len(c) for key, c in comp.hom_classes.items()}
     assert calls == list(range(6))
+
+
+def test_closing_more_words_than_the_cap_is_refused_up_front(monkeypatch):
+    # pushout-z2-z3 has 797,161 composable words of length <= 12: complete
+    # counts its classes at once, and closing them is refused at once
+    comp = complete(_PRESETS["pushout-z2-z3"](), 12)
+    assert comp.class_count(("U", 0), ("U", 0)) > 1
+    start = time.perf_counter()
+    with pytest.raises(SimplicialError):
+        comp.hom_classes
+    with pytest.raises(SimplicialError):
+        complete(_magma_nerve(), 10**6)  # no convergent system: complete closes at once
+    assert time.perf_counter() - start < 1.0
+    # the cap counts the words exactly: 364 of length <= 5, 1,093 of length <= 6
+    monkeypatch.setattr(segal, "CLOSE_LIMIT", 364)
+    five = complete(_PRESETS["pushout-z2-z3"](), 5)
+    assert {key: len(classes) for key, classes in five.hom_classes.items()} == five.class_counts
+    with pytest.raises(SimplicialError):
+        complete(_PRESETS["pushout-z2-z3"](), 6).hom_classes
+    monkeypatch.setattr(segal, "CLOSE_LIMIT", 363)
+    with pytest.raises(SimplicialError):
+        complete(_PRESETS["pushout-z2-z3"](), 5).hom_classes
 
 
 # ---------------------------------------------------------------------------
