@@ -6,7 +6,8 @@ face and degeneracy maps in that range; the simplicial identities are
 checked at construction.  The standard inputs (monoid nerves, their
 pushouts, interval posets and graphs) are built from face and degeneracy
 formulas.  ``act`` evaluates the contravariant action of an arbitrary
-monotone map by factoring it into faces and degeneracies.
+monotone map from one table per operator, built on first use by
+factoring the map into faces and degeneracies.
 
 ``is_segal`` tests whether level p is exactly the set of p-chains of
 composable edges, read from a cut fiber product.  ``complete`` builds the
@@ -24,28 +25,26 @@ iterated fiber product of the levels over the convex pieces into which
 the values of f cut [a]; the pieces agree with the outer hulls (from
 :mod:`tangles.simplex`) of the one-point and unit-interval subsets of [a].
 ``colimit_truncated`` glues these sets over all pairs (f, anchor) with
-bounded simplex sizes into zigzag classes via union-find; on inputs
-satisfying the Segal condition it reproduces level p on the nose, and in
-general it grows towards the completion's hom-sets as the bound rises.
-Whether it stabilized is read from the same forest, which holds the
-bound-(N-1) classes before it joins the rest.
+bounded simplex sizes into zigzag classes, on maps given by their value
+tuples; on inputs satisfying the Segal condition it reproduces level p
+on the nose, and in general it grows towards the completion's hom-sets
+as the bound rises.  Its union-find runs in two stages: the moves that
+keep the ambient simplex join (phi, chain) items once per ambient, which
+is the same relation as joining them at every anchor alike, and the moves
+that change it then join (item class, anchor) nodes.  Whether it
+stabilized is read from the same forests, which hold the bound-(N-1)
+classes after the bounded moves of both families and before the rest.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
-from .simplex import (
-    ConvexSubset,
-    MonotoneMap,
-    SimplexObject,
-    all_monotone_maps,
-    compose_monotone,
-    elementary_maps,
-)
+from .simplex import ConvexSubset, MonotoneMap, SimplexObject, all_monotone_maps, elementary_maps
 from .unionfind import UnionFind
 from .words import PointedMonoid
 
@@ -78,6 +77,7 @@ class SimplicialData:
                 if (p, i) not in self.degeneracies:
                     raise SimplicialError(f"missing degeneracy s_{i} at level {p}")
         self._check_identities()
+        self._tables: dict[tuple[int, tuple[int, ...]], dict] = {}  # (m, values) -> table()
 
     @property
     def K(self) -> int:
@@ -124,42 +124,38 @@ class SimplicialData:
     def act(self, u: MonotoneMap, x):
         """Apply the simplicial operator of u: [k] -> [m] to x in X_m,
         producing an element of X_k."""
-        return self._act(u.target.p, u.values, x)
+        return self.table(u.target.p, u.values)[x]
 
-    def _act(self, m: int, values: tuple[int, ...], x):
-        cache = self.__dict__.setdefault("_act_cache", {})
-        key = (m, values, x)
-        if key in cache:
-            return cache[key]
+    def table(self, m: int, values: tuple[int, ...]) -> dict:
+        """The operator of the monotone map [k] -> [m] with these values, as
+        a table from X_m to X_k.  It is built on first use, when the values
+        are checked, by factoring the map through its image: the faces
+        that skip the missing values (highest first), then the
+        degeneracies of the surjection onto the image."""
+        table = self._tables.get((m, values))
+        if table is not None:
+            return table
         MonotoneMap(SimplexObject(len(values) - 1), SimplexObject(m), values)  # refuses bad values
         image = sorted(set(values))
-        y = x
-        level = m
-        for i in sorted((i for i in range(m + 1) if i not in image), reverse=True):
-            y = self.face(level, i, y)
-            level -= 1
-        rank = {v: r for r, v in enumerate(image)}
-        sigma = [rank[v] for v in values]
-        result = self._apply_surjection(sigma, y)
-        cache[key] = result
-        return result
-
-    def _apply_surjection(self, sigma: Sequence[int], y):
-        k = len(sigma) - 1
-        for t in range(k):
-            if sigma[t] == sigma[t + 1]:
-                inner = list(sigma[:t]) + list(sigma[t + 1 :])
-                y = self._apply_surjection(inner, y)
-                return self.degeneracy(len(inner) - 1, t, y)
-        return y
+        steps = [self.faces[(m - n, i)] for n, i in enumerate(i for i in range(m, -1, -1) if i not in image)]
+        sigma = [image.index(v) for v in values]
+        degeneracies = []  # s_t at the first repeat t of what is left, outermost first
+        while (t := next((t for t in range(len(sigma) - 1) if sigma[t] == sigma[t + 1]), -1)) >= 0:
+            del sigma[t]
+            degeneracies.append(self.degeneracies[(len(sigma) - 1, t)])
+        table = {x: x for x in self.levels[m]}
+        for step in steps + degeneracies[::-1]:
+            table = {x: step[y] for x, y in table.items()}
+        self._tables[(m, values)] = table
+        return table
 
     def vertex(self, p: int, x, v: int):
         """The v-th vertex of a p-simplex."""
-        return self._act(p, (v,), x)
+        return self.table(p, (v,))[x]
 
     def edge(self, p: int, x, i: int):
         """The restriction of a p-simplex to the edge {i-1 < i}."""
-        return self._act(p, (i - 1, i), x)
+        return self.table(p, (i - 1, i))[x]
 
 
 def is_segal(X: SimplicialData, p: int) -> bool:
@@ -441,45 +437,34 @@ def cut_fiber_product(C: SimplicialData, f: MonotoneMap) -> list[tuple]:
     return [prefix for prefix, _ in chains]
 
 
-def restriction_plan(
-    f: MonotoneMap, outer_f: MonotoneMap, inner_f: MonotoneMap
-) -> tuple[tuple[int, MonotoneMap], ...]:
-    """How to restrict a chain for ``outer_f`` (over f's target) along f
-    to a chain for ``inner_f`` (over f's source): for each piece of
-    ``inner_f``, the index of the piece of ``outer_f`` that f carries it
-    into, and the operator u sending that piece's simplex to the new one.
+def restriction_plan(f: tuple, a0: int, outer: tuple, inner: tuple) -> tuple[tuple[int, int, tuple], ...]:
+    """How to restrict a chain for ``outer`` (over [a0]) along f: [a1] ->
+    [a0] to a chain for ``inner`` (over [a1]), every map given by its
+    values: for each piece of ``inner``, the index of the piece of
+    ``outer`` that f carries it into, that piece's dimension, and the
+    values of the operator sending that piece's simplex to the new one.
 
-    Requires that f carries each piece of ``inner_f`` into a single piece
-    of ``outer_f``, which holds whenever outer_f = f o inner_f o g for
-    some g (the twisted-square shape of the colimit's index category).
+    Requires that f carries each piece of ``inner`` into a single piece
+    of ``outer``, which holds whenever outer = f o inner o g for some g
+    (the twisted-square shape of the colimit's index category).
     """
-    outer_pieces = pieces_of(outer_f)
+    cuts, inner_cuts = (0, *outer, a0), (0, *inner, len(f) - 1)
     plan = []
-    for piece in pieces_of(inner_f):
-        lo, hi = f(piece.lo), f(piece.hi)
-        idx = next(
-            (i for i, q in enumerate(outer_pieces) if q.lo <= lo and hi <= q.hi), None
-        )
-        if idx is None:
+    for lo, hi in zip(inner_cuts, inner_cuts[1:]):
+        idx = bisect_left(cuts, f[hi], 1) - 1  # the first piece reaching f(hi)
+        if cuts[idx] > f[lo]:
             raise SimplicialError("piece image not contained in a single piece")
-        q = outer_pieces[idx]
-        u = MonotoneMap(
-            SimplexObject(piece.hi - piece.lo),
-            SimplexObject(q.hi - q.lo),
-            tuple(f(piece.lo + t) - q.lo for t in range(piece.hi - piece.lo + 1)),
-        )
-        plan.append((idx, u))
+        plan.append((idx, cuts[idx + 1] - cuts[idx], tuple([v - cuts[idx] for v in f[lo : hi + 1]])))
     return tuple(plan)
 
 
-def restrict_chain(
-    C: SimplicialData, plan: tuple[tuple[int, MonotoneMap], ...], chain: tuple
-) -> tuple:
+def restrict_chain(C: SimplicialData, plan: tuple, chain: tuple) -> tuple:
     """Push a chain along the index morphism that ``plan`` (from
-    :func:`restriction_plan`) was made for, piece by piece; only this step
-    depends on the chain, so one plan serves every chain of a fiber
-    product."""
-    return tuple(C.act(u, chain[i]) for i, u in plan)
+    :func:`restriction_plan`) was made for, piece by piece through the
+    operator tables of C; only this step depends on the chain, so one plan
+    serves every chain of a fiber product."""
+    table = C.table
+    return tuple([table(dim, values)[chain[i]] for i, dim, values in plan])
 
 
 @dataclass
@@ -497,107 +482,116 @@ class TruncatedColimit:
 
 
 def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
-    """Union-find pass for the truncated colimit at bound N; returns its
-    classes and whether they stabilized.
+    """Two-stage union-find for the truncated colimit at bound N; returns
+    its classes and whether they stabilized.
 
     An index object is (a, phi: [b] -> [a], s: [p] -> [a]); its value is
     the cut fiber product of phi, which does not depend on the anchor s.
-    Every index morphism factors as one changing only phi's source (g)
-    followed by one changing the ambient simplex (f), so those two
-    families generate the zigzag relation.  Both families range over the
-    faces [n-1] -> [n] and degeneracies [n+1] -> [n] only: every monotone
-    map factors through its image as degeneracies followed by faces, with
-    every object on the way no larger than its source or its target, so
-    within the bound; restriction is functorial, so the relation of the
-    composite is implied by those of its factors, and identities relate
-    a tag to itself.  Each morphism restricts its chains through one
-    :func:`restriction_plan`.
+    Every index morphism factors as one changing only phi's source (g,
+    Family 1) followed by one changing the ambient simplex (f, Family 2),
+    so those two families generate the zigzag relation.  Both range over
+    the faces [n-1] -> [n] and degeneracies [n+1] -> [n] only: every
+    monotone map factors through its image as degeneracies followed by
+    faces, with every object on the way no larger than its source or its
+    target, so within the bound; restriction is functorial, so the
+    relation of the composite is implied by those of its factors, and
+    identities relate a tag to itself.  Maps are value tuples, and each
+    morphism restricts its chains through one :func:`restriction_plan`.
 
-    The forest runs on tag numbers: the tags ((a, phi, s), chain) are
-    numbered in registration order, object by object and chain by chain
-    within an object, and mapped back at the end.  Classes list their
-    members in that order and come ordered by their first member.
+    Stage 1 joins the items (a, phi, chain) along Family 1; its trees
+    never cross ambients, so it is one forest per a.  A Family 1 move
+    relates (a, phi0, s, chain) to (a, phi1, s, its restriction) for every
+    anchor s of a alike, so stage 1 lifted to each anchor is exactly the
+    Family 1 relation on tags.  Stage 2 joins the nodes (stage-1 root,
+    anchor) along Family 2, once per anchor pair and distinct pair of
+    roots, and a tag's class is that of (its item's root, its anchor).
 
-    The bound-(N-1) colimit is the forest on the tags with a, b <= N - 1
-    and the morphisms among them, so those are united first and their
-    classes counted.  Its map into the bound-N classes is a bijection when
-    uniting the rest leaves that count unchanged and equal to the final
-    class count (no two classes merge, and every class is reached).
+    The bounded moves (all sizes <= N - 1) run first, and the classes of
+    the bound-(N-1) tags are counted then, before the rest run.  That
+    colimit maps bijectively onto the bound-N one when the rest leaves the
+    count unchanged and equal to the final class count (no two classes
+    merge, and every class is reached).  In each run Family 1 comes first,
+    so stage 2 joins roots that stay roots, except where the rest's Family
+    1 merges roots that the bounded Family 2 joined.  Those merges need no
+    lifting to each anchor: every bounded Family 2 move has a copy in the
+    rest on phi degenerated to a source of size N, and restriction along a
+    degeneracy is onto, so that copy joins the same classes on the final
+    roots.  Classes list their tags in registration order (a, then phi by
+    source size and values, then anchor, then chain) and come ordered by
+    their first tag.
     """
-    uf = UnionFind()
     simplex = [SimplexObject(a) for a in range(N + 1)]
-    anchor_obj = SimplexObject(p)
-    anchors = {a: all_monotone_maps(anchor_obj, simplex[a]) for a in range(N + 1)}
-    maps_into = {
-        a: [phi for b in range(N + 1) for phi in all_monotone_maps(simplex[b], simplex[a])]
-        for a in range(N + 1)
-    }
+    anchors = [[s.values for s in all_monotone_maps(SimplexObject(p), A)] for A in simplex]
+    anchor_index = [{s: k for k, s in enumerate(maps)} for maps in anchors]
+    width = len(anchors[N])  # stage-2 node of (item r, anchor k): r * width + k
+    elementary = {(m, n): [u.values for u in elementary_maps(simplex[m], simplex[n])]
+                  for m in range(N + 1) for n in range(N + 1)}
 
-    # each (a, phi) maps the chains of its value to their places in it; a
-    # tag's number is first[index object] plus its chain's place
-    values: dict[tuple[int, tuple], dict[tuple, int]] = {}
-    first: dict[tuple[int, tuple, tuple], int] = {}
-    tags: list[tuple] = []
-    small: list[int] = []  # the tags of the bound-(N-1) colimit
-    for a in range(N + 1):
-        for phi in maps_into[a]:
-            chains = cut_fiber_product(C, phi)
-            values[(a, phi.values)] = {chain: i for i, chain in enumerate(chains)}
-            for s in anchors[a]:
-                key = (a, phi.values, s.values)
-                first[key] = len(tags)
-                tags.extend((key, chain) for chain in chains)
-                if max(a, phi.source.p) < N:
-                    small.extend(range(first[key], len(tags)))
-    for tag in range(len(tags)):  # groups() orders classes by first registration
-        uf.find(tag)
+    # each (a, phi) maps the chains of its value to their places in it; an
+    # item's number is first[(a, phi)] plus its chain's place
+    places: dict[tuple[int, tuple], dict[tuple, int]] = {}
+    first: dict[tuple[int, tuple], int] = {}
+    items = 0
+    for a, A in enumerate(simplex):
+        for phi in (phi for B in simplex for phi in all_monotone_maps(B, A)):
+            key = (a, phi.values)
+            first[key], places[key] = items, {chain: i for i, chain in enumerate(cut_fiber_product(C, phi))}
+            items += len(places[key])
+    small = [(a, phi) for a, phi in places if max(a, len(phi) - 1) < N]  # the bound-(N-1) objects
 
-    bounded, rest = [], []  # the morphisms within bound N - 1, and the others
-
-    def add_move(a0, phi0, a1, phi1, f, anchor_pairs):
-        inside = max(a0, a1, phi0.source.p, phi1.source.p) < N
-        (bounded if inside else rest).append((a0, phi0, a1, phi1, f, anchor_pairs))
-
-    def union_moves(a0, phi0, a1, phi1, f, anchor_pairs):
-        plan = restriction_plan(f, phi0, phi1)
-        target = values[(a1, phi1.values)]
-        moved = []
-        for chain in values[(a0, phi0.values)]:
-            place = target.get(restrict_chain(C, plan, chain))
-            if place is None:
-                raise SimplicialError("restricted chain missing from its target's fiber product")
-            moved.append(place)
-        for s0, s1 in anchor_pairs:
-            base0 = first[(a0, phi0.values, s0.values)]
-            base1 = first[(a1, phi1.values, s1.values)]
-            for i, place in enumerate(moved):
-                uf.union(base0 + i, base1 + place)
-
-    # Family 1: reparametrize the source of phi (g only; ambient fixed).
-    for a in range(N + 1):
-        ident = MonotoneMap.identity(simplex[a])
-        same_anchor = [(s, s) for s in anchors[a]]
-        for phi1 in maps_into[a]:
-            b1 = phi1.source.p
-            for b0 in range(N + 1):
-                for g in elementary_maps(simplex[b0], simplex[b1]):
-                    add_move(a, compose_monotone(g, phi1), a, phi1, ident, same_anchor)
-
-    # Family 2: change the ambient simplex along f (phi's source fixed).
-    for a1 in range(N + 1):
+    # (a0, phi0, a1, phi1, f, anchor pairs) within bound N - 1, and the
+    # others; Family 1 (anchor pairs None) comes first in each
+    bounded: list[tuple] = []
+    rest: list[tuple] = []
+    for a, phi1 in places:  # Family 1: phi0 = g then phi1
+        for b0 in range(N + 1):
+            for g in elementary[(b0, len(phi1) - 1)]:
+                (bounded if max(a, b0, len(phi1) - 1) < N else rest).append(
+                    (a, tuple(phi1[v] for v in g), a, phi1, tuple(range(a + 1)), None))
+    for a1, phi1 in places:  # Family 2: phi0 = phi1 then f, and s0 = s1 then f
         for a0 in range(N + 1):
-            for f in elementary_maps(simplex[a1], simplex[a0]):
-                anchor_pairs = [(compose_monotone(s1, f), s1) for s1 in anchors[a1]]
-                for phi1 in maps_into[a1]:
-                    add_move(a0, compose_monotone(phi1, f), a1, phi1, f, anchor_pairs)
+            for f in elementary[(a1, a0)]:
+                pairs = [(anchor_index[a0][tuple(f[v] for v in s)], k) for k, s in enumerate(anchors[a1])]
+                (bounded if max(a0, a1, len(phi1) - 1) < N else rest).append(
+                    (a0, tuple(f[v] for v in phi1), a1, phi1, f, pairs))
 
-    for move in bounded:
-        union_moves(*move)
-    smaller = len({uf.find(tag) for tag in small})
-    for move in rest:
-        union_moves(*move)
-    classes = [[tags[tag] for tag in group] for group in uf.groups()]
-    stabilized = N >= 1 and smaller == len({uf.find(tag) for tag in small}) == len(classes)
+    stage1, stage2 = UnionFind(), UnionFind()
+
+    def run(moves: list[tuple]) -> None:
+        for a0, phi0, a1, phi1, f, pairs in moves:
+            plan = restriction_plan(f, a0, phi0, phi1)
+            target, base0, base1 = places[(a1, phi1)], first[(a0, phi0)], first[(a1, phi1)]
+            moved = []  # (item, the item of its restriction)
+            for i, chain in enumerate(places[(a0, phi0)]):
+                place = target.get(restrict_chain(C, plan, chain))
+                if place is None:
+                    raise SimplicialError("restricted chain missing from its target's fiber product")
+                moved.append((base0 + i, base1 + place))
+            if pairs is None:
+                for i, j in moved:
+                    stage1.union(i, j)
+                continue
+            roots = {(stage1.find(i), stage1.find(j)) for i, j in moved}
+            for k0, k1 in pairs:
+                for r0, r1 in roots:
+                    stage2.union(r0 * width + k0, r1 * width + k1)
+
+    def tags(keys):
+        """(class, tag) of every tag over these (a, phi), in registration order."""
+        for a, phi in keys:
+            roots = [(stage1.find(first[(a, phi)] + i) * width, chain) for chain, i in places[(a, phi)].items()]
+            for k, s in enumerate(anchors[a]):
+                for r, chain in roots:
+                    yield stage2.find(r + k), ((a, phi, s), chain)
+
+    run(bounded)
+    smaller = len({c for c, _ in tags(small)})
+    run(rest)
+    groups: dict[int, list[tuple]] = {}
+    for c, tag in tags(places):
+        groups.setdefault(c, []).append(tag)
+    classes = list(groups.values())
+    stabilized = N >= 1 and smaller == len({c for c, _ in tags(small)}) == len(classes)
     return classes, stabilized
 
 
@@ -608,6 +602,10 @@ def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
     ``stabilized`` reports whether the canonical map from the bound-(N-1)
     classes to the bound-N classes is a bijection; for inputs whose true
     colimit is infinite it stays False, and that is reported honestly.
+    The classes come from two forests (``_colimit_tags_and_classes``):
+    the moves that keep the ambient join chains once per ambient, the
+    others join (class, anchor) nodes, and the bound-(N-1) classes are
+    counted after the bounded moves of both and before the rest.
     """
     if max(p, N) > C.K:
         raise SimplicialError(f"levels up to {max(p, N)} needed, stored {C.K}")

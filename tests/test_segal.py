@@ -33,6 +33,7 @@ from tangles.simplex import (
     SimplexObject,
     all_monotone_maps,
     compose_monotone,
+    elementary_maps,
     outer_hull,
 )
 from tangles.unionfind import UnionFind
@@ -224,6 +225,57 @@ def test_vertex_and_edge_refuse_indices_outside_the_simplex():
             bad()
 
 
+def _act_by_factoring(C, m, values, x):
+    """The operator of a monotone map [k] -> [m] on x, uncached: the faces
+    that skip the values missing from its image (highest first), then the
+    degeneracies of its surjection onto the image."""
+    image = sorted(set(values))
+    for level, i in zip(range(m, -1, -1), [i for i in range(m, -1, -1) if i not in image]):
+        x = C.face(level, i, x)
+    return _degenerate(C, [image.index(v) for v in values], x)
+
+
+def _degenerate(C, sigma, y):
+    """The degeneracies of the surjection sigma, the outermost at its first
+    repeat."""
+    for t in range(len(sigma) - 1):
+        if sigma[t] == sigma[t + 1]:
+            inner = sigma[:t] + sigma[t + 1 :]
+            return C.degeneracy(len(inner) - 1, t, _degenerate(C, inner, y))
+    return y
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_operator_tables_match_the_factorization(name):
+    C = _PRESETS[name]()
+    rng = random.Random(5)
+    for _ in range(300):
+        m, k = rng.randrange(C.K + 1), rng.randrange(C.K + 1)
+        u = rng.choice(all_monotone_maps(SimplexObject(k), SimplexObject(m)))
+        x = rng.choice(C.levels[m])
+        assert C.act(u, x) == _act_by_factoring(C, m, u.values, x), (u, x)
+        assert (m, u.values) in C._tables
+    for m in range(C.K + 1):
+        for x in C.levels[m]:
+            for v in range(m + 1):
+                assert C.vertex(m, x, v) == _act_by_factoring(C, m, (v,), x)
+            for i in range(1, m + 1):
+                assert C.edge(m, x, i) == _act_by_factoring(C, m, (i - 1, i), x)
+    # bad values are refused on every call, so no table is stored for them
+    x = C.levels[C.K][0]
+    for call, key in (
+        (lambda: C.table(C.K, ()), ()),
+        (lambda: C.table(C.K, (1, 0)), (1, 0)),
+        (lambda: C.table(C.K, (0, C.K + 1)), (0, C.K + 1)),
+        (lambda: C.vertex(C.K, x, -1), (-1,)),
+        (lambda: C.edge(C.K, x, C.K + 1), (C.K, C.K + 1)),
+    ):
+        for _ in range(2):
+            with pytest.raises(SimplexError):
+                call()
+        assert (C.K, key) not in C._tables
+
+
 def test_completion_of_monoid_nerve():
     for monoid in (Z2, Z3):
         comp = complete(nerve_of_monoid(monoid, K=2), budget=4)
@@ -370,10 +422,16 @@ def _map(target: int, *values: int) -> MonotoneMap:
     return MonotoneMap(SimplexObject(len(values) - 1), SimplexObject(target), values)
 
 
+def _plan(f: MonotoneMap, outer: MonotoneMap, inner: MonotoneMap):
+    """restriction_plan on the values of f, outer and inner."""
+    return restriction_plan(f.values, f.target.p, outer.values, inner.values)
+
+
 def test_restriction_plan_identity():
     phi = _map(2, 1)  # pieces [0, 1] and [1, 2]
-    plan = restriction_plan(MonotoneMap.identity(SimplexObject(2)), phi, phi)
-    assert plan == ((0, _map(1, 0, 1)), (1, _map(1, 0, 1)))
+    plan = _plan(MonotoneMap.identity(SimplexObject(2)), phi, phi)
+    # each piece to itself: (piece index, its dimension, operator values)
+    assert plan == ((0, 1, (0, 1)), (1, 1, (0, 1)))
     n = nerve_of_monoid(Z3, K=3)
     for chain in cut_fiber_product(n, phi):
         assert restrict_chain(n, plan, chain) == chain
@@ -383,10 +441,10 @@ def test_restriction_plan_face_map():
     f = _map(2, 0, 2)  # the face [1] -> [2] that skips 1
     inner = MonotoneMap.identity(SimplexObject(1))  # pieces [0,0], [0,1], [1,1]
     outer = compose_monotone(inner, f)  # pieces [0,0], [0,2], [2,2]
-    plan = restriction_plan(f, outer, inner)
+    plan = _plan(f, outer, inner)
     # the last inner piece lands on the point 2, which [0, 2] (the first
     # outer piece holding it) contains
-    assert plan == ((0, _map(0, 0)), (1, _map(2, 0, 2)), (1, _map(2, 2)))
+    assert plan == ((0, 0, (0,)), (1, 2, (0, 2)), (1, 2, (2,)))
     n = nerve_of_monoid(Z3, K=3)
     for chain in cut_fiber_product(n, outer):
         x0, (g, h), _ = chain
@@ -397,7 +455,7 @@ def test_restriction_plan_rejects_a_piece_across_a_cut():
     outer = _map(2, 1)  # pieces [0, 1] and [1, 2]
     inner = _map(2, 0)  # the piece [0, 2] crosses the cut at 1
     with pytest.raises(SimplicialError):
-        restriction_plan(MonotoneMap.identity(SimplexObject(2)), outer, inner)
+        _plan(MonotoneMap.identity(SimplexObject(2)), outer, inner)
 
 
 def _registration_order(C, p, N):
@@ -450,9 +508,9 @@ def test_restriction_along_a_composite_is_the_composite_of_restrictions(C):
         inner1 = compose_monotone(compose_monotone(g2, inner2), f2)
         f1, g1 = _random_map(rng, a1, a0), _random_map(rng, b0, b1)
         outer = compose_monotone(compose_monotone(g1, inner1), f1)
-        whole = restriction_plan(compose_monotone(f2, f1), outer, inner2)
-        first = restriction_plan(f1, outer, inner1)
-        then = restriction_plan(f2, inner1, inner2)
+        whole = _plan(compose_monotone(f2, f1), outer, inner2)
+        first = _plan(f1, outer, inner1)
+        then = _plan(f2, inner1, inner2)
         for chain in cut_fiber_product(C, outer):
             assert restrict_chain(C, whole, chain) == restrict_chain(
                 C, then, restrict_chain(C, first, chain)
@@ -474,7 +532,7 @@ def _all_maps_colimit(C, p, N):
     values = {phi: cut_fiber_product(C, phi) for maps in phis for phi in maps}
 
     def relate(a0, phi0, a1, phi1, f, anchor_pairs):
-        plan = restriction_plan(f, phi0, phi1)
+        plan = _plan(f, phi0, phi1)
         for chain in values[phi0]:
             moved = restrict_chain(C, plan, chain)
             for s0, s1 in anchor_pairs:
@@ -527,6 +585,141 @@ def test_colimit_reads_stabilized_from_one_forest(monkeypatch):
     for N in range(3):
         colimit_truncated(C, 1, N)
     assert calls == [0, 1, 2]
+
+
+def _plan_by_pieces(f, outer, inner):
+    """restriction_plan as first written, on MonotoneMap and ConvexSubset
+    objects: (outer piece index, operator) for each piece of ``inner``."""
+    outer_pieces = pieces_of(outer)
+    plan = []
+    for piece in pieces_of(inner):
+        lo, hi = f(piece.lo), f(piece.hi)
+        idx = next((i for i, q in enumerate(outer_pieces) if q.lo <= lo and hi <= q.hi), None)
+        if idx is None:
+            raise SimplicialError("piece image not contained in a single piece")
+        q = outer_pieces[idx]
+        values = tuple(f(piece.lo + t) - q.lo for t in range(piece.hi - piece.lo + 1))
+        plan.append((idx, MonotoneMap(piece.as_simplex(), q.as_simplex(), values)))
+    return plan
+
+
+def _colimit_by_one_forest(C, p, N):
+    """The truncated colimit as computed before its two stages: one forest
+    over every tag (a, phi, s, chain), each Family 1 move united once per
+    anchor, on MonotoneMap objects, with chains restricted through C.act.
+    Returns (classes, stabilized)."""
+    uf = UnionFind()
+    simplex = [SimplexObject(a) for a in range(N + 1)]
+    anchors = {a: all_monotone_maps(SimplexObject(p), simplex[a]) for a in range(N + 1)}
+    maps_into = {
+        a: [phi for b in range(N + 1) for phi in all_monotone_maps(simplex[b], simplex[a])]
+        for a in range(N + 1)
+    }
+    values, first, tags, small = {}, {}, [], []
+    for a in range(N + 1):
+        for phi in maps_into[a]:
+            chains = cut_fiber_product(C, phi)
+            values[(a, phi.values)] = {chain: i for i, chain in enumerate(chains)}
+            for s in anchors[a]:
+                key = (a, phi.values, s.values)
+                first[key] = len(tags)
+                tags.extend((key, chain) for chain in chains)
+                if max(a, phi.source.p) < N:
+                    small.extend(range(first[key], len(tags)))
+    for tag in range(len(tags)):  # groups() orders classes by first registration
+        uf.find(tag)
+    bounded, rest = [], []
+
+    def add_move(a0, phi0, a1, phi1, f, anchor_pairs):
+        inside = max(a0, a1, phi0.source.p, phi1.source.p) < N
+        (bounded if inside else rest).append((a0, phi0, a1, phi1, f, anchor_pairs))
+
+    def union_moves(a0, phi0, a1, phi1, f, anchor_pairs):
+        plan = _plan_by_pieces(f, phi0, phi1)
+        target = values[(a1, phi1.values)]
+        moved = [target[tuple(C.act(u, chain[i]) for i, u in plan)] for chain in values[(a0, phi0.values)]]
+        for s0, s1 in anchor_pairs:
+            base0 = first[(a0, phi0.values, s0.values)]
+            base1 = first[(a1, phi1.values, s1.values)]
+            for i, place in enumerate(moved):
+                uf.union(base0 + i, base1 + place)
+
+    for a in range(N + 1):  # Family 1
+        ident = MonotoneMap.identity(simplex[a])
+        same_anchor = [(s, s) for s in anchors[a]]
+        for phi1 in maps_into[a]:
+            for b0 in range(N + 1):
+                for g in elementary_maps(simplex[b0], phi1.source):
+                    add_move(a, compose_monotone(g, phi1), a, phi1, ident, same_anchor)
+    for a1 in range(N + 1):  # Family 2
+        for a0 in range(N + 1):
+            for f in elementary_maps(simplex[a1], simplex[a0]):
+                anchor_pairs = [(compose_monotone(s1, f), s1) for s1 in anchors[a1]]
+                for phi1 in maps_into[a1]:
+                    add_move(a0, compose_monotone(phi1, f), a1, phi1, f, anchor_pairs)
+    for move in bounded:
+        union_moves(*move)
+    smaller = len({uf.find(tag) for tag in small})
+    for move in rest:
+        union_moves(*move)
+    classes = [[tags[tag] for tag in group] for group in uf.groups()]
+    return classes, N >= 1 and smaller == len({uf.find(tag) for tag in small}) == len(classes)
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_colimit_matches_the_one_forest_reference(name):
+    # every p and N the preset stores, N = 3 included
+    C = _PRESETS[name]()
+    for p in range(C.K + 1):
+        for N in range(C.K + 1):
+            col = colimit_truncated(C, p, N)
+            assert (col.classes, col.stabilized) == _colimit_by_one_forest(C, p, N), (p, N)
+
+
+def test_colimit_matches_the_one_forest_reference_on_small_monoid_nerves():
+    tables = [t for order in range(1, 5) for t in _monoid_tables(order)]
+    assert len(tables) == 45
+    for t in tables:
+        C = nerve_of_monoid(PointedMonoid.from_table(str(t), t), K=2)
+        for p in (0, 1):
+            for N in (0, 1, 2):
+                col = colimit_truncated(C, p, N)
+                assert (col.classes, col.stabilized) == _colimit_by_one_forest(C, p, N), (t, p, N)
+
+
+def _doubled_generator():
+    """Two-truncated data like the nerve of Z/2, with its generator doubled
+    into the edges a and b: the triangles are the triples (x, y, z) whose
+    long edge z has the class of x then y.  Completion identifies a with b."""
+    parity = {"1": 0, "a": 1, "b": 1}
+    edges = tuple(parity)
+    triangles = tuple(
+        (x, y, z) for x in edges for y in edges for z in edges if parity[z] == (parity[x] + parity[y]) % 2
+    )
+    faces = {
+        (1, 0): dict.fromkeys(edges, "v"),
+        (1, 1): dict.fromkeys(edges, "v"),
+        **{(2, i): {t: t[(1, 2, 0)[i]] for t in triangles} for i in range(3)},
+    }
+    degeneracies = {
+        (0, 0): {"v": "1"},
+        (1, 0): {e: ("1", e, e) for e in edges},
+        (1, 1): {e: (e, "1", e) for e in edges},
+    }
+    return SimplicialData((("v",), edges, triangles), faces, degeneracies)
+
+
+def test_classes_merged_by_the_larger_bound_are_not_stable():
+    # at N = 1 the edges 1, a and b give three classes; the triangle
+    # (1, a, b) joins a and b at N = 2, where every class still holds a
+    # bound-1 tag, so only the count read before the rest tells
+    C = _doubled_generator()
+    assert colimit_truncated(C, 1, 1).class_count() == 3
+    col = colimit_truncated(C, 1, 2)
+    assert col.class_count() == 2 == complete(C, 4).class_count("v", "v")
+    assert all(any(max(a, len(phi) - 1) < 2 for (a, phi, _), _ in group) for group in col.classes)
+    assert not col.stabilized
+    assert (col.classes, col.stabilized) == _colimit_by_one_forest(C, 1, 2)
 
 
 def test_close_words_matches_brute_force_closure():
