@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -138,117 +139,117 @@ class Par(_Node):
     right: Expr
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<name>unknot|trefoil|hopf|unlink)"
-    r"|(?P<gen>cup|cap|x\+|x-)"
-    r"|(?P<id>id)"
-    r"|(?P<int>-?\d+)"
-    r"|(?P<punct>[();,|\[\]])"
-    r"|(?P<bad>\S))"
-)
+# Every non-space character starts a token; a character that starts no
+# other token is one on its own, which the tokenizer refuses.
+_TOKEN = re.compile(r"unknot|trefoil|hopf|unlink|cup|cap|x\+|x-|id|-?\d+|[();,|\[\]]|\S")
+_NAMES = frozenset(("unknot", "trefoil", "hopf", "unlink"))
+_PUNCT = frozenset("();,|[]")
+_SHAPES = dict.fromkeys(("cup", "cap"), ("(", int, ")"))  # what follows a generator
+_SHAPES.update(dict.fromkeys(("x+", "x-"), ("(", int, ",", int, ")")))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):  # every non-space character starts a match
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind)))
+def _tokenize(text: str) -> list[str]:
+    """The token values of text: words, marks, integers; stray characters raise."""
+    tokens = _TOKEN.findall(text)
+    others = set(tokens).difference(_NAMES, _PUNCT, _SHAPES, ("id",))
+    j = min((tokens.index(v) for v in others if not v[-1].isdecimal()), default=None)
+    if j is not None:
+        raise ParseError(f"unexpected character {tokens[j]!r}", _start(text, j))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
+def _start(text: str, j: int) -> int:
+    return next(itertools.islice(_TOKEN.finditer(text), j, None)).start()  # errors only
 
-    def peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
 
-    def take(self, kind=None, value=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
-        self.index += 1
-        return tok
+def _error(text: str, tokens: list, j: int, want: object = None) -> ParseError:
+    """The error at token j, where want (a mark, or int) was expected, or
+    else a token that can start or end a factor."""
+    value = tokens[j]
+    if value is None:
+        return ParseError("unexpected end of input", len(text))
+    if want is None:
+        message = f"unexpected {value!r}"
+    elif want is not int and value in _PUNCT:
+        message = f"expected {want!r}, found {value!r}"
+    else:
+        message = f"expected {'int' if want is int else 'punct'}, found {value!r}"
+    return ParseError(message, _start(text, j))
 
-    def parse(self) -> Expr:
-        """expr, term and factor of the grammar in one loop.  Each "("
-        saves the enclosing expression's ";" chain and "|" chain on a
-        stack, so nesting depth costs no recursion."""
-        enclosing: list[tuple[Expr | None, Expr | None]] = []
-        seq: Expr | None = None  # the terms before the last ";"
-        par: Expr | None = None  # the factors of the current term
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[1] == "(":
-                self.take()
-                enclosing.append((seq, par))
-                seq = par = None
-                continue
-            factor = self.atom()
-            par = factor if par is None else Par(par, factor)
-            while True:  # after a factor: close groups until "|", ";" or the end
-                tok = self.peek()
-                if tok is not None and tok[1] == "|":
-                    self.take()
-                    break
-                e = par if seq is None else Seq(seq, par)
-                if tok is not None and tok[1] == ";":
-                    self.take()
-                    seq, par = e, None
-                    break
-                if not enclosing:
-                    if tok is not None:
-                        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-                    return e
-                self.take("punct", ")")
-                seq, par = enclosing.pop()
-                par = e if par is None else Par(par, e)
 
-    def ints(self, count: int) -> tuple[int, ...]:
-        out = [int(self.take("int")[1])]
-        for _ in range(count - 1):
-            self.take("punct", ",")
-            out.append(int(self.take("int")[1]))
-        return tuple(out)
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        kind, value, pos = tok
-        if kind == "name":
-            self.take()
-            return Named(value)
-        if kind == "gen":
-            self.take()
-            self.take("punct", "(")
-            args = self.ints(1 if value in ("cup", "cap") else 2)
-            self.take("punct", ")")
-            return Gen(value, args)
-        if kind == "id":
-            self.take()
-            self.take("punct", "[")
-            labels: tuple[int, ...] = ()
-            if self.peek() and self.peek()[1] != "]":
-                labels = (int(self.take("int")[1]),)
-                while self.peek() and self.peek()[1] == ",":
-                    self.take()
-                    labels += (int(self.take("int")[1]),)
-            self.take("punct", "]")
-            return IdWord(labels)
-        raise ParseError(f"unexpected {value!r}", pos)
+def _int(text: str, tokens: list, j: int) -> int:
+    try:
+        return int(tokens[j])
+    except (TypeError, ValueError):  # a token that is no integer, or the end
+        raise _error(text, tokens, j, int) from None
 
 
 def parse_expr(text: str) -> Expr:
-    return _Parser(text).parse()
+    """expr, term and factor of the grammar in one loop over the tokens.
+    Each "(" saves the enclosing expression's ";" chain and "|" chain on a
+    stack, so nesting depth costs no recursion."""
+    t = _tokenize(text)
+    t.append(None)  # the end of input, equal to no token
+    i = 0
+    enclosing: list[tuple[Expr | None, Expr | None]] = []
+    seq: Expr | None = None  # the terms before the last ";"
+    par: Expr | None = None  # the factors of the current term
+    while True:
+        v = t[i]
+        if v == "(":
+            i += 1
+            enclosing.append((seq, par))
+            seq = par = None
+            continue
+        ints = []
+        if v in _SHAPES:
+            for want in _SHAPES[v]:
+                i += 1
+                if want is int:
+                    ints.append(_int(text, t, i))
+                elif t[i] != want:
+                    raise _error(text, t, i, want)
+            factor: Expr = Gen(v, tuple(ints))
+        elif v == "id":
+            i += 1
+            if t[i] != "[":
+                raise _error(text, t, i, "[")
+            i += 1
+            if t[i] != "]":
+                ints.append(_int(text, t, i))
+                i += 1
+                while t[i] == ",":
+                    i += 1
+                    ints.append(_int(text, t, i))
+                    i += 1
+            if t[i] != "]":
+                raise _error(text, t, i, "]")
+            factor = IdWord(tuple(ints))
+        elif v in _NAMES:
+            factor = Named(v)
+        else:
+            raise _error(text, t, i)
+        i += 1
+        par = factor if par is None else Par(par, factor)
+        while True:  # after a factor: close groups until "|", ";" or the end
+            v = t[i]
+            if v == "|":
+                i += 1
+                break
+            e = par if seq is None else Seq(seq, par)
+            if v == ";":
+                i += 1
+                seq, par = e, None
+                break
+            if not enclosing:
+                if v is not None:
+                    raise _error(text, t, i)
+                return e
+            if v != ")":
+                raise _error(text, t, i, ")")
+            i += 1
+            seq, par = enclosing.pop()
+            par = e if par is None else Par(par, e)
 
 
 def print_expr(e: Expr) -> str:
@@ -300,15 +301,15 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
     while todo:
         item = todo.pop()
         if item is _THEN:
-            words, layers = blocks.pop()
-            below_words, below_layers = blocks[-1]
-            if below_words[-1] != words[0]:
+            above, below = blocks.pop(), blocks[-1]
+            if below.target != above.source:
                 raise DiagramError(
-                    f"cannot compose: upper boundary {below_words[-1]} "
-                    f"!= lower boundary {words[0]}"
+                    f"cannot compose: upper boundary {below.target} "
+                    f"!= lower boundary {above.source}"
                 )
-            below_words.extend(words[1:])
-            below_layers.extend(layers)
+            below.target = above.target
+            below.widths += above.widths[1:]
+            below.layers += above.layers
         elif isinstance(item, int):  # juxtapose the top `item` blocks
             factors = blocks[-item:]
             del blocks[-item:]
@@ -331,8 +332,8 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
             todo += factors
         else:
             blocks.append(_leaf(item, dim))
-    words, layers = blocks.pop()
-    return Diagram.from_events(words[0], layers)
+    block = blocks.pop()
+    return Diagram.from_events(block.source, block.layers)
 
 
 def _leaf(e: Expr, dim: AmbientDim) -> Block:
@@ -340,9 +341,10 @@ def _leaf(e: Expr, dim: AmbientDim) -> Block:
         event = Event(EventKind(e.kind), 0, e.args)  # the kinds are spelled as in the grammar
         if event.is_crossing and not dim.allows_crossings:
             raise DiagramError("crossings are not allowed in the planar ambient dimension")
-        return [event.consumes(), event.emits()], [[event]]
+        source, target = event.consumes(), event.emits()
+        return Block(source, target, [len(source), len(target)], [[event]])
     if isinstance(e, IdWord):
-        return [tuple(e.labels)], []
+        return Block(e.labels, e.labels, [len(e.labels)], [])
     if isinstance(e, Named):
         d = links.BUILTINS[e.name]()
         if not dim.allows_crossings:

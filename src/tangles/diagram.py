@@ -166,24 +166,11 @@ def cross_neg(a: int, b: int, at: int = 0) -> Event:
 
 
 @dataclass(frozen=True, slots=True)
-class Placement:
-    """Where an event sits once a slice is laid out: the input strand
-    positions it consumes and the output positions it emits."""
-
-    event: Event
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class Slice:
     """One horizontal layer: an input word and in-order disjoint events.
-
-    The typing walk at construction lays the slice out once and keeps its
-    output word.  The passthrough map and placements that ``layout()``
-    also returns are not kept: strand connectivity is read by position
-    arithmetic in ``strand_segments``.
-    """
+    Construction types the slice by one walk, ``layout``, and keeps the
+    output word; strand connectivity is position arithmetic
+    (``strand_segments``)."""
 
     input: ObjectWord
     events: tuple[Event, ...] = ()
@@ -192,54 +179,39 @@ class Slice:
     def __post_init__(self) -> None:
         object.__setattr__(self, "input", tuple(self.input))
         object.__setattr__(self, "events", tuple(self.events))
-        # Positions are nondecreasing; ties are legal (several cups may
-        # insert at the same point, firing left to right in list order).
-        # The layout walk below rejects unreachable arrangements, e.g. an
-        # event tied with, or inside the span of, an earlier consumer.
-        for e1, e2 in zip(self.events, self.events[1:]):
-            if e2.position < e1.position:
-                raise DiagramError(
-                    f"event positions must be nondecreasing within a slice ({e2})"
-                )
-        object.__setattr__(self, "_output", self.layout()[0])  # typing errors raise here
+        object.__setattr__(self, "_output", self.layout())  # typing errors raise here
 
-    def layout(self) -> tuple[ObjectWord, dict[int, int], tuple[Placement, ...]]:
-        """Compute (output word, passthrough position map, placements)."""
+    def layout(self) -> ObjectWord:
+        """The output word.  Positions are nondecreasing, and cups may tie
+        (firing left to right); an event tied with, or inside the span of,
+        an earlier consumer, or past the end of the word, is unreachable."""
         w = self.input
         out: list[int] = []
-        passthrough: dict[int, int] = {}
-        placements: list[Placement] = []
-        ei = 0
-        p = 0
-        while True:
-            while ei < len(self.events) and self.events[ei].position == p:
-                e = self.events[ei]
-                if e.arity_in:
-                    if p + e.arity_in > len(w):
-                        raise DiagramError(f"event {e} runs past the end of the word")
-                    have = tuple(w[p : p + e.arity_in])
-                    if have != e.consumes():
-                        raise DiagramError(
-                            f"event {e} expects strands {e.consumes()}, found {have}"
-                        )
-                outs = tuple(range(len(out), len(out) + e.arity_out))
-                ins = tuple(range(p, p + e.arity_in))
-                placements.append(Placement(e, ins, outs))
-                out.extend(e.emits())
-                p += e.arity_in
-                ei += 1
-            if p < len(w):
-                passthrough[p] = len(out)
-                out.append(w[p])
-                p += 1
-            else:
+        p = 0  # the first input strand that no event has passed
+        for e in self.events:
+            q = e.position
+            if q < p or q > len(w):
+                span = "inside an earlier event's span or past the end of the word"
+                self._refuse(f"event {e} is unreachable ({span})")
+            out += w[p:q]
+            if e.kind is not EventKind.CUP:
+                have = w[q : q + 2]
+                if len(have) < 2:
+                    self._refuse(f"event {e} runs past the end of the word")
+                if have != e.consumes():
+                    self._refuse(f"event {e} expects strands {e.consumes()}, found {have}")
+            out += e.emits()
+            p = q + e.arity_in
+        out += w[p:]
+        return tuple(out)
+
+    def _refuse(self, message: str) -> None:
+        """Raise the walk's error, or the order error when positions decrease."""
+        for e1, e2 in zip(self.events, self.events[1:]):
+            if e2.position < e1.position:
+                message = f"event positions must be nondecreasing within a slice ({e2})"
                 break
-        if ei < len(self.events):
-            raise DiagramError(
-                f"event {self.events[ei]} is unreachable (inside an earlier "
-                "event's span or past the end of the word)"
-            )
-        return tuple(out), passthrough, tuple(placements)
+        raise DiagramError(message)
 
     def output(self) -> ObjectWord:
         return self._output
@@ -331,41 +303,51 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     return Diagram(d1.source, d1.slices + d2.slices)
 
 
-# A block is a diagram before its slices are typed: its level words, source
-# first and target last, and the events of each slice between them.
-Block = tuple[list[ObjectWord], list[Sequence[Event]]]
+@dataclass(slots=True)
+class Block:
+    """A diagram before its slices are typed: what composition checks, the
+    width of each level (source first) that shifting needs, and the events."""
+
+    source: ObjectWord
+    target: ObjectWord
+    widths: list[int]
+    layers: list[Sequence[Event]]
 
 
 def to_block(d: Diagram) -> Block:
-    return [d.source, *(s.output() for s in d.slices)], [s.events for s in d.slices]
+    widths = [len(d.source), *(len(s.output()) for s in d.slices)]
+    return Block(d.source, d.target, widths, [s.events for s in d.slices])
 
 
 def side_by_side(factors: list[Block]) -> Block:
     """The factors juxtaposed left to right: each factor's events shift by
     the width to its left, and the shorter factors are padded on top with
     identity levels."""
-    height = max(len(layers) for _, layers in factors)
-    words: list[ObjectWord] = []
+    height = max(len(f.layers) for f in factors)
+    widths: list[int] = []
     layers: list[Sequence[Event]] = []
     for i in range(height + 1):
-        word: list[int] = []
+        offset = 0
         events: list[Event] = []
-        for factor_words, factor_layers in factors:
-            if i < len(factor_layers):
-                offset, level = len(word), factor_layers[i]
+        for f in factors:
+            if i < len(f.layers):
+                level = f.layers[i]
                 events += [ev.shifted(offset) for ev in level] if offset else level
-            word += factor_words[min(i, len(factor_layers))]
-        words.append(tuple(word))
+                offset += f.widths[i]
+            else:
+                offset += f.widths[-1]
+        widths.append(offset)
         if i < height:
             layers.append(events)
-    return words, layers
+    source = tuple(k for f in factors for k in f.source)
+    return Block(source, tuple(k for f in factors for k in f.target), widths, layers)
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     """Horizontal juxtaposition, d1 on the left; the shorter diagram is
     padded on top with identity slices."""
-    words, layers = side_by_side([to_block(d1), to_block(d2)])
-    return Diagram.from_events(words[0], layers)
+    block = side_by_side([to_block(d1), to_block(d2)])
+    return Diagram.from_events(block.source, block.layers)
 
 
 def degree(w: Sequence[int]) -> int:

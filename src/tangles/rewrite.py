@@ -40,6 +40,14 @@ desk scale by the exhaustive suites.  Through arcs carry equal labels and
 turnbacks carry consecutive ones; violations raise RuntimeError because
 they indicate bugs, not bad input.
 
+``reduce_diagram`` rewrites one list of slices in place.  Each matcher
+keeps the slices where it found no redex as two ranges, below a low mark
+and from a high mark up.  As matchers read upward only, after a step the
+slices above the redex stay clean, and the scan resumes at the lowest
+slice whose read reached the redex (slice 0 if the redex is among the
+first four): a cup or crossing whose tracked pair is untouched up to it,
+or a double-twist window that overlaps it.
+
 ``equal`` decides planar equality by normal form; otherwise it runs a
 bounded bidirectional search over the move graph and falls back to
 evaluation: differing values under a validated datum certify distinctness,
@@ -51,8 +59,8 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 from .diagram import (
     AmbientDim,
@@ -133,45 +141,44 @@ def _single_event(s: Slice) -> Event | None:
 # strand-pair tracking across slices
 
 
-def _track_pair(d: Diagram, start: int, left: int):
+def _track_pair(slices: Sequence[Slice], start: int, left: int):
     """Follow the adjacent strand pair (left, left+1) upward from the word
-    below slice ``start``.
-
-    Returns a list with one (slice index, left position of the pair below
-    that slice, event, touches) entry per slice, stopping after the first
-    slice whose event touches the pair (its ``touches`` is True); when no
-    event touches the pair the list runs to the top of the diagram.
-    """
+    below slice ``start``: one (slice index, left position of the pair
+    below that slice, event, touches) entry per slice, up to the first
+    slice whose event touches the pair (``touches`` True), else the top."""
     out = []
     pos = left
-    for j in range(start, len(d.slices)):
-        e = d.slices[j].events[0]
+    for j in range(start, len(slices)):
+        e = slices[j].events[0]
+        p, a = e.position, e.arity_in
         # e consumes a strand of the pair or inserts strictly between them
-        touches = e.position < pos + 2 and pos < e.position + e.arity_in
+        touches = p < pos + 2 and pos < p + a
         out.append((j, pos, e, touches))
         if touches:
             break
-        pos = _through(e, pos)
+        if p + a <= pos:  # _through, inlined: e sits left of the pair
+            pos += e.arity_out - a
     return out
 
 
 # ---------------------------------------------------------------------------
 # one matcher per forward rule
 #
-# ``_<kind>_at(d, i, dim)`` looks in the expanded diagram d for the redex of
-# its kind whose lowest slice is i.  It returns None, or (move, stop, layers):
-# the Move naming the redex and the event layers that replace slices i..stop-1.
+# ``_<kind>_at(slices, i, dim)`` looks in the slices of an expanded diagram
+# for the redex of its kind whose lowest slice is i.  It returns None, or
+# (move, stop, layers): the Move naming the redex and the event layers that
+# replace slices i..stop-1.
 
 _Site = tuple[Move, int, Iterable[Iterable[Event]]]
 
 
-def _zigzag_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+def _zigzag_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     """A cup whose strand pair, tracked upward, is next touched by a cap
     that consumes it together with the strand on its left or right."""
-    e = d.slices[i].events[0]
-    if e.kind is not EventKind.CUP or i + 1 == len(d.slices):
+    e = slices[i].events[0]
+    if e.kind is not EventKind.CUP or i + 1 == len(slices):
         return None
-    track = _track_pair(d, i + 1, e.position)
+    track = _track_pair(slices, i + 1, e.position)
     j, pos, f, touches = track[-1]
     if not touches or f.kind is not EventKind.CAP or abs(f.position - pos) != 1:
         return None
@@ -184,30 +191,30 @@ def _zigzag_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
     return Move(MoveKind.ZIGZAG, True, i, j, e.position, e.labels, variant), j + 1, between
 
 
-def _r2_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+def _r2_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     """A crossing whose strand pair, tracked upward, is next touched by a
     crossing of exactly that pair that undoes it: of the opposite sign, or
     of either sign in the symmetric case, where the two are identified."""
-    e = d.slices[i].events[0]
-    if not e.is_crossing or i + 1 == len(d.slices):
+    e = slices[i].events[0]
+    if not e.is_crossing or i + 1 == len(slices):
         return None
-    j, pos, f, touches = _track_pair(d, i + 1, e.position)[-1]
+    j, pos, f, touches = _track_pair(slices, i + 1, e.position)[-1]
     # of all events only a crossing has two labels
     if not touches or f.position != pos or f.labels != (e.labels[1], e.labels[0]):
         return None
     if f.sign == e.sign and dim is not AmbientDim.SYMMETRIC:
         return None
-    between = [s.events for s in d.slices[i + 1 : j]]
+    between = [s.events for s in slices[i + 1 : j]]
     return Move(MoveKind.R2, True, i, j, e.position, e.labels), j + 1, between
 
 
-def _r3_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+def _r3_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     """Three crossings of one sign on the strands q..q+2, at positions
     q, q+1, q ("left") or q+1, q, q+1 ("right"): the two sides of the
     braid relation, each rewritten into the other."""
-    if i + 2 >= len(d.slices):
+    if i + 2 >= len(slices):
         return None
-    e1, e2, e3 = (s.events[0] for s in d.slices[i : i + 3])
+    e1, e2, e3 = (s.events[0] for s in slices[i : i + 3])
     sign, q = e1.sign, e1.position  # the sign of a cup or cap is 0
     if not sign or e2.sign != sign or e3.sign != sign:
         return None
@@ -215,7 +222,7 @@ def _r3_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
         return None
     left = e2.position == q + 1
     q = min(q, e2.position)
-    a, b, c = d.slices[i].input[q : q + 3]
+    a, b, c = slices[i].input[q : q + 3]
     x = cross_pos if sign > 0 else cross_neg
     if left:
         layers = [[x(b, c, at=q + 1)], [x(a, c, at=q)], [x(a, b, at=q + 1)]]
@@ -225,9 +232,9 @@ def _r3_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
     return move, i + 3, layers
 
 
-def _collapse_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+def _collapse_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     """A crossing, which becomes the crossing of the other sign."""
-    e = d.slices[i].events[0]
+    e = slices[i].events[0]
     if not e.is_crossing:
         return None
     flip = EventKind.XNEG if e.kind is EventKind.XPOS else EventKind.XPOS
@@ -235,21 +242,21 @@ def _collapse_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
     return move, i + 1, [[Event(flip, e.position, e.labels)]]
 
 
-def _kink2_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+def _kink2_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     """A cup, two crossings and a cap on four consecutive slices whose block
     carries every strand back to its own position (no turnbacks, no closed
     components): a double framing twist, possibly padded with a cancelling
     pair.  Sound for symmetric data, where the squared braiding is the
     identity: the block is then a composite of sign collapses, second
     Reidemeister pairs and zigzags."""
-    if i + 3 >= len(d.slices):
+    if i + 3 >= len(slices):
         return None
-    e0, e1, e2, e3 = (s.events[0] for s in d.slices[i : i + 4])
+    e0, e1, e2, e3 = (s.events[0] for s in slices[i : i + 4])
     if e0.kind is not EventKind.CUP or e3.kind is not EventKind.CAP:
         return None
     if not (e1.is_crossing and e2.is_crossing):
         return None
-    block = Diagram(d.slices[i].input, d.slices[i : i + 4])
+    block = Diagram(slices[i].input, slices[i : i + 4])
     if block.target != block.source:
         return None
     for comp in trace_components(block):
@@ -261,15 +268,15 @@ def _kink2_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
     return Move(MoveKind.KINK2, True, i, i + 3), i + 4, []
 
 
-def _interchange_at(d: Diagram, i: int, dim: AmbientDim) -> _Site | None:
+def _interchange_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     """Independent events at slices i and i+1, which trade places."""
-    pair = _interchange_apply(d, i)
+    pair = _interchange_apply(slices, i)
     if pair is None:
         return None
     return Move(MoveKind.INTERCHANGE, True, i, i + 1), i + 2, [[f] for f in pair]
 
 
-def _interchange_apply(d: Diagram, i: int) -> tuple[Event, Event] | None:
+def _interchange_apply(slices: Sequence[Slice], i: int) -> tuple[Event, Event] | None:
     """The events e of slice i and f of slice i+1 swapped, as the pair
     (f', e') to stack in that order, or None when they are not independent.
 
@@ -277,9 +284,9 @@ def _interchange_apply(d: Diagram, i: int) -> tuple[Event, Event] | None:
     [q, q + f.arity_in) meets e's output interval [p, p + e.arity_out),
     an empty interval meeting one that holds it strictly inside.  f' is f
     read on the word below e, and e' is e read on the word above f'."""
-    if i + 1 >= len(d.slices):
+    if i + 1 >= len(slices):
         return None
-    e, f = _single_event(d.slices[i]), _single_event(d.slices[i + 1])
+    e, f = _single_event(slices[i]), _single_event(slices[i + 1])
     if e is None or f is None:
         return None
     p, q = e.position, f.position
@@ -304,7 +311,7 @@ def _sites(d: Diagram, matchers, dim: AmbientDim) -> Iterator[_Site]:
     """The redexes that each matcher finds in turn, from the lowest slice up."""
     for at in matchers:
         for i in range(len(d.slices)):
-            site = at(d, i, dim)
+            site = at(d.slices, i, dim)
             if site is not None:
                 yield site
 
@@ -392,18 +399,20 @@ def apply_move(d: Diagram, m: Move) -> Diagram:
     the symmetric rule, pairs of either sign, since no dimension is given.
     A backward move applies where its level has the strands it needs."""
     d = expand(d)
-    i = m.slice_index
+    i, slices = m.slice_index, list(d.slices)
     try:
         if not m.forward:
             if not 0 <= i <= len(d.slices):
                 raise MoveError(f"no level {i} in a diagram of {len(d.slices)} slices")
-            return _splice(d, i, i, _inserted(d, m))
-        site = _MATCHERS[m.kind](d, i, AmbientDim.SYMMETRIC) if 0 <= i < len(d.slices) else None
-        if site is None or site[0] != m:
-            raise MoveError(f"no {m.kind.value} redex at slice {i} matches {m}")
-        return _splice(d, i, site[1], site[2])
+            _replace(slices, i, i, _inserted(d, m), _boundary(d, i))
+        else:
+            site = _MATCHERS[m.kind](d.slices, i, AmbientDim.SYMMETRIC) if 0 <= i < len(d.slices) else None
+            if site is None or site[0] != m:
+                raise MoveError(f"no {m.kind.value} redex at slice {i} matches {m}")
+            _replace(slices, i, site[1], site[2], d.slices[i].input)
     except DiagramError as exc:
         raise MoveError(f"move {m} failed to apply: {exc}") from exc
+    return Diagram(d.source, tuple(slices))
 
 
 def _boundary(d: Diagram, i: int) -> ObjectWord:
@@ -411,24 +420,21 @@ def _boundary(d: Diagram, i: int) -> ObjectWord:
     return d.target if i == len(d.slices) else d.slices[i].input
 
 
-def _splice(d: Diagram, start: int, stop: int, layers: Iterable[Iterable[Event]]) -> Diagram:
-    """d with slices start..stop-1 replaced by one slice per event layer.
-
-    Slices below the site are reused, and so is every slice above it whose
-    input word still chains; one whose input changed is retyped on the new
-    word, as rebuilding the whole diagram from its events would do."""
-    slices = list(d.slices[:start])
-    word = _boundary(d, start)
+def _replace(slices: list[Slice], start: int, stop: int, layers, word: ObjectWord) -> None:
+    """Replace slices start..stop-1 by one slice per event layer, typed
+    from word (the word below start), and retype the slices above up to
+    the first whose input chains."""
+    new = []
     for layer in layers:
         s = Slice(word, tuple(layer))
-        slices.append(s)
+        new.append(s)
         word = s.output()
-    for s in d.slices[stop:]:
-        if s.input != word:
-            s = Slice(word, s.events)
-        slices.append(s)
+    j = stop
+    while j < len(slices) and slices[j].input != word:
+        slices[j] = s = Slice(word, slices[j].events)
         word = s.output()
-    return Diagram(d.source, tuple(slices))
+        j += 1
+    slices[start:stop] = new
 
 
 # ---------------------------------------------------------------------------
@@ -512,29 +518,68 @@ def reduce_diagram(d: Diagram, dim: AmbientDim) -> Diagram:
     a double twist four), so at most half the event count of steps run;
     one more is a fault.
 
-    In the symmetric case every negative crossing is first made positive,
-    in one pass.  Each step then splices in the first redex that
-    ``applicable_moves`` would list among the zigzag, R2 and double-twist
-    kinds.  Only those kinds' matchers run, and the scan stops at the first
-    site, so no other kind of redex (R3, interchange) is ever searched for."""
+    In the symmetric case negative crossings are first made positive.  Each
+    step rewrites the first redex that ``applicable_moves`` would list among
+    the zigzag, R2 and double-twist kinds; no R3 or interchange is sought."""
     d = expand(d)
     matchers = [_zigzag_at]
     if dim.allows_crossings:
         matchers.append(_r2_at)
+    slices: Sequence[Slice] = d.slices
     if dim is AmbientDim.SYMMETRIC:
         matchers.append(_kink2_at)
-        layers = [list(s.events) for s in d.slices]
-        for layer in layers:
-            if layer[0].kind is EventKind.XNEG:
-                layer[0] = Event(EventKind.XPOS, layer[0].position, layer[0].labels)
-        d = Diagram.from_events(d.source, layers)
-    for _ in range(d.num_events // 2 + 1):
-        site = next(_sites(d, matchers, dim), None)
-        if site is None:
-            return d
+        if any(s.events[0].kind is EventKind.XNEG for s in slices):
+            slices = [
+                Slice(s.input, (replace(s.events[0], kind=EventKind.XPOS),)) if s.events[0].sign < 0 else s
+                for s in slices
+            ]
+    lo, hi = [0] * len(matchers), [len(slices)] * len(matchers)  # no redex below lo, nor from hi up
+    last = -1  # the slice of the last step: a step leaves the slices below it as they were
+    for _ in range(len(d.slices) // 2 + 1):  # expanded: one event per slice
+        for k, at in enumerate(matchers):
+            for h in range(lo[k], hi[k]):
+                site = at(slices, h, dim)
+                if site is not None:
+                    break
+            else:
+                lo[k] = hi[k] = len(slices)
+                continue
+            break
+        else:
+            return d if slices is d.slices else Diagram(d.source, tuple(slices))
+        lo[k] = h
+        if not isinstance(slices, list):
+            slices = list(slices)
         m, stop, layers = site
-        d = _splice(d, m.slice_index, stop, layers)
+        i, n = m.slice_index, len(slices)
+        if i != last:
+            reaching = _reads_reaching(slices, i) + (i - 3,) if i > 3 else (0, 0, 0)
+        last = i
+        _replace(slices, i, stop, layers, slices[i].input)
+        for k in range(len(matchers)):
+            hi[k] = (stop if lo[k] >= hi[k] else max(hi[k], stop)) + len(slices) - n
+            lo[k] = min(lo[k], reaching[k])
     raise MoveError("reduction did not terminate within the step bound")
+
+
+def _reads_reaching(slices: Sequence[Slice], i: int) -> tuple[int, int]:
+    """The lowest cup and crossing below slice i (else i) whose strand pair
+    is untouched up to slice i, by a walk down that keeps untouched runs."""
+    lowest, runs, k = [i, i], [(0, len(slices[i].input))], i
+    while runs and k:
+        k -= 1
+        e = slices[k].events[0]
+        p, a, b = e.position, e.arity_in, e.arity_out
+        below = []  # the runs as read below e
+        for r0, r1 in runs:
+            if b and r0 <= p <= r1 - 2:
+                lowest[e.kind is not EventKind.CUP] = k
+            if min(r1, p) - r0 >= 2:
+                below.append((r0, min(r1, p)))
+            if r1 - max(r0, p + b) >= 2:
+                below.append((max(r0, p + b) + a - b, r1 + a - b))
+        runs = below
+    return lowest[0], lowest[1]
 
 
 class Equality(enum.Enum):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shlex
 import sys
 import time
@@ -110,6 +111,163 @@ def test_long_chains_compare_hash_and_print_without_recursion():
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != parse_expr(f" {op} ".join(terms[:-1] + ["id[1]"]))
         assert repr(a) == repr(b) and repr(a).count("IdWord(labels=(0,))") == 3000
+
+
+# ---------------------------------------------------------------------------
+# the parser against the token-kind parser it replaced
+
+
+REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<name>unknot|trefoil|hopf|unlink)"
+    r"|(?P<gen>cup|cap|x\+|x-)"
+    r"|(?P<id>id)"
+    r"|(?P<int>-?\d+)"
+    r"|(?P<punct>[();,|\[\]])"
+    r"|(?P<bad>\S))"
+)
+
+
+def reference_tokenize(text):
+    tokens = []
+    for m in REFERENCE_TOKEN.finditer(text):  # every non-space character starts a match
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    return tokens
+
+
+class ReferenceParser:
+    """(kind, value, position) tokens read through peek and take."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = reference_tokenize(text)
+        self.index = 0
+
+    def peek(self):
+        return self.tokens[self.index] if self.index < len(self.tokens) else None
+
+    def take(self, kind=None, value=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        if value is not None and tok[1] != value:
+            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+        self.index += 1
+        return tok
+
+    def parse(self):
+        enclosing = []
+        seq = par = None
+        while True:
+            tok = self.peek()
+            if tok is not None and tok[1] == "(":
+                self.take()
+                enclosing.append((seq, par))
+                seq = par = None
+                continue
+            factor = self.atom()
+            par = factor if par is None else Par(par, factor)
+            while True:
+                tok = self.peek()
+                if tok is not None and tok[1] == "|":
+                    self.take()
+                    break
+                e = par if seq is None else Seq(seq, par)
+                if tok is not None and tok[1] == ";":
+                    self.take()
+                    seq, par = e, None
+                    break
+                if not enclosing:
+                    if tok is not None:
+                        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+                    return e
+                self.take("punct", ")")
+                seq, par = enclosing.pop()
+                par = e if par is None else Par(par, e)
+
+    def ints(self, count):
+        out = [int(self.take("int")[1])]
+        for _ in range(count - 1):
+            self.take("punct", ",")
+            out.append(int(self.take("int")[1]))
+        return tuple(out)
+
+    def atom(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", len(self.text))
+        kind, value, pos = tok
+        if kind == "name":
+            self.take()
+            return Named(value)
+        if kind == "gen":
+            self.take()
+            self.take("punct", "(")
+            args = self.ints(1 if value in ("cup", "cap") else 2)
+            self.take("punct", ")")
+            return Gen(value, args)
+        if kind == "id":
+            self.take()
+            self.take("punct", "[")
+            labels = ()
+            if self.peek() and self.peek()[1] != "]":
+                labels = (int(self.take("int")[1]),)
+                while self.peek() and self.peek()[1] == ",":
+                    self.take()
+                    labels += (int(self.take("int")[1]),)
+            self.take("punct", "]")
+            return IdWord(labels)
+        raise ParseError(f"unexpected {value!r}", pos)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+MUTATION_PIECES = [
+    *("cup", "cap", "x+", "x-", "id", "unknot", "trefoil", "hopf", "unlink"),
+    *"();,|[]",
+    *("0", "7", "-1", "12", "٣", " ", "\t"),
+    *("?", "-", "+", "x", "u", "i", "d", "²", "é"),
+]
+
+
+def mutated(rng, text):
+    """text with one piece deleted, one token or stray character inserted
+    or put in place of a character, or cut short."""
+    p = rng.randrange(len(text) + 1)
+    way = rng.randrange(4)
+    if way == 0:
+        return text[:p] + text[p + rng.randrange(1, 4) :]
+    if way == 1:
+        return text[:p] + rng.choice(MUTATION_PIECES) + text[p:]
+    if way == 2:
+        return text[:p] + rng.choice(MUTATION_PIECES) + text[p + 1 :]
+    return text[:p]
+
+
+def test_parser_matches_the_reference_on_mutated_expressions():
+    rng = random.Random(18)
+    texts = [text for text, _ in bench_expressions()]
+    texts += [print_expr(random_expr(rng)) for _ in range(200)]
+    texts += ["cup(0) ; id[1] | cap? ", "(cup(0) ; cap(0)) | id[]", "x+(0,-1)", zigzag_chain(6)]
+    outcomes = {True: 0, False: 0}
+    for _ in range(12000):
+        text = rng.choice(texts)
+        if len(text) > 300:  # long chains: a prefix, which is itself a truncation
+            text = text[: rng.randrange(300)]
+        text = mutated(rng, text)
+        got = parsed(parse_expr, text)
+        assert got == parsed(lambda t: ReferenceParser(t).parse(), text), repr(text)
+        outcomes[isinstance(got, tuple)] += 1
+    assert min(outcomes.values()) > 1000  # both trees and errors were compared
 
 
 def test_to_diagram_zigzag():

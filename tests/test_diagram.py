@@ -8,6 +8,7 @@ from tangles.diagram import (
     Component,
     Diagram,
     DiagramError,
+    Event,
     EventKind,
     Slice,
     cap,
@@ -251,7 +252,136 @@ def test_component_count_subadditive_under_compose():
 
 
 # ---------------------------------------------------------------------------
-# strand segments against the layout-built strand graph they replaced
+# slice typing against the three-part layout walk it replaced
+
+
+@dataclasses.dataclass(frozen=True)
+class Placement:
+    """Where an event sits once a slice is laid out: the input strand
+    positions it consumes and the output positions it emits."""
+
+    event: Event
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+
+
+def reference_layout(w, events):
+    """(output word, passthrough position map, placements) of the events
+    on the input word w, by the walk that typed slices before."""
+    out = []
+    passthrough = {}
+    placements = []
+    ei = 0
+    p = 0
+    while True:
+        while ei < len(events) and events[ei].position == p:
+            e = events[ei]
+            if e.arity_in:
+                if p + e.arity_in > len(w):
+                    raise DiagramError(f"event {e} runs past the end of the word")
+                have = tuple(w[p : p + e.arity_in])
+                if have != e.consumes():
+                    raise DiagramError(f"event {e} expects strands {e.consumes()}, found {have}")
+            outs = tuple(range(len(out), len(out) + e.arity_out))
+            ins = tuple(range(p, p + e.arity_in))
+            placements.append(Placement(e, ins, outs))
+            out.extend(e.emits())
+            p += e.arity_in
+            ei += 1
+        if p < len(w):
+            passthrough[p] = len(out)
+            out.append(w[p])
+            p += 1
+        else:
+            break
+    if ei < len(events):
+        raise DiagramError(
+            f"event {events[ei]} is unreachable (inside an earlier "
+            "event's span or past the end of the word)"
+        )
+    return tuple(out), passthrough, tuple(placements)
+
+
+def reference_typing(w, events):
+    """The output word, or the DiagramError text, of the slice typing that
+    checked the order of positions first and then ran the layout walk."""
+    try:
+        for e1, e2 in zip(events, events[1:]):
+            if e2.position < e1.position:
+                raise DiagramError(
+                    f"event positions must be nondecreasing within a slice ({e2})"
+                )
+        return reference_layout(w, events)[0]
+    except DiagramError as exc:
+        return str(exc)
+
+
+def lean_typing(w, events):
+    try:
+        return Slice(w, events).output()
+    except DiagramError as exc:
+        return str(exc)
+
+
+def random_events(rng, w):
+    """Up to four events in order on the word w, each at or after the last
+    strand its predecessor passed, with labels read off w where it has them."""
+    events, p = [], 0
+    for _ in range(rng.randrange(5)):
+        q = rng.randrange(p, len(w) + 1) if p <= len(w) else p
+        kind = rng.choice(list(EventKind))
+        if kind is EventKind.CUP:
+            events.append(cup(rng.randrange(-2, 3), at=q))
+            p = q
+            continue
+        have = tuple(w[q : q + 2]) + (0, 1)[len(w[q : q + 2]) :]
+        labels = (have[0],) if kind is EventKind.CAP else have
+        events.append(Event(kind, q, labels))
+        p = q + 2
+    return events
+
+
+def corrupted(rng, w, events):
+    """events spoilt in one of five ways: a wrong label, a consumer that
+    runs past the end, an event inside an earlier consumer's span, two
+    positions out of order, a cup past the end of the word."""
+    events = list(events)
+    way = rng.randrange(5)
+    consumers = [j for j, e in enumerate(events) if e.arity_in]
+    if way == 0 and events:
+        j = rng.randrange(len(events))
+        e = events[j]
+        events[j] = Event(e.kind, e.position, (e.labels[0] + 1,) + e.labels[1:])
+    elif way == 1:
+        events.append(cross_pos(0, 1, at=max(len(w) - rng.randrange(2), 0)))
+    elif way == 2 and consumers:
+        j = rng.choice(consumers)
+        e = events[j]
+        events.insert(j + 1, cup(0, at=e.position + rng.randrange(2)))
+    elif way == 3 and len({e.position for e in events}) > 1:
+        j = rng.randrange(len(events) - 1)
+        while events[j].position == events[j + 1].position:
+            j = (j + 1) % (len(events) - 1)
+        events[j], events[j + 1] = events[j + 1], events[j]
+    else:
+        events.append(cup(0, at=len(w) + 1 + rng.randrange(2)))
+    return events
+
+
+def test_slice_typing_matches_the_reference_walk():
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(6000):
+        w = tuple(rng.randrange(-2, 3) for _ in range(rng.randrange(7)))
+        events = random_events(rng, w)
+        for evs in (events, corrupted(rng, w, events)):
+            got = lean_typing(w, evs)
+            assert got == reference_typing(w, evs), (w, [str(e) for e in evs])
+            kinds = ("nondecreasing", "runs past", "expects", "unreachable")
+            seen.add("word" if isinstance(got, tuple) else next(k for k in kinds if k in got))
+            if isinstance(got, tuple):
+                assert Slice(w, evs).layout() == got
+    assert len(seen) == 5  # words and every kind of refusal were compared
 
 
 def reference_strand_graph(d):
@@ -260,7 +390,7 @@ def reference_strand_graph(d):
     right, upper left, upper right) and its tag."""
     edges, crossings = [], []
     for i, s in enumerate(d.slices):
-        _, passthrough, placements = s.layout()
+        _, passthrough, placements = reference_layout(s.input, s.events)
         for p, q in passthrough.items():
             edges.append(((i, p), (i + 1, q)))
         for pl in placements:

@@ -36,6 +36,7 @@ from tangles.evaluate import (
 )
 from tangles.generate import iter_closed_diagrams, random_diagram
 from tangles.links import trefoil, unknot
+from test_diagram import reference_layout
 from tangles.rewrite import (
     Equality,
     Move,
@@ -198,7 +199,7 @@ def layout_interchange(d, i):
         return None
     lower, upper = d.slices[i], d.slices[i + 1]
     (e,), (f,) = lower.events, upper.events
-    _, passthrough, placements = lower.layout()
+    _, passthrough, placements = reference_layout(lower.input, lower.events)
     outputs = placements[0].outputs
     inverse = {q: p for p, q in passthrough.items()}
     if f.arity_in:
@@ -243,7 +244,7 @@ def test_interchange_matches_the_layout_reference():
         cases += [(random_diagram(rng, dim), dim) for _ in range(1500)]
     swaps = refusals = 0
     for d, dim in cases:
-        pairs = [rewrite._interchange_apply(d, i) for i in range(len(d.slices) - 1)]
+        pairs = [rewrite._interchange_apply(d.slices, i) for i in range(len(d.slices) - 1)]
         assert pairs == [layout_interchange(d, i) for i in range(len(d.slices) - 1)], to_text(d)
         listed = [m.slice_index for m in applicable_moves(d, dim) if m.kind is MoveKind.INTERCHANGE]
         assert listed == [i for i, pair in enumerate(pairs) if pair is not None]
@@ -438,11 +439,46 @@ def reference_reduce(d, dim):
         d = apply_move(d, moves[0])
 
 
+def r2_chain(pairs):
+    """pairs second Reidemeister pairs on the strands (0, 1), alternating sign."""
+    layers = []
+    for i in range(pairs):
+        x, y = (cross_pos, cross_neg) if i % 2 == 0 else (cross_neg, cross_pos)
+        layers += [[x(0, 1)], [y(1, 0)]]
+    return Diagram.from_events((0, 1), layers)
+
+
+def cupped_r2_chain(pairs):
+    """A cup whose right strand meets strand 1 in pairs second Reidemeister
+    pairs before a cap closes the zigzag: the cup's read reaches every R2
+    redex above it, and only the last R2 step makes it a zigzag redex."""
+    layers = [[cup(0)]]
+    for i in range(pairs):
+        x, y = (cross_pos, cross_neg) if i % 2 == 0 else (cross_neg, cross_pos)
+        layers += [[x(0, 1, at=1)], [y(1, 0, at=1)]]
+    return Diagram.from_events((1,), layers + [[cap(0, at=1)]])
+
+
+def lifted(d, crossings=4, idle=()):
+    """d above a braid of positive crossings on two extra strands at its
+    right, which no move reduces in the braided case, so that every redex
+    of d sits that many slices higher; idle strands pass at the far right."""
+    n = len(d.source)
+    braid = [[cross_pos(*pair, at=n)] for pair in ((5, 6), (6, 5)) * (crossings // 2)]
+    return Diagram.from_events(d.source + (5, 6) + idle, braid + [list(s.events) for s in d.slices])
+
+
 def test_reduce_matches_list_then_filter_reference():
     cases = [(d, dim) for d in iter_closed_diagrams(6, 3) for dim in (BRAIDED, SYMMETRIC)]
     rng = random.Random(53)
     for dim in (PLANAR, BRAIDED, SYMMETRIC):
         cases += [(random_diagram(rng, dim, max_events=12, width=6), dim) for _ in range(150)]
+        cases += [(random_diagram(rng, dim, max_events=40, width=6), dim) for _ in range(60)]
+    for pairs in (20, 80):
+        cases += [(zigzag_chain(pairs), dim) for dim in (PLANAR, BRAIDED, SYMMETRIC)]
+        cases += [(chain(pairs), dim) for chain in (r2_chain, cupped_r2_chain) for dim in (BRAIDED, SYMMETRIC)]
+    cases += [(zigzag_chain(320), BRAIDED), (r2_chain(320), SYMMETRIC), (cupped_r2_chain(320), BRAIDED)]
+    cases += [(lifted(cupped_r2_chain(pairs)), BRAIDED) for pairs in (1, 2, 20)]
     reduced = 0
     for d, dim in cases:
         r = reduce_diagram(d, dim)
@@ -472,6 +508,34 @@ def test_reduce_zigzag_chain_searches_only_reducing_moves(monkeypatch):
     assert reduce_diagram(d, BRAIDED) == Diagram.identity((0,))
     assert len(layouts) <= len(d.slices) == 160
     assert interchanges == []
+
+
+def test_reduce_calls_its_matchers_a_bounded_number_of_times_per_event(monkeypatch):
+    # a count, not a timing: a step resumes each matcher near its redex, so
+    # the calls per event stay flat as the chains grow
+    calls = []
+    for name in ("_zigzag_at", "_r2_at", "_kink2_at"):
+        real = getattr(rewrite, name)
+        monkeypatch.setattr(rewrite, name, lambda *args, real=real: calls.append(1) or real(*args))
+    for pairs in (80, 320, 1280):  # 160, 640 and 2,560 events
+        for d, dim in (
+            (zigzag_chain(pairs), BRAIDED),
+            (r2_chain(pairs), BRAIDED),
+            (r2_chain(pairs), SYMMETRIC),
+            (cupped_r2_chain(pairs), BRAIDED),
+        ):
+            calls.clear()
+            assert reduce_diagram(d, dim).num_events == 0
+            assert len(calls) <= 3 * d.num_events, (pairs, dim, len(calls))
+    # the walk down from a redex is taken once for a run of steps at one
+    # slice, even when two idle strands keep it going to the bottom
+    walks = []
+    real_walk = rewrite._reads_reaching
+    monkeypatch.setattr(rewrite, "_reads_reaching", lambda *args: walks.append(1) or real_walk(*args))
+    d = lifted(zigzag_chain(640), crossings=1280, idle=(7, 8))
+    calls.clear()
+    assert reduce_diagram(d, BRAIDED).num_events == 1280
+    assert len(calls) <= 3 * d.num_events and len(walks) == 1
 
 
 def test_moves_preserve_structure_randomized():
@@ -506,7 +570,7 @@ def test_slice_output_is_its_layout_word():
         assert expand(d) is d
         assert all(a is b for a, b in zip(r.slices[: m.slice_index], d.slices))
         for s in d.slices + r.slices:
-            assert s.output() == s.layout()[0]
+            assert s.output() == s.layout() == reference_layout(s.input, s.events)[0]
 
 
 def test_symmetric_moves_preserve_symmetric_data():
@@ -745,16 +809,15 @@ def test_normalize_planar_at_scale():
 
 def test_reduce_diagram_bounds_its_steps_by_the_event_count(monkeypatch):
     # every step removes at least two events, so a reduction that has not
-    # ended after num_events // 2 + 1 steps is a fault: a splice that
+    # ended after num_events // 2 + 1 steps is a fault: a step that
     # removes nothing is stopped there
     d = Diagram.from_events((0,), [[cup(0, at=1)], [cap(0, at=0)]] * 3)
     calls = []
 
-    def stuck(d, start, stop, layers):
+    def stuck(slices, start, stop, layers, word):
         calls.append(start)
-        return d
 
-    monkeypatch.setattr(rewrite, "_splice", stuck)
+    monkeypatch.setattr(rewrite, "_replace", stuck)
     with pytest.raises(MoveError):
         reduce_diagram(d, PLANAR)
     assert len(calls) == d.num_events // 2 + 1 == 4
