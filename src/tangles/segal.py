@@ -28,12 +28,14 @@ the values of f cut [a]; the pieces agree with the outer hulls (from
 bounded simplex sizes into zigzag classes, on maps given by their value
 tuples; on inputs satisfying the Segal condition it reproduces level p
 on the nose, and in general it grows towards the completion's hom-sets
-as the bound rises.  Its union-find runs in two stages: the moves that
-keep the ambient simplex join (phi, chain) items once per ambient, which
-is the same relation as joining them at every anchor alike, and the moves
-that change it then join (item class, anchor) nodes.  Whether it
-stabilized is read from the same forests, which hold the bound-(N-1)
-classes after the bounded moves of both families and before the rest.
+as the bound rises.  The moves that keep the ambient simplex need no
+union-find: they join a (phi, chain) item exactly to the items with the
+same restriction to the spine of the ambient (its element of the cut
+fiber product of the identity), so that spine chain names its class.  One
+union-find then joins (spine chain, anchor) nodes along the moves that
+change the ambient, once per elementary map, and whether the classes
+stabilized is read from it after the moves within bound N - 1 and before
+the rest.
 """
 
 from __future__ import annotations
@@ -482,8 +484,8 @@ class TruncatedColimit:
 
 
 def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
-    """Two-stage union-find for the truncated colimit at bound N; returns
-    its classes and whether they stabilized.
+    """The truncated colimit's classes at bound N, and whether they
+    stabilized.
 
     An index object is (a, phi: [b] -> [a], s: [p] -> [a]); its value is
     the cut fiber product of phi, which does not depend on the anchor s.
@@ -494,101 +496,78 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     monotone map factors through its image as degeneracies followed by
     faces, with every object on the way no larger than its source or its
     target, so within the bound; restriction is functorial, so the
-    relation of the composite is implied by those of its factors, and
-    identities relate a tag to itself.  Maps are value tuples, and each
-    morphism restricts its chains through one :func:`restriction_plan`.
+    relation of the composite is implied by those of its factors.  Maps
+    are value tuples, and each morphism restricts its chains through one
+    :func:`restriction_plan`.
 
-    Stage 1 joins the items (a, phi, chain) along Family 1; its trees
-    never cross ambients, so it is one forest per a.  A Family 1 move
-    relates (a, phi0, s, chain) to (a, phi1, s, its restriction) for every
-    anchor s of a alike, so stage 1 lifted to each anchor is exactly the
-    Family 1 relation on tags.  Stage 2 joins the nodes (stage-1 root,
-    anchor) along Family 2, once per anchor pair and distinct pair of
-    roots, and a tag's class is that of (its item's root, its anchor).
+    Family 1 needs no union-find.  Call the restriction of an item (a,
+    phi, chain) along phi to id_[a] its spine chain: its element of the
+    cut fiber product of the identity.  A Family 1 move relates an item
+    over (a, phi o g) to its restriction over (a, phi), and restriction is
+    functorial, so both have the same spine chain.  Every item is also
+    joined to its spine chain through elementary maps of sizes at most
+    max(a, b), inside the bound of whichever run holds the item.  So the
+    Family 1 classes, bounded or not, are the spine chains, one each.
 
-    The bounded moves (all sizes <= N - 1) run first, and the classes of
-    the bound-(N-1) tags are counted then, before the rest run.  That
+    Family 2 runs once per elementary f: [a1] -> [a0], with phi = f: each
+    chain x of the cut fiber product of f joins (the spine chain of x, f o
+    s) to (x restricted along f to the spine of [a1], s) for every anchor
+    s of a1, on the distinct pairs of spine chains.  A move with any phi1,
+    from f o phi1 over [a0] to phi1 over [a1], follows from three: Family
+    1 at a0 along phi1 (from f o phi1 to f), this move, and Family 1 at
+    a1.  A tag's class is that of (its spine chain, its anchor).
+
+    The moves within bound N - 1 (a0, a1 < N) run first, and the classes
+    of the bound-(N-1) tags are counted then, before the rest.  That
     colimit maps bijectively onto the bound-N one when the rest leaves the
     count unchanged and equal to the final class count (no two classes
-    merge, and every class is reached).  In each run Family 1 comes first,
-    so stage 2 joins roots that stay roots, except where the rest's Family
-    1 merges roots that the bounded Family 2 joined.  Those merges need no
-    lifting to each anchor: every bounded Family 2 move has a copy in the
-    rest on phi degenerated to a source of size N, and restriction along a
-    degeneracy is onto, so that copy joins the same classes on the final
-    roots.  Classes list their tags in registration order (a, then phi by
-    source size and values, then anchor, then chain) and come ordered by
-    their first tag.
+    merge, and every class is reached).  Classes list their tags in
+    registration order (a, then phi by source size and values, then
+    anchor, then chain) and come ordered by their first tag.
     """
     simplex = [SimplexObject(a) for a in range(N + 1)]
+    identity = [tuple(range(a + 1)) for a in range(N + 1)]
     anchors = [[s.values for s in all_monotone_maps(SimplexObject(p), A)] for A in simplex]
     anchor_index = [{s: k for k, s in enumerate(maps)} for maps in anchors]
-    width = len(anchors[N])  # stage-2 node of (item r, anchor k): r * width + k
-    elementary = {(m, n): [u.values for u in elementary_maps(simplex[m], simplex[n])]
-                  for m in range(N + 1) for n in range(N + 1)}
+    width = len(anchors[N])  # node of (spine chain r, anchor k): r * width + k
+    chains = {(a, phi.values): cut_fiber_product(C, phi)
+              for a, A in enumerate(simplex) for B in simplex for phi in all_monotone_maps(B, A)}
+    spine: list[dict[tuple, int]] = []  # a -> spine chain over [a] -> its number
+    for a in range(N + 1):
+        spine.append({chain: i for i, chain in enumerate(chains[(a, identity[a])], sum(map(len, spine)))})
 
-    # each (a, phi) maps the chains of its value to their places in it; an
-    # item's number is first[(a, phi)] plus its chain's place
-    places: dict[tuple[int, tuple], dict[tuple, int]] = {}
-    first: dict[tuple[int, tuple], int] = {}
-    items = 0
-    for a, A in enumerate(simplex):
-        for phi in (phi for B in simplex for phi in all_monotone_maps(B, A)):
-            key = (a, phi.values)
-            first[key], places[key] = items, {chain: i for i, chain in enumerate(cut_fiber_product(C, phi))}
-            items += len(places[key])
-    small = [(a, phi) for a, phi in places if max(a, len(phi) - 1) < N]  # the bound-(N-1) objects
+    def spines(f: tuple, a0: int, phi: tuple) -> list[int]:
+        """The spine chains over [a1] of phi's chains restricted along f:
+        [a1] -> [a0]."""
+        plan, index = restriction_plan(f, a0, phi, identity[len(f) - 1]), spine[len(f) - 1]
+        return [index[restrict_chain(C, plan, chain)] for chain in chains[(a0, phi)]]
 
-    # (a0, phi0, a1, phi1, f, anchor pairs) within bound N - 1, and the
-    # others; Family 1 (anchor pairs None) comes first in each
-    bounded: list[tuple] = []
-    rest: list[tuple] = []
-    for a, phi1 in places:  # Family 1: phi0 = g then phi1
-        for b0 in range(N + 1):
-            for g in elementary[(b0, len(phi1) - 1)]:
-                (bounded if max(a, b0, len(phi1) - 1) < N else rest).append(
-                    (a, tuple(phi1[v] for v in g), a, phi1, tuple(range(a + 1)), None))
-    for a1, phi1 in places:  # Family 2: phi0 = phi1 then f, and s0 = s1 then f
-        for a0 in range(N + 1):
-            for f in elementary[(a1, a0)]:
-                pairs = [(anchor_index[a0][tuple(f[v] for v in s)], k) for k, s in enumerate(anchors[a1])]
-                (bounded if max(a0, a1, len(phi1) - 1) < N else rest).append(
-                    (a0, tuple(f[v] for v in phi1), a1, phi1, f, pairs))
+    labels = {(a, phi): spines(identity[a], a, phi) for a, phi in chains}
+    uf = UnionFind()
 
-    stage1, stage2 = UnionFind(), UnionFind()
-
-    def run(moves: list[tuple]) -> None:
-        for a0, phi0, a1, phi1, f, pairs in moves:
-            plan = restriction_plan(f, a0, phi0, phi1)
-            target, base0, base1 = places[(a1, phi1)], first[(a0, phi0)], first[(a1, phi1)]
-            moved = []  # (item, the item of its restriction)
-            for i, chain in enumerate(places[(a0, phi0)]):
-                place = target.get(restrict_chain(C, plan, chain))
-                if place is None:
-                    raise SimplicialError("restricted chain missing from its target's fiber product")
-                moved.append((base0 + i, base1 + place))
-            if pairs is None:
-                for i, j in moved:
-                    stage1.union(i, j)
-                continue
-            roots = {(stage1.find(i), stage1.find(j)) for i, j in moved}
-            for k0, k1 in pairs:
-                for r0, r1 in roots:
-                    stage2.union(r0 * width + k0, r1 * width + k1)
+    def run(sizes) -> None:
+        for a1, a0 in sizes:
+            for f in (u.values for u in elementary_maps(simplex[a1], simplex[a0])):
+                pairs = set(zip(labels[(a0, f)], spines(f, a0, f)))
+                for k1, s in enumerate(anchors[a1]):
+                    k0 = anchor_index[a0][tuple([f[v] for v in s])]
+                    for r0, r1 in pairs:
+                        uf.union(r0 * width + k0, r1 * width + k1)
 
     def tags(keys):
         """(class, tag) of every tag over these (a, phi), in registration order."""
         for a, phi in keys:
-            roots = [(stage1.find(first[(a, phi)] + i) * width, chain) for chain, i in places[(a, phi)].items()]
+            pairs = list(zip(labels[(a, phi)], chains[(a, phi)]))
             for k, s in enumerate(anchors[a]):
-                for r, chain in roots:
-                    yield stage2.find(r + k), ((a, phi, s), chain)
+                for r, chain in pairs:
+                    yield uf.find(r * width + k), ((a, phi, s), chain)
 
-    run(bounded)
+    small = [(a, phi) for a, phi in chains if max(a, len(phi) - 1) < N]  # the bound-(N-1) objects
+    run([(a1, a0) for a1 in range(N) for a0 in range(N)])
     smaller = len({c for c, _ in tags(small)})
-    run(rest)
+    run([(a1, a0) for a1 in range(N + 1) for a0 in range(N + 1) if N in (a1, a0)])
     groups: dict[int, list[tuple]] = {}
-    for c, tag in tags(places):
+    for c, tag in tags(chains):
         groups.setdefault(c, []).append(tag)
     classes = list(groups.values())
     stabilized = N >= 1 and smaller == len({c for c, _ in tags(small)}) == len(classes)
@@ -602,11 +581,16 @@ def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
     ``stabilized`` reports whether the canonical map from the bound-(N-1)
     classes to the bound-N classes is a bijection; for inputs whose true
     colimit is infinite it stays False, and that is reported honestly.
-    The classes come from two forests (``_colimit_tags_and_classes``):
-    the moves that keep the ambient join chains once per ambient, the
-    others join (class, anchor) nodes, and the bound-(N-1) classes are
-    counted after the bounded moves of both and before the rest.
+    The classes come from one forest (``_colimit_tags_and_classes``): a
+    (phi, chain) item's class under the moves that keep the ambient is
+    its restriction to the spine of [a], the moves that change the
+    ambient join (spine chain, anchor) nodes once per elementary map, and
+    the bound-(N-1) classes are counted after the bounded moves and
+    before the rest.  Raises SimplicialError on a negative bound or a
+    level C does not store.
     """
+    if N < 0:
+        raise SimplicialError(f"colimit bound must be >= 0, got {N}")
     if max(p, N) > C.K:
         raise SimplicialError(f"levels up to {max(p, N)} needed, stored {C.K}")
     return TruncatedColimit(p, N, *_colimit_tags_and_classes(C, p, N))

@@ -722,6 +722,95 @@ def test_classes_merged_by_the_larger_bound_are_not_stable():
     assert (col.classes, col.stabilized) == _colimit_by_one_forest(C, 1, 2)
 
 
+def _family1_forest(C, N):
+    """The first stage of the two-stage colimit, kept as the reference for
+    the spine chains that replace it: one forest over the items (a, phi,
+    chain) with a, b <= N, each Family 1 move (from phi o g to phi, g
+    elementary, the ambient kept) united on MonotoneMap objects with
+    chains restricted through C.act.  Returns the item classes."""
+    uf = UnionFind()
+    simplex = [SimplexObject(a) for a in range(N + 1)]
+    values = {}
+    for a in range(N + 1):
+        for phi in (phi for B in simplex for phi in all_monotone_maps(B, simplex[a])):
+            values[(a, phi.values)] = set(cut_fiber_product(C, phi))
+            for chain in values[(a, phi.values)]:
+                uf.find((a, phi.values, chain))
+    for a in range(N + 1):
+        ident = MonotoneMap.identity(simplex[a])
+        for phi1 in (phi for B in simplex for phi in all_monotone_maps(B, simplex[a])):
+            for B in simplex:
+                for g in elementary_maps(B, phi1.source):
+                    phi0 = compose_monotone(g, phi1)
+                    plan = _plan_by_pieces(ident, phi0, phi1)
+                    for chain in values[(a, phi0.values)]:
+                        moved = tuple(C.act(u, chain[i]) for i, u in plan)
+                        assert moved in values[(a, phi1.values)]
+                        uf.union((a, phi0.values, chain), (a, phi1.values, moved))
+    return uf.groups()
+
+
+def _assert_family1_classes_are_spine_chains(C, N):
+    """The items' Family 1 classes at bound N are their restrictions to
+    the spine of [a], one class per spine chain.  Items and Family 1 do
+    not involve the anchor, so this holds at every p alike; the bounded
+    run at N is the full run at N - 1 on the smaller items."""
+    classes = _family1_forest(C, N)
+    ident = [MonotoneMap.identity(SimplexObject(a)) for a in range(N + 1)]
+
+    def spine(a, phi, chain):
+        f = ident[a]
+        return a, tuple(C.act(u, chain[i]) for i, u in _plan_by_pieces(f, _map(a, *phi), f))
+
+    for group in classes:
+        assert len({spine(*item) for item in group}) == 1
+    by_spine = {}
+    for group in classes:
+        for item in group:
+            by_spine.setdefault(spine(*item), set()).add(item)
+    assert {frozenset(group) for group in classes} == {frozenset(group) for group in by_spine.values()}
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_family1_classes_are_the_spine_chains(name):
+    C = _PRESETS[name]()
+    for N in range(C.K + 1):
+        _assert_family1_classes_are_spine_chains(C, N)
+
+
+def test_family1_classes_are_the_spine_chains_on_small_monoid_nerves():
+    for t in (t for order in range(1, 5) for t in _monoid_tables(order)):
+        C = nerve_of_monoid(PointedMonoid.from_table(str(t), t), K=2)
+        for N in (0, 1, 2):
+            _assert_family1_classes_are_spine_chains(C, N)
+
+
+def test_colimit_unions_once_per_elementary_map_and_pair_of_spine_chains(monkeypatch):
+    # a forest over (phi, chain) items, then one over (item class, anchor)
+    # nodes, made 2,979 union calls at N = 2 and 87,989 at N = 3
+    calls = []
+    union = UnionFind.union
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return union(self, a, b)
+
+    monkeypatch.setattr(UnionFind, "union", counted)
+    C = _PRESETS["pushout-z2-z3"]()
+    for N, most in ((2, 250), (3, 2500)):
+        calls.clear()
+        assert colimit_truncated(C, 1, N).class_count() == len(free_product_enumerate(Z2, Z3, N))
+        assert len(calls) <= most, (N, len(calls))
+
+
+def test_a_negative_bound_or_level_is_refused_up_front():
+    C = _PRESETS["nerve-z2"]()
+    with pytest.raises(SimplicialError, match="bound"):
+        colimit_truncated(C, 1, -1)
+    with pytest.raises(SimplexError):
+        colimit_truncated(C, -1, 1)
+
+
 def test_close_words_matches_brute_force_closure():
     # e: x -> x with ee = 1 (an empty side), f: x -> y, g: y -> x with fg = e
     pres = CategoryPresentation(
