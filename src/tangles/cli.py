@@ -31,6 +31,7 @@ import functools
 import itertools
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -63,7 +64,7 @@ from .evaluate import (
 from .rewrite import MoveError, normalize_planar, reduce_diagram
 from .segal import SimplicialError, complete, nerve_of_monoid, one_truncated, pushout_of_nerves
 from .simplex import ConvexSubset, MonotoneMap, SimplexObject, outer_hull, SimplexError
-from .words import MonoidError, PointedMonoid, alternating_factorization, free_product_enumerate
+from .words import MonoidError, PointedMonoid, alternating_factorization, free_product_listing
 
 
 class ParseError(ValueError):
@@ -508,17 +509,12 @@ def _cmd_words_factor(args) -> int:
 
 
 def _cmd_star_enum(args) -> int:
-    left = _MONOIDS[args.left]()
-    right = _MONOIDS[args.right]()
-    elements = free_product_enumerate(left, right, args.bound)
-    by_length: dict[int, int] = {}
-    for e in elements:
-        by_length[e.alternation_length()] = by_length.get(e.alternation_length(), 0) + 1
-    print(f"total: {len(elements)}")
-    for length in sorted(by_length):
-        print(f"length {length}: {by_length[length]}")
-    for e in sorted(elements, key=lambda e: (e.alternation_length(), str(e))):
-        print(str(e))
+    listing = free_product_listing(_MONOIDS[args.left](), _MONOIDS[args.right](), args.bound)
+    by_length = Counter(length for length, _ in listing)  # the listing is sorted: lengths in order
+    lines = [f"total: {len(listing)}"]
+    lines += [f"length {length}: {count}" for length, count in by_length.items()]
+    lines += [text for _, text in listing]
+    print("\n".join(lines))
     return 0
 
 

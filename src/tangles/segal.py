@@ -92,30 +92,76 @@ class SimplicialData:
         return self.degeneracies[(p, i)][x]
 
     def _check_identities(self) -> None:
+        """Check d_i d_j = d_{j-1} d_i (i < j), that each s_j lands in its
+        level, and the d_i s_j identities, a whole table at a time.  When one
+        fails, or a lookup does, :meth:`_raise_first_identity_error` raises
+        the first failure in simplex order, so the error does not depend on
+        the order of the checks here."""
+        try:
+            hold = self._identities_hold()
+        except (KeyError, TypeError):  # a value outside its level, or not hashable
+            hold = False
+        if not hold:
+            self._raise_first_identity_error()
+
+    def _identities_hold(self) -> bool:
+        faces, degeneracies = self.faces, self.degeneracies
+
+        def image(table: dict, xs: Sequence) -> list:
+            return list(map(table.__getitem__, xs))
+
+        for p in range(2, self.K + 1):
+            d = [image(faces[(p, k)], self.levels[p]) for k in range(p + 1)]  # d_k on level p
+            for j in range(p + 1):
+                for i in range(j):
+                    if image(faces[(p - 1, i)], d[j]) != image(faces[(p - 1, j - 1)], d[i]):
+                        return False
+        for p in range(self.K):
+            level, above = list(self.levels[p]), set(self.levels[p + 1])
+            d = [image(faces[(p, k)], level) for k in range(p + 1)] if p else []
+            for j in range(p + 1):
+                sx = image(degeneracies[(p, j)], level)
+                if not above.issuperset(sx):
+                    return False
+                for i in range(p + 2):
+                    if i == j or i == j + 1:
+                        expected = level
+                    elif i < j:
+                        expected = image(degeneracies[(p - 1, j - 1)], d[i])
+                    else:
+                        expected = image(degeneracies[(p - 1, j)], d[i - 1])
+                    if image(faces[(p + 1, i)], sx) != expected:
+                        return False
+        return True
+
+    def _raise_first_identity_error(self) -> None:
+        """The identities one simplex at a time: raise the first failure."""
+        faces, degeneracies = self.faces, self.degeneracies
         for p in range(2, self.K + 1):
             for x in self.levels[p]:
                 for j in range(p + 1):
                     for i in range(j):
-                        a = self.face(p - 1, i, self.face(p, j, x))
-                        b = self.face(p - 1, j - 1, self.face(p, i, x))
+                        a = faces[(p - 1, i)][faces[(p, j)][x]]
+                        b = faces[(p - 1, j - 1)][faces[(p, i)][x]]
                         if a != b:
                             raise SimplicialError(
                                 f"d_{i} d_{j} != d_{j-1} d_{i} at level {p} on {x!r}"
                             )
         for p in range(self.K):
+            above = set(self.levels[p + 1])
             for x in self.levels[p]:
                 for j in range(p + 1):
-                    sx = self.degeneracy(p, j, x)
-                    if sx not in self.levels[p + 1]:
+                    sx = degeneracies[(p, j)][x]
+                    if sx not in above:
                         raise SimplicialError(f"s_{j}({x!r}) missing from level {p+1}")
                     for i in range(p + 2):
-                        fx = self.face(p + 1, i, sx)
+                        fx = faces[(p + 1, i)][sx]
                         if i == j or i == j + 1:
                             expected = x
                         elif i < j:
-                            expected = self.degeneracy(p - 1, j - 1, self.face(p, i, x))
+                            expected = degeneracies[(p - 1, j - 1)][faces[(p, i)][x]]
                         else:
-                            expected = self.degeneracy(p - 1, j, self.face(p, i - 1, x))
+                            expected = degeneracies[(p - 1, j)][faces[(p, i - 1)][x]]
                         if fx != expected:
                             raise SimplicialError(
                                 f"d_{i} s_{j} identity fails at level {p} on {x!r}"
@@ -518,12 +564,14 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     a1.  A tag's class is that of (its spine chain, its anchor).
 
     The moves within bound N - 1 (a0, a1 < N) run first, and the classes
-    of the bound-(N-1) tags are counted then, before the rest.  That
-    colimit maps bijectively onto the bound-N one when the rest leaves the
-    count unchanged and equal to the final class count (no two classes
-    merge, and every class is reached).  Classes list their tags in
-    registration order (a, then phi by source size and values, then
-    anchor, then chain) and come ordered by their first tag.
+    of the bound-(N-1) tags, those of the nodes over [a] with a < N, are
+    counted then, before the rest.  That colimit maps bijectively onto
+    the bound-N one when the rest leaves the count unchanged and equal to
+    the final class count (no two classes merge, and every class is
+    reached).  Each node's class is read once, and a tag takes its
+    node's.  Classes list their tags in registration order (a, then phi
+    by source size and values, then anchor, then chain) and come ordered
+    by their first tag.
     """
     simplex = [SimplexObject(a) for a in range(N + 1)]
     identity = [tuple(range(a + 1)) for a in range(N + 1)]
@@ -554,23 +602,24 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
                     for r0, r1 in pairs:
                         uf.union(r0 * width + k0, r1 * width + k1)
 
-    def tags(keys):
-        """(class, tag) of every tag over these (a, phi), in registration order."""
-        for a, phi in keys:
-            pairs = list(zip(labels[(a, phi)], chains[(a, phi)]))
-            for k, s in enumerate(anchors[a]):
-                for r, chain in pairs:
-                    yield uf.find(r * width + k), ((a, phi, s), chain)
+    def roots(sizes) -> dict[int, int]:
+        """The class of every (spine chain, anchor) node over [a], a in sizes."""
+        return {node: uf.find(node) for a in sizes for r in spine[a].values()
+                for node in range(r * width, r * width + len(anchors[a]))}
 
-    small = [(a, phi) for a, phi in chains if max(a, len(phi) - 1) < N]  # the bound-(N-1) objects
     run([(a1, a0) for a1 in range(N) for a0 in range(N)])
-    smaller = len({c for c, _ in tags(small)})
+    smaller = len(set(roots(range(N)).values()))
     run([(a1, a0) for a1 in range(N + 1) for a0 in range(N + 1) if N in (a1, a0)])
+    root = roots(range(N + 1))
     groups: dict[int, list[tuple]] = {}
-    for c, tag in tags(chains):
-        groups.setdefault(c, []).append(tag)
+    for (a, phi), items in chains.items():
+        for k, s in enumerate(anchors[a]):
+            tag = (a, phi, s)
+            for r, chain in zip(labels[(a, phi)], items):
+                groups.setdefault(root[r * width + k], []).append((tag, chain))
     classes = list(groups.values())
-    stabilized = N >= 1 and smaller == len({c for c, _ in tags(small)}) == len(classes)
+    below = sum(map(len, spine[:N])) * width  # the nodes over [a] with a < N are numbered below this
+    stabilized = N >= 1 and smaller == len({c for node, c in root.items() if node < below}) == len(classes)
     return classes, stabilized
 
 

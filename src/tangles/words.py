@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Word = tuple
 
@@ -160,6 +160,14 @@ class PointedMonoid:
         return PointedMonoid("F(" + ",".join(alphabet) + ")", (), mult, by_weight)
 
 
+UNIT_TEXT = "1"  # the text of the unit of a free product
+
+
+def letter_text(side: str, el: Hashable) -> str:
+    """The text of one letter of a free product element, as in ``str``."""
+    return f"{side}:{el}"
+
+
 @dataclass(frozen=True)
 class FreeProductElement:
     """Normal form of an element of the free product A * B: an alternating
@@ -183,8 +191,8 @@ class FreeProductElement:
 
     def __str__(self) -> str:
         if not self.letters:
-            return "1"
-        return "*".join(f"{side}:{el}" for side, el in self.letters)
+            return UNIT_TEXT
+        return "*".join(letter_text(side, el) for side, el in self.letters)
 
 
 FREE_PRODUCT_UNIT = FreeProductElement(())
@@ -229,38 +237,68 @@ def free_product_multiply(
     return free_product_normalize(A, B, u.letters + v.letters)
 
 
+def free_product_walk(
+    A: PointedMonoid,
+    B: PointedMonoid,
+    max_weight: int,
+    spell: Callable[[str, Hashable], Sequence],
+    glue: Sequence = (),
+) -> Iterator[tuple[int, Sequence]]:
+    """Every element of A * B of total weight in 1..max_weight, depth first
+    (an element, then its extensions, then its next sibling), as
+    (alternation length, spelling).
+
+    An element's spelling is its parent's followed by its last letter's
+    ``spell(side, el)``, with ``glue`` in between unless the parent is the
+    unit, whose spelling is empty; each letter is spelled once, and each
+    element's spelling is built once, from its parent's.  The walk keeps
+    its own stack, so the bound is not limited by Python's recursion limit.
+    """
+    if max_weight < 0:
+        raise MonoidError(f"weight bound must be >= 0, got {max_weight}")
+    spelled = {  # side -> (weight, spelling) of its nonunits, lightest first
+        side: [(w, spell(side, el)) for w in range(1, max_weight + 1) for el in m._elements_by_weight(w)]
+        for side, m in ((LEFT, A), (RIGHT, B))
+    }
+    # an element's last side -> (weight, glued spelling, side) of the letters that may follow it
+    after = {
+        last: [(w, glue + sp, side) for w, sp in spelled[side]]
+        for last, side in ((LEFT, RIGHT), (RIGHT, LEFT))
+    }
+    stack = [iter([(sp, max_weight - w, side) for side in (LEFT, RIGHT) for w, sp in spelled[side]])]
+    while stack:
+        for spelling, remaining, last in stack[-1]:
+            yield len(stack), spelling
+            if remaining:
+                stack.append(iter([(spelling + sp, remaining - w, side)
+                                   for w, sp, side in after[last] if w <= remaining]))
+                break
+        else:
+            stack.pop()
+
+
 def free_product_enumerate(
     A: PointedMonoid, B: PointedMonoid, max_weight: int
 ) -> list[FreeProductElement]:
-    """All elements of A * B of total weight <= max_weight, unit included.
+    """All elements of A * B of total weight <= max_weight, unit included,
+    in the order of :func:`free_product_walk`.
 
     The weight of an element is the sum of the weights of its letters; for
     finite (table) monoids every letter has weight 1, so the bound is the
     alternation length.
     """
-    if max_weight < 0:
-        raise MonoidError(f"weight bound must be >= 0, got {max_weight}")
-    found: list[FreeProductElement] = [FREE_PRODUCT_UNIT]
-    weighed = {  # side -> (weight, nonunits of that weight) for the weights that have any
-        side: [(w, els) for w in range(1, max_weight + 1) if (els := m._elements_by_weight(w))]
-        for side, m in ((LEFT, A), (RIGHT, B))
-    }
+    walk = free_product_walk(A, B, max_weight, lambda side, el: ((side, el),))
+    return [FREE_PRODUCT_UNIT] + [FreeProductElement(letters) for _, letters in walk]
 
-    def extensions(prefix: tuple, remaining: int, last: str | None):
-        return iter([(prefix + ((side, el),), remaining - w, side) for side in (LEFT, RIGHT)
-                     if side != last for w, els in weighed[side] if w <= remaining for el in els])
 
-    # depth first without recursion: an element, then its extensions, then its next sibling
-    stack = [extensions((), max_weight, None)]
-    while stack:
-        for prefix, remaining, side in stack[-1]:
-            found.append(FreeProductElement(prefix))
-            if remaining:
-                stack.append(extensions(prefix, remaining, side))
-                break
-        else:
-            stack.pop()
-    return found
+def free_product_listing(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> list[tuple[int, str]]:
+    """(alternation length, text) of every element of A * B of total weight
+    <= max_weight, sorted; the text is ``str`` of the element, built once
+    per element from its parent's, without building the element."""
+    listing = [(0, UNIT_TEXT)]
+    listing += free_product_walk(A, B, max_weight, letter_text, "*")
+    listing.sort()
+    return listing
 
 
 def stratified_counts(elements: Iterable[FreeProductElement]) -> dict[tuple[str, str], int]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -622,6 +623,54 @@ def test_cli_star_enum_deeper_than_the_recursion_limit(capsys):
     code, out, err = run(capsys, "star", "enum", "--left", "z2", "--right", "z2", "--bound", "1200")
     assert code == 0 and err == ""
     assert out.splitlines()[0] == "total: 2401"
+
+
+def _star_listing_by_objects(left, right, bound):
+    """star enum as it was first written: one FreeProductElement per
+    element, sorted on (alternation length, str), then printed a line at
+    a time."""
+    from tangles.cli import _MONOIDS
+    from tangles.words import free_product_enumerate
+
+    elements = free_product_enumerate(_MONOIDS[left](), _MONOIDS[right](), bound)
+    by_length = {}
+    for e in elements:
+        by_length[e.alternation_length()] = by_length.get(e.alternation_length(), 0) + 1
+    lines = [f"total: {len(elements)}"]
+    lines += [f"length {length}: {by_length[length]}" for length in sorted(by_length)]
+    lines += [str(e) for e in sorted(elements, key=lambda e: (e.alternation_length(), str(e)))]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_cli_star_enum_matches_the_object_listing_for_every_monoid_pair(capsys):
+    from tangles.cli import _MONOIDS
+
+    for left, right in itertools.product(sorted(_MONOIDS), repeat=2):
+        top = 8 if "free" in left + right else 10
+        for bound in range(top + 1):
+            argv = ("star", "enum", "--left", left, "--right", right, "--bound", str(bound))
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out == _star_listing_by_objects(left, right, bound), (left, right, bound)
+
+
+def test_cli_star_enum_refuses_a_negative_bound(capsys):
+    code, out, err = run(capsys, "star", "enum", "--left", "z4", "--right", "z2", "--bound", "-1")
+    assert (code, out, err) == (1, "", "error: weight bound must be >= 0, got -1\n")
+
+
+def test_cli_star_enum_builds_no_element(capsys, monkeypatch):
+    # the listing spells each element from its parent's text: no
+    # FreeProductElement is built, so none is turned into text either
+    from tangles import words
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star enum built a FreeProductElement")
+
+    monkeypatch.setattr(words.FreeProductElement, "__post_init__", refuse)
+    monkeypatch.setattr(words.FreeProductElement, "__str__", refuse)
+    code, out, _ = run(capsys, "star", "enum", "--left", "z3", "--right", "free-x", "--bound", "6")
+    assert code == 0 and out.splitlines()[0] == "total: 169"
 
 
 def test_cli_seg_complete(capsys):

@@ -14,9 +14,12 @@ from tangles.words import (
     alternating_factorization,
     concat,
     free_product_enumerate,
+    free_product_listing,
     free_product_multiply,
     free_product_normalize,
+    free_product_walk,
     is_alternating,
+    letter_text,
     stratified_counts,
 )
 
@@ -255,3 +258,33 @@ def test_enumerate_walks_past_the_recursion_limit():
     elements = free_product_enumerate(PointedMonoid.cyclic(2), PointedMonoid.cyclic(2), bound)
     assert len(elements) == 2 * bound + 1
     assert max(e.alternation_length() for e in elements) == bound
+
+
+def test_listing_is_the_sorted_text_of_the_enumeration_for_every_monoid_pair():
+    from tangles.cli import _MONOIDS
+
+    for left, right in itertools.product(sorted(_MONOIDS), repeat=2):
+        A, B = _MONOIDS[left](), _MONOIDS[right]()
+        for bound in range(9):
+            elements = free_product_enumerate(A, B, bound)
+            texts = sorted((e.alternation_length(), str(e)) for e in elements)
+            assert free_product_listing(A, B, bound) == texts, (left, right, bound)
+
+
+def test_walk_spells_each_element_from_its_parent_in_enumeration_order():
+    A, B = PointedMonoid.cyclic(3), PointedMonoid.free("x")
+    elements = free_product_enumerate(A, B, 6)
+    walk = list(free_product_walk(A, B, 6, lambda side, el: [(side, el)], ["|"]))
+    assert len(walk) == len(elements) - 1
+    for (length, spelling), e in zip(walk, elements[1:]):
+        expected = []
+        for k, letter in enumerate(e.letters):
+            expected += (["|"] if k else []) + [letter]
+        assert (length, spelling) == (e.alternation_length(), expected)
+
+
+def test_walk_refuses_a_negative_bound():
+    with pytest.raises(MonoidError, match="got -1"):
+        list(free_product_walk(PointedMonoid.cyclic(2), PointedMonoid.cyclic(2), -1, letter_text))
+    with pytest.raises(MonoidError, match="got -1"):
+        free_product_listing(PointedMonoid.cyclic(2), PointedMonoid.cyclic(2), -1)
