@@ -12,16 +12,19 @@ tighter than ";"):
             | "unknot" | "trefoil" | "hopf" | "unlink"
             | "(" expr ")"
 
-Text becomes a diagram in one pass: no intermediate diagram is built for
-a ";" or a "|", and each slice of the result is typed once, so a chain of
-terms of any length is built in time linear in its length.  The parser and
+Text becomes a diagram in one pass: each event is built once, at its
+final position (offsets along a "|" chain are prefix sums of widths), and
+each slice is typed once, so a chain of terms of any length is built in
+time linear in its length.  The parser and
 ``to_diagram`` keep their own stacks instead of recursing, so neither
 length nor parenthesis depth is limited by Python's recursion limit.
 
 Subcommands write deterministic text to stdout and use exit status 0 for
 success, 1 for user errors (usage, syntax, typing, boundary mismatches,
 malformed data or option values, unreadable files), and 2 for any other
-exception, which is an internal fault.
+exception, which is an internal fault.  When the reader of stdout leaves
+early (``... | head -1``), the rest of the output is dropped silently and
+the status is 141 (128 + SIGPIPE), as a shell reports for such a writer.
 """
 
 from __future__ import annotations
@@ -29,24 +32,25 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from . import links
 from .diagram import (
     AmbientDim,
-    Block,
     Diagram,
     DiagramError,
     Event,
     EventKind,
-    side_by_side,
-    to_block,
+    compose_check,
+    place,
     to_text,
     validate,
+    widen,
     writhe,
     component_framings,
 )
@@ -126,6 +130,15 @@ class _Node(Expr):
 
     def __repr__(self) -> str:
         return "".join(t if isinstance(t, str) else repr(t) for t in self._tokens())
+
+    def members(self) -> list[Expr]:
+        """The chain along the left spine, last first."""
+        e, kind, (first, second) = self, type(self), self.__match_args__
+        out = []
+        while type(e) is kind:
+            out.append(getattr(e, second))
+            e = getattr(e, first)
+        return out + [e]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -282,76 +295,110 @@ def _grouped(e: Expr, kinds) -> list:
     return ["(", e, ")"] if isinstance(e, kinds) else [e]
 
 
-_THEN = object()  # on the work stack: compose the top two blocks
+_KINDS = {k.value: k for k in EventKind}  # the kinds are spelled as in the grammar
+
+
+def _beside(rest: list, x: int, level: int, layers, planar: bool, source: list, target: list):
+    """Read in place the generators and identity words ending rest, a "|"
+    chain's members still to place: each event is built at x plus the
+    width of the members before it, and their words extend source and
+    target.  Returns their widths."""
+    start, above, tall = x, 0, False
+    while rest and type(rest[-1]) in (Gen, IdWord):
+        f = rest.pop()
+        if type(f) is Gen:
+            event = Event(_KINDS[f.kind], x, f.args)
+            if planar and event.is_crossing:
+                raise DiagramError("crossings are not allowed in the planar ambient dimension")
+            if level == len(layers):
+                layers.append([])
+            layers[level].append(event)
+            words, tall = (event.consumes(), event.emits()), True
+        else:
+            words = f.labels, f.labels
+        x += len(words[0])
+        above += len(words[1])
+        source += words[0]
+        target += words[1]
+    return [x - start, above] if tall else [x - start]
+
+
+@dataclass(slots=True)
+class _Chain:
+    """An open ";" or "|" chain: the members still to place, last first,
+    the level the next starts at, and the placed ones' source, target and
+    level widths, which offset a "|" chain's next member."""
+
+    par: bool
+    rest: list
+    level: int
+    source: Sequence[int] = ()
+    target: Sequence[int] = ()
+    widths: list[int] = field(default_factory=list)
 
 
 def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
     """The diagram of an expression, built in one pass.
 
-    Each subexpression becomes a block.  ";" checks the boundary and
-    extends the lower block in place, as ``compose`` does; "|" lays a
-    chain of factors out with ``side_by_side``, the rule ``tensor``
-    applies to two diagrams.  No intermediate diagram is built:
-    each slice of the result is typed once, when the result is.  The tree
-    is walked with an explicit stack, children left to right before their
-    parent, so errors come in the order of a fold through ``compose`` and
-    ``tensor``, and a chain of any length or depth costs no recursion.
-    """
-    todo: list = [e]
-    blocks: list[Block] = []
-    while todo:
-        item = todo.pop()
-        if item is _THEN:
-            above, below = blocks.pop(), blocks[-1]
-            if below.target != above.source:
-                raise DiagramError(
-                    f"cannot compose: upper boundary {below.target} "
-                    f"!= lower boundary {above.source}"
-                )
-            below.target = above.target
-            below.widths += above.widths[1:]
-            below.layers += above.layers
-        elif isinstance(item, int):  # juxtapose the top `item` blocks
-            factors = blocks[-item:]
-            del blocks[-item:]
-            blocks.append(side_by_side(factors))
-        elif isinstance(item, Seq):
-            terms = [item.second]  # the left spine t1 ; ... ; tk, last first
-            while isinstance(item.first, Seq):
-                item = item.first
-                terms.append(item.second)
-            for term in terms:
-                todo += (_THEN, term)
-            todo.append(item.first)
-        elif isinstance(item, Par):
-            factors = [item.right]  # the left spine f1 | ... | fk, last first
-            while isinstance(item.left, Par):
-                item = item.left
-                factors.append(item.right)
-            factors.append(item.left)
-            todo.append(len(factors))
-            todo += factors
+    Along a "|" chain each member's offset at each level is the prefix sum
+    of the widths to its left (``widen``, as in ``tensor``), so each event
+    is built once, at its final position; ";" checks the boundary, as
+    ``compose`` does.  Each slice is typed once, when the result is.  The
+    tree is walked with a stack of open chains, members left to right, so
+    errors come in the order of a fold through ``compose`` and ``tensor``,
+    and a chain of any length or depth costs no recursion."""
+    planar = not dim.allows_crossings
+    layers: list[list[Event]] = []
+    pars: list[_Chain] = []  # the open "|" chains, outermost first
+
+    def origin(level: int) -> int:
+        if not pars:
+            return 0
+        return sum(c.widths[min(level - c.level, len(c.widths) - 1)] for c in pars)
+
+    chains = [_Chain(False, [e], 0)]
+    done = None  # the source, target and widths of the member just placed
+    while True:
+        c = chains[-1]
+        if done is not None and c.par:
+            c.source += done[0]
+            c.target += done[1]
+            widen(c.widths, done[2])
+            widen(c.widths, _beside(c.rest, origin(c.level), c.level, layers, planar, c.source, c.target))
+        elif done is not None:
+            if c.widths:
+                compose_check(c.target, done[0])
+            else:
+                c.source = done[0]
+            c.target = done[1]
+            c.widths += done[2][1:] if c.widths else done[2]
+            c.level += len(done[2]) - 1
+        if not c.rest:
+            chains.pop()
+            if c.par:
+                pars.pop()
+            done = (tuple(c.source), tuple(c.target), c.widths)
+            if not chains:
+                return Diagram.from_events(done[0], layers)
+            continue
+        f, level, done = c.rest.pop(), c.level, None
+        if isinstance(f, Named):
+            d = links.BUILTINS[f.name]()
+            if planar:
+                raise DiagramError(f"builtin {f.name!r} has crossings, illegal for n=2")
+            done = (d.source, d.target, place(layers, d, level, origin))
+        elif isinstance(f, Seq):
+            chains.append(_Chain(False, f.members(), level))
+        elif isinstance(f, (Par, Gen, IdWord)):  # a leaf is a "|" chain of one
+            rest, source, target = f.members() if isinstance(f, Par) else [f], [], []
+            widths = _beside(rest, origin(level), level, layers, planar, source, target)
+            if rest:
+                pars.append(_Chain(True, rest, level, source, target, widths))
+                chains.append(pars[-1])
+            else:  # all read in place
+                done = (tuple(source), tuple(target), widths)
         else:
-            blocks.append(_leaf(item, dim))
-    block = blocks.pop()
-    return Diagram.from_events(block.source, block.layers)
-
-
-def _leaf(e: Expr, dim: AmbientDim) -> Block:
-    if isinstance(e, Gen):
-        event = Event(EventKind(e.kind), 0, e.args)  # the kinds are spelled as in the grammar
-        if event.is_crossing and not dim.allows_crossings:
-            raise DiagramError("crossings are not allowed in the planar ambient dimension")
-        source, target = event.consumes(), event.emits()
-        return Block(source, target, [len(source), len(target)], [[event]])
-    if isinstance(e, IdWord):
-        return Block(e.labels, e.labels, [len(e.labels)], [])
-    if isinstance(e, Named):
-        d = links.BUILTINS[e.name]()
-        if not dim.allows_crossings:
-            raise DiagramError(f"builtin {e.name!r} has crossings, illegal for n=2")
-        return to_block(d)
-    raise TypeError(f"not an expression: {e!r}")
+            raise TypeError(f"not an expression: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +675,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return status
+    except BrokenPipeError:  # an OSError, but the reader left: no user error
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())  # so the flush at exit cannot fail
+        os.close(null)
+        return 141
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

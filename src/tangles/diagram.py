@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .unionfind import UnionFind
 
@@ -88,6 +88,9 @@ class EventKind(enum.Enum):
     XNEG = "x-"
 
 
+_CUP, _CAP, _XPOS, _XNEG = EventKind  # per-event kind tests, with no enum lookup
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """A single elementary happening at a position of a slice."""
@@ -99,44 +102,44 @@ class Event:
     def __post_init__(self) -> None:
         if self.position < 0:
             raise DiagramError(f"negative event position {self.position}")
-        need = 1 if self.kind in (EventKind.CUP, EventKind.CAP) else 2
+        need = 1 if self.kind in (_CUP, _CAP) else 2
         if len(self.labels) != need:
             raise DiagramError(f"{self.kind.value} event needs {need} label(s)")
 
     @property
     def arity_in(self) -> int:
-        return 0 if self.kind is EventKind.CUP else 2
+        return 0 if self.kind is _CUP else 2
 
     @property
     def arity_out(self) -> int:
-        return 0 if self.kind is EventKind.CAP else 2
+        return 0 if self.kind is _CAP else 2
 
     @property
     def is_crossing(self) -> bool:
-        return self.kind in (EventKind.XPOS, EventKind.XNEG)
+        return self.kind in (_XPOS, _XNEG)
 
     @property
     def sign(self) -> int:
-        if self.kind is EventKind.XPOS:
+        if self.kind is _XPOS:
             return 1
-        if self.kind is EventKind.XNEG:
+        if self.kind is _XNEG:
             return -1
         return 0
 
     def consumes(self) -> tuple[int, ...]:
         """Labels this event requires on its input strands."""
-        if self.kind is EventKind.CUP:
+        if self.kind is _CUP:
             return ()
-        if self.kind is EventKind.CAP:
+        if self.kind is _CAP:
             k = self.labels[0]
             return (k, k + 1)
         return self.labels
 
     def emits(self) -> tuple[int, ...]:
-        if self.kind is EventKind.CUP:
+        if self.kind is _CUP:
             k = self.labels[0]
             return (k + 1, k)
-        if self.kind is EventKind.CAP:
+        if self.kind is _CAP:
             return ()
         a, b = self.labels
         return (b, a)
@@ -194,7 +197,7 @@ class Slice:
                 span = "inside an earlier event's span or past the end of the word"
                 self._refuse(f"event {e} is unreachable ({span})")
             out += w[p:q]
-            if e.kind is not EventKind.CUP:
+            if e.kind is not _CUP:
                 have = w[q : q + 2]
                 if len(have) < 2:
                     self._refuse(f"event {e} runs past the end of the word")
@@ -296,58 +299,47 @@ def elementary(event: Event, dim: AmbientDim) -> Diagram:
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """d1 then d2; requires d1.target == d2.source exactly."""
-    if d1.target != d2.source:
-        raise DiagramError(
-            f"cannot compose: upper boundary {d1.target} != lower boundary {d2.source}"
-        )
+    compose_check(d1.target, d2.source)
     return Diagram(d1.source, d1.slices + d2.slices)
 
 
-@dataclass(slots=True)
-class Block:
-    """A diagram before its slices are typed: what composition checks, the
-    width of each level (source first) that shifting needs, and the events."""
-
-    source: ObjectWord
-    target: ObjectWord
-    widths: list[int]
-    layers: list[Sequence[Event]]
+def compose_check(upper: ObjectWord, lower: ObjectWord) -> None:
+    """Refuse to stack a lower boundary on an upper one it differs from."""
+    if upper != lower:
+        raise DiagramError(f"cannot compose: upper boundary {upper} != lower boundary {lower}")
 
 
-def to_block(d: Diagram) -> Block:
-    widths = [len(d.source), *(len(s.output()) for s in d.slices)]
-    return Block(d.source, d.target, widths, [s.events for s in d.slices])
+def widen(acc: list[int], widths: Sequence[int]) -> None:
+    """Add a factor's level widths to acc, the width left of the next
+    factor at each level: offsets are prefix sums.  Above its top, a factor
+    (and acc's last entry) counts its top width, as identity padding does."""
+    top = len(widths) - 1
+    acc += acc[-1:] * (top + 1 - len(acc))
+    for i in range(len(acc)):
+        acc[i] += widths[min(i, top)]
 
 
-def side_by_side(factors: list[Block]) -> Block:
-    """The factors juxtaposed left to right: each factor's events shift by
-    the width to its left, and the shorter factors are padded on top with
-    identity levels."""
-    height = max(len(f.layers) for f in factors)
-    widths: list[int] = []
-    layers: list[Sequence[Event]] = []
-    for i in range(height + 1):
-        offset = 0
-        events: list[Event] = []
-        for f in factors:
-            if i < len(f.layers):
-                level = f.layers[i]
-                events += [ev.shifted(offset) for ev in level] if offset else level
-                offset += f.widths[i]
-            else:
-                offset += f.widths[-1]
-        widths.append(offset)
-        if i < height:
-            layers.append(events)
-    source = tuple(k for f in factors for k in f.source)
-    return Block(source, tuple(k for f in factors for k in f.target), widths, layers)
+def place(layers: list[list[Event]], d: Diagram, level: int, offset: Callable) -> list[int]:
+    """Append the events of d's slices to layers from level up, each built
+    once, shifted by offset(its level); returns d's level widths."""
+    widths = [len(d.source)]
+    for i, s in enumerate(d.slices, level):
+        if i == len(layers):
+            layers.append([])
+        x = offset(i)
+        layers[i] += [Event(e.kind, e.position + x, e.labels) for e in s.events] if x else s.events
+        widths.append(len(s.output()))
+    return widths
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     """Horizontal juxtaposition, d1 on the left; the shorter diagram is
     padded on top with identity slices."""
-    block = side_by_side([to_block(d1), to_block(d2)])
-    return Diagram.from_events(block.source, block.layers)
+    layers: list[list[Event]] = []
+    acc = [0]
+    for d in (d1, d2):
+        widen(acc, place(layers, d, 0, lambda i: acc[min(i, len(acc) - 1)]))
+    return Diagram.from_events(d1.source + d2.source, layers)
 
 
 def degree(w: Sequence[int]) -> int:

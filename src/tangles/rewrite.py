@@ -125,12 +125,6 @@ def expand(d: Diagram) -> Diagram:
     return Diagram.from_events(d.source, layers)
 
 
-def _through(e: Event, q: int) -> int:
-    """Where a strand at position q below the one-event slice of e sits
-    above it; e must leave the strand alone."""
-    return q + e.arity_out - e.arity_in if e.position + e.arity_in <= q else q
-
-
 def _single_event(s: Slice) -> Event | None:
     if len(s.events) > 1:
         raise MoveError("rewriting requires an expanded diagram (use expand)")
@@ -156,7 +150,7 @@ def _track_pair(slices: Sequence[Slice], start: int, left: int):
         out.append((j, pos, e, touches))
         if touches:
             break
-        if p + a <= pos:  # _through, inlined: e sits left of the pair
+        if p + a <= pos:  # e sits left of the pair, which moves by e's arity change
             pos += e.arity_out - a
     return out
 
@@ -283,7 +277,10 @@ def _interchange_apply(slices: Sequence[Slice], i: int) -> tuple[Event, Event] |
     With e at p and f at q, they are dependent when f's input interval
     [q, q + f.arity_in) meets e's output interval [p, p + e.arity_out),
     an empty interval meeting one that holds it strictly inside.  f' is f
-    read on the word below e, and e' is e read on the word above f'."""
+    read on the word below e, and e' is e read on the word above f'.  When
+    f lies left of e (a cup at e's first output counts as left), f stays
+    and e moves by f's arity change; otherwise f moves back by e's arity
+    change and e stays: a cup f' at p, right of e, ties with e at p."""
     if i + 1 >= len(slices):
         return None
     e, f = _single_event(slices[i]), _single_event(slices[i + 1])
@@ -292,9 +289,9 @@ def _interchange_apply(slices: Sequence[Slice], i: int) -> tuple[Event, Event] |
     p, q = e.position, f.position
     if p < q + f.arity_in and q < p + e.arity_out:
         return None
-    pre = q if q < p or (q == p and e.arity_out) else q - e.arity_out + e.arity_in
-    f_new = Event(f.kind, pre, f.labels)
-    return f_new, Event(e.kind, _through(f_new, p), e.labels)
+    if q < p or (q == p and e.arity_out):
+        return Event(f.kind, q, f.labels), Event(e.kind, p + f.arity_out - f.arity_in, e.labels)
+    return Event(f.kind, q - e.arity_out + e.arity_in, f.labels), Event(e.kind, p, e.labels)
 
 
 _MATCHERS = {

@@ -347,6 +347,46 @@ def test_to_diagram_matches_the_fold():
             assert built(to_diagram, e, other) == built(folded, e, other), text
 
 
+def expression_text(d):
+    """A diagram as expression text: one ";" term per slice, each a "|"
+    chain of its events' generators and identity words between them."""
+    terms = []
+    for s in d.slices:
+        factors, p = [], 0
+        for e in s.events:
+            if e.position > p:
+                factors.append(f"id[{','.join(map(str, s.input[p:e.position]))}]")
+            factors.append(f"{e.kind.value}({','.join(map(str, e.labels))})")
+            p = e.position + e.arity_in
+        if p < len(s.input):
+            factors.append(f"id[{','.join(map(str, s.input[p:]))}]")
+        terms.append(" | ".join(factors))
+    return " ; ".join(terms) or f"id[{','.join(map(str, d.source))}]"
+
+
+def test_to_diagram_matches_the_side_by_side_reference():
+    from test_diagram import random_factors, side_by_side_reference
+
+    rng = random.Random(89)
+    unequal = nested_unequal = 0
+    for _ in range(600):
+        dim, factors = random_factors(rng, rng.randrange(2, 5))
+        texts = [f"({expression_text(d)})" for d in factors]
+        if dim is not AmbientDim.PLANAR and rng.random() < 0.3:  # a builtin among them
+            name = rng.choice(sorted(links.BUILTINS))
+            at = rng.randrange(len(factors) + 1)
+            texts.insert(at, name)
+            factors.insert(at, links.BUILTINS[name]())
+        nested = rng.random() < 0.3  # the last two as one parenthesized member
+        text = " | ".join(texts[:-2] + [f"({texts[-2]} | {texts[-1]})"] if nested else texts)
+        want = side_by_side_reference(factors)
+        assert to_diagram(parse_expr(text), dim) == want, text
+        if len({len(d.slices) for d in factors}) > 1:
+            unequal += 1
+            nested_unequal += nested
+    assert unequal > 450 and nested_unequal > 100
+
+
 def named_leaves(e):
     out, todo = [], [e]
     while todo:
@@ -671,6 +711,32 @@ def test_cli_star_enum_builds_no_element(capsys, monkeypatch):
     monkeypatch.setattr(words.FreeProductElement, "__str__", refuse)
     code, out, _ = run(capsys, "star", "enum", "--left", "z3", "--right", "free-x", "--bound", "6")
     assert code == 0 and out.splitlines()[0] == "total: 169"
+
+
+def test_cli_star_enum_exits_141_quietly_when_the_reader_closes_stdout(capsys, monkeypatch, tmp_path):
+    import io
+    import os
+
+    class ClosedPipe(io.TextIOBase):
+        """A stdout whose reader has gone, over a file descriptor of its own."""
+
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(fh.fileno()))
+        code = main(["star", "enum", "--left", "z4", "--right", "z2", "--bound", "12"])
+        # what is left to flush at exit goes to the null device
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_seg_complete(capsys):

@@ -90,6 +90,47 @@ def test_tensor_padding():
     assert len(wide.slices) == 4
 
 
+def side_by_side_reference(factors):
+    """Juxtaposition as it was first written, level by level: each factor's
+    events shifted by the sum of the widths to its left at that level, a
+    factor above its top counting its top width (identity padding)."""
+    layers = []
+    for i in range(max(len(d.slices) for d in factors)):
+        offset, events = 0, []
+        for d in factors:
+            if i < len(d.slices):
+                events += [e.shifted(offset) for e in d.slices[i].events]
+                offset += len(d.slices[i].input)
+            else:
+                offset += len(d.target)
+        layers.append(events)
+    return Diagram.from_events(sum((d.source for d in factors), ()), layers)
+
+
+def random_factors(rng, count):
+    """count random diagrams of one dimension, mostly of unequal heights; a
+    third of them are juxtapositions themselves, so that slices hold
+    several, often tied, events."""
+    dim = rng.choice(list(AmbientDim))
+    factors = []
+    for _ in range(count):
+        d = random_diagram(rng, dim, max_events=rng.randrange(7), width=4)
+        if rng.random() < 0.3:
+            d = side_by_side_reference([d, random_diagram(rng, dim, max_events=3, width=3)])
+        factors.append(d)
+    return dim, factors
+
+
+def test_tensor_matches_the_side_by_side_reference():
+    rng = random.Random(83)
+    unequal = 0
+    for _ in range(800):
+        _, (d1, d2) = random_factors(rng, 2)
+        assert tensor(d1, d2) == side_by_side_reference([d1, d2]), (to_text(d1), to_text(d2))
+        unequal += len(d1.slices) != len(d2.slices)
+    assert unequal > 600
+
+
 def test_slice_typing_errors():
     with pytest.raises(DiagramError):
         Slice((0, 0), (cap(0, at=0),))  # needs (0, 1)

@@ -228,7 +228,10 @@ def layout_interchange(d, i):
         else:
             return None
         f_new = diagram.Event(f.kind, pre, f.labels)
-        shift = f.arity_out if pre <= e.position else 0
+        # f lies left of e when it inserts before e's output block: left of
+        # e's position, or at the first of e's outputs
+        left = q < e.position or (outputs and q == outputs[0])
+        shift = f.arity_out if left else 0
     e_new = diagram.Event(e.kind, e.position + shift, e.labels)
     try:
         Slice(Slice(lower.input, (f_new,)).output(), (e_new,))
@@ -251,6 +254,32 @@ def test_interchange_matches_the_layout_reference():
         swaps += len(listed)
         refusals += len(pairs) - len(listed)
     assert swaps > 4000 and refusals > 4000
+
+
+def test_interchange_of_a_cup_beside_a_cup_on_its_right_keeps_the_target():
+    # f = cup(0) at 2 lies right of e = cup(1) at 0: f moves back to 0,
+    # where it ties with e, and e stays at 0, left of f's strands
+    d = Diagram.from_events((), [[cup(1, at=0)], [cup(0, at=2)]])
+    assert d.target == (2, 1, 1, 0)
+    (m,) = [m for m in applicable_moves(d, PLANAR) if m.kind is MoveKind.INTERCHANGE]
+    swapped = apply_move(d, m)
+    assert swapped == Diagram.from_events((), [[cup(0, at=0)], [cup(1, at=0)]])
+    assert swapped.target == d.target
+
+
+def test_every_listed_interchange_applies_keeps_the_boundary_and_changes_the_diagram():
+    cases = [(d, BRAIDED) for d in iter_closed_diagrams(6, 3)]
+    for dim in (PLANAR, BRAIDED, SYMMETRIC):
+        cases += [(random_diagram(random.Random(s), dim), dim) for s in range(3000)]
+    swaps = 0
+    for d, dim in cases:
+        for m in applicable_moves(d, dim):
+            if m.kind is MoveKind.INTERCHANGE:
+                r = apply_move(d, m)
+                assert (r.source, r.target) == (d.source, d.target), (to_text(d), m)
+                assert r != expand(d), (to_text(d), m)
+                swaps += 1
+    assert len(cases) == 9404 and swaps == 7470
 
 
 def test_r2_forward_and_backward():
@@ -548,10 +577,7 @@ def test_moves_preserve_structure_randomized():
         if not moves:
             continue
         m = rng.choice(moves)
-        try:
-            r = apply_move(d, m)
-        except MoveError:
-            continue
+        r = apply_move(d, m)
         checked += 1
         assert expand(d) is d
         assert all(a is b for a, b in zip(r.slices[: m.slice_index], d.slices))
@@ -744,12 +770,9 @@ def test_pairs_the_search_joins_have_equal_values():
             d = random_diagram(rng, dim, max_events=6, width=5, lo=-1, hi=1)
             moves = applicable_moves(d, dim, include_backward=True)
             for m in rng.sample(moves, min(6, len(moves))):
-                try:
-                    d2 = apply_move(d, m)
-                except MoveError:
-                    continue
-                if (d2.source, d2.target) == (d.source, d.target):
-                    pairs.append((dim, d, d2))
+                d2 = apply_move(d, m)
+                assert (d2.source, d2.target) == (d.source, d.target), (to_text(d), m)
+                pairs.append((dim, d, d2))
     assert len(pairs) > 500
     for dim, d1, d2 in pairs:
         for datum in rewrite._separating_data(dim is SYMMETRIC):
