@@ -49,6 +49,7 @@ from .rewrite import (
     apply_move,
     equal,
     expand,
+    interchange_normal,
     normalize_planar,
     reduce_diagram,
 )

@@ -298,6 +298,17 @@ def _grouped(e: Expr, kinds) -> list:
 _KINDS = {k.value: k for k in EventKind}  # the kinds are spelled as in the grammar
 
 
+def _place_event(f: Gen, x: int, level: int, layers, planar: bool) -> Event:
+    """The event of generator f at position x, appended to its level."""
+    event = Event(_KINDS[f.kind], x, f.args)
+    if planar and event.is_crossing:
+        raise DiagramError("crossings are not allowed in the planar ambient dimension")
+    if level == len(layers):
+        layers.append([])
+    layers[level].append(event)
+    return event
+
+
 def _beside(rest: list, x: int, level: int, layers, planar: bool, source: list, target: list):
     """Read in place the generators and identity words ending rest, a "|"
     chain's members still to place: each event is built at x plus the
@@ -307,12 +318,7 @@ def _beside(rest: list, x: int, level: int, layers, planar: bool, source: list, 
     while rest and type(rest[-1]) in (Gen, IdWord):
         f = rest.pop()
         if type(f) is Gen:
-            event = Event(_KINDS[f.kind], x, f.args)
-            if planar and event.is_crossing:
-                raise DiagramError("crossings are not allowed in the planar ambient dimension")
-            if level == len(layers):
-                layers.append([])
-            layers[level].append(event)
+            event = _place_event(f, x, level, layers, planar)
             words, tall = (event.consumes(), event.emits()), True
         else:
             words = f.labels, f.labels
@@ -389,7 +395,11 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
             done = (d.source, d.target, place(layers, d, level, origin))
         elif isinstance(f, Seq):
             chains.append(_Chain(False, f.members(), level))
-        elif isinstance(f, (Par, Gen, IdWord)):  # a leaf is a "|" chain of one
+        elif type(f) is Gen:  # a generator that is a whole ";" member, read in place
+            event = _place_event(f, origin(level), level, layers, planar)
+            source, target = event.consumes(), event.emits()
+            done = (source, target, [len(source), len(target)])
+        elif isinstance(f, (Par, IdWord)):  # an identity word is a "|" chain of one
             rest, source, target = f.members() if isinstance(f, Par) else [f], [], []
             widths = _beside(rest, origin(level), level, layers, planar, source, target)
             if rest:

@@ -48,10 +48,16 @@ slice whose read reached the redex (slice 0 if the redex is among the
 first four): a cup or crossing whose tracked pair is untouched up to it,
 or a double-twist window that overlaps it.
 
-``equal`` decides planar equality by normal form; otherwise it runs a
-bounded bidirectional search over the move graph and falls back to
-evaluation: differing values under a validated datum certify distinctness,
-exhaustion without separation returns Unknown.
+``interchange_normal`` brings each event as low as interchanges take it
+and reads each layer left to right: a diagram of the input's orbit, the
+same for the whole orbit on the connected diagrams the tests list.
+
+``equal`` decides planar equality by the planar normal form.  Otherwise
+it reduces both sides, then tries the cheapest sound decider first:
+identical reductions or interchange normal forms give Equal; different
+signatures, or different values under a validated datum, give Distinct;
+last, a bounded bidirectional search over the move graph gives Equal
+when it joins the pair, and Unknown when its budget runs out.
 """
 
 from __future__ import annotations
@@ -435,6 +441,144 @@ def _replace(slices: list[Slice], start: int, stop: int, layers, word: ObjectWor
 
 
 # ---------------------------------------------------------------------------
+# interchange normal form
+
+
+def interchange_normal(d: Diagram) -> Diagram:
+    """One expanded diagram of d's interchange orbit: each event as low as
+    it goes, each layer read left to right (the Foata form of Cartier and
+    Foata).  Layer h holds the events of height h, one more than the
+    height of the events they need below them; its events are placed on
+    the word the lower layers leave, in the order in which they land at
+    its bottom.  At one position a consumer (cap or crossing) goes before
+    a cup; of two cups at one gap the left one goes first, and the other,
+    brought down directly above it, lands two places right.
+
+    Moving events one interchange at a time would cost a swap for every
+    pair that the form reorders, quadratic on two independent towers, so
+    the form is read off strand identities instead, in O(events x width):
+
+    * A consumer lands on the two segments it takes.  A cup lands at the
+      gap left of the segment on its right: brought down, a cup keeps
+      that neighbour except where it passes the neighbour's emitter.
+      Beside a cup y it goes to y's right neighbour, left of y; beside a
+      crossing, to the crossing's left input; past a cap whose strands
+      meet above it, it lands right of them, as ``_interchange_apply``
+      places it.
+    * A consumer needs the emitters of its inputs and the caps closed
+      between them; a cup needs the emitter of the two segments it ends
+      up between, by the same descent.
+    * Positions in a layer are prefix sums of the arity changes to the
+      left, read on the segments the layers below leave.
+
+    The form lies in d's orbit.  The tests check, by listing the orbits,
+    that on the connected diagrams of up to six events they draw it is
+    the same for the whole orbit.  Not every swap can be undone (a cup
+    left of a cap's strands passes above the cap and comes down on its
+    right), and a larger connected orbit can hold two forms.
+    """
+    d = expand(d)
+    word: list[int] = list(range(len(d.source)))  # segments, and closed caps as -2 - height
+    closed = 0  # closed caps in the word
+    # blocked[a]: the height of what a cup left of segment a (None: the end) needs below it
+    blocked: dict[int | None, int] = dict.fromkeys(word + [None], -1)
+    emitted_at: dict[int, int] = dict.fromkeys(word, -1)
+    emitter: dict[int, tuple[int, bool]] = {}  # segment -> (event, is its right output)
+    events, heights, ins, outs, anchors = [], [], [], [], {}
+    fresh = len(word)
+    for k, s in enumerate(d.slices):
+        e = s.events[0]
+        reals = [j for j, x in enumerate(word) if x >= 0] + [len(word)] if closed else None
+        j = reals[e.position] if closed else e.position
+        if e.kind is EventKind.CUP:
+            anchor = word[j] if j < len(word) else None
+            anchors[k] = anchor
+            height = blocked[anchor] + 1
+            taken, lo, hi = (), j, j
+        else:
+            hi = (reals[e.position + 1] if closed else j + 1) + 1
+            taken, lo = (word[j], word[hi - 1]), j
+            between = word[j + 1 : hi - 1]
+            closed -= len(between)
+            height = 1 + max([emitted_at[x] for x in taken] + [-2 - g for g in between])
+        made = (fresh, fresh + 1) if e.arity_out else ()
+        fresh += len(made)
+        if made:
+            left, right = made
+            blocked[left] = blocked[anchor if e.kind is EventKind.CUP else taken[0]]
+            blocked[right] = emitted_at[left] = emitted_at[right] = height
+            emitter[left], emitter[right] = (k, False), (k, True)
+            word[lo:hi] = made
+        else:  # a closed cap merges with the closed caps beside it
+            ghost = -2 - height
+            if lo and word[lo - 1] < 0:
+                lo, ghost, closed = lo - 1, min(ghost, word[lo - 1]), closed - 1
+            if hi < len(word) and word[hi] < 0:
+                hi, ghost, closed = hi + 1, min(ghost, word[hi]), closed - 1
+            word[lo:hi] = [ghost]
+            closed += 1
+        events.append(e)
+        heights.append(height)
+        ins.append(taken)
+        outs.append(made)
+
+    def land(a):
+        """Where a cup left of segment a lands on the front, and the first
+        cup of the layer that it descends beside."""
+        path = []
+        while a not in index and a not in landing:
+            k, right = emitter.get(a, (-1, True))
+            if right or heights[k] < h:
+                raise RuntimeError("a cup of the layer cannot descend to its bottom")
+            path.append(a)
+            a = anchors[k] if k in anchors else ins[k][0]
+        at, first = landing[a] if a in landing else (index[a], None)
+        for a in reversed(path):
+            k = emitter[a][0]
+            first = k if k in anchors else first
+            landing[a] = (at, first)
+        return at, first
+
+    layers: dict[int, list[int]] = {}
+    for k, h in enumerate(heights):
+        layers.setdefault(h, []).append(k)
+    front = list(range(len(d.source)))
+    out: list[list[Event]] = []
+    for h in sorted(layers):
+        index = {x: i for i, x in enumerate(front)}
+        landing: dict[int | None, tuple[int, int | None]] = {None: (len(front), None)}
+        keys, gaps = {}, {}
+        for k in layers[h]:
+            if k in anchors:
+                at, first = land(anchors[k])
+                gap = gaps.setdefault(at, [])
+                gap.insert(gap.index(first) if first in gap else len(gap), k)
+            else:
+                keys[k] = (index[ins[k][0]], 0)
+        for at, gap in gaps.items():
+            keys.update((k, (at, 1 + r)) for r, k in enumerate(gap))
+        # a consumer shifts what lies right of it, but not the cups at its gap
+        shift, held, held_at = 0, 0, -1
+        for k in sorted(keys, key=keys.get):
+            at = keys[k][0]
+            if at > held_at:
+                shift, held = shift + held, 0
+            p = at + shift
+            if k in anchors:
+                shift += 2
+            elif front[p : p + 2] != list(ins[k]):
+                raise RuntimeError("a consumer of the layer does not find its inputs")
+            else:
+                held, held_at = len(outs[k]) - 2, at
+            front[p : p + len(ins[k])] = outs[k]
+            out.append([Event(events[k].kind, p, events[k].labels)])
+    form = Diagram.from_events(d.source, out)
+    if form.target != d.target:
+        raise RuntimeError("the interchange normal form changed the target")
+    return form
+
+
+# ---------------------------------------------------------------------------
 # planar normal form
 
 
@@ -596,10 +740,7 @@ def _signature(d: Diagram, dim: AmbientDim):
 
 def _neighbors(d: Diagram, dim: AmbientDim, window) -> Iterable[Diagram]:
     for m in applicable_moves(d, dim, include_backward=True, label_window=window):
-        try:
-            yield apply_move(d, m)
-        except MoveError:
-            continue
+        yield apply_move(d, m)
 
 
 def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equality:
@@ -608,7 +749,9 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
     Planar diagrams are decided by normal form.  Otherwise the cheapest
     sound decider runs first, on the reduced pair r1, r2:
 
-    1. r1 == r2 gives Equal: reduction applies moves only.
+    1. r1 == r2 gives Equal: reduction applies moves only.  Otherwise,
+       when r1 and r2 have as many events, equal interchange normal forms
+       give Equal: each form lies in its input's interchange orbit.
     2. Different signatures (components, their ends, writhe, mod 2 in the
        symmetric case) give Distinct.  Reduction keeps all three, so they
        are the signatures of the inputs.
@@ -629,7 +772,8 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
             else Equality.DISTINCT
         )
     r1, r2 = reduce_diagram(d1, dim), reduce_diagram(d2, dim)
-    if r1 == r2:
+    # interchanges keep the number of events (one per slice of a reduction)
+    if r1 == r2 or (len(r1.slices) == len(r2.slices) and interchange_normal(r1) == interchange_normal(r2)):
         return Equality.EQUAL
     if _signature(r1, dim) != _signature(r2, dim):
         return Equality.DISTINCT

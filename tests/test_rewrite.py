@@ -46,9 +46,11 @@ from tangles.rewrite import (
     apply_move,
     equal,
     expand,
+    interchange_normal,
     normalize_planar,
     reduce_diagram,
 )
+from tangles.unionfind import UnionFind
 
 PLANAR, BRAIDED, SYMMETRIC = AmbientDim.PLANAR, AmbientDim.BRAIDED, AmbientDim.SYMMETRIC
 
@@ -280,6 +282,126 @@ def test_every_listed_interchange_applies_keeps_the_boundary_and_changes_the_dia
                 assert r != expand(d), (to_text(d), m)
                 swaps += 1
     assert len(cases) == 9404 and swaps == 7470
+
+
+def test_every_listed_move_applies():
+    # the move search takes each listed neighbour without catching MoveError,
+    # so a listed move that does not apply is a fault, not a skip
+    cases = [(d, BRAIDED) for d in iter_closed_diagrams(6, 3)]
+    for dim in (PLANAR, BRAIDED, SYMMETRIC):
+        cases += [(random_diagram(random.Random(s), dim), dim) for s in range(1000)]
+    applied = 0
+    for d, dim in cases:
+        for m in applicable_moves(d, dim, include_backward=True):
+            r = apply_move(d, m)
+            assert (r.source, r.target) == (d.source, d.target), (to_text(d), m)
+            applied += 1
+    assert len(cases) == 3404 and applied == 133150
+
+
+def interchange_orbit(d):
+    """Every diagram that listed INTERCHANGE moves reach from d.  Not every
+    swap can be undone: a cup left of a cap's strands passes above the cap,
+    and from there goes down on the right."""
+    d = expand(d)
+    seen, todo = {d}, [d]
+    while todo:
+        x = todo.pop()
+        for m in applicable_moves(x, PLANAR):
+            if m.kind is MoveKind.INTERCHANGE:
+                y = apply_move(x, m)
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return seen
+
+
+def is_connected(d):
+    """One piece when each event joins the segments it consumes and emits
+    (no joining through the boundary)."""
+    events, _ = diagram.strand_segments(d)
+    pieces = UnionFind()
+    for x in range(len(d.source)):
+        pieces.find(x)
+    for _, _, ins, outs in events:
+        for x in ins + outs:
+            pieces.union((ins + outs)[0], x)
+    return len(pieces.groups()) <= 1
+
+
+def test_interchange_normal_lies_in_the_orbit_and_is_one_per_connected_orbit():
+    cases = list(iter_closed_diagrams(6, 3))
+    for dim in (PLANAR, BRAIDED, SYMMETRIC):
+        cases += [random_diagram(random.Random(s), dim) for s in range(1000)]
+    forms = {}
+
+    def form(x):
+        if x not in forms:
+            forms[x] = interchange_normal(x)
+        return forms[x]
+
+    connected = several = 0
+    for d in cases:
+        orbit = interchange_orbit(d)
+        assert form(d) in orbit, to_text(d)
+        found = {form(x) for x in orbit}
+        if is_connected(d):
+            connected += 1
+            assert found == {form(d)}, to_text(d)
+        else:
+            several += len(found) > 1
+    # a closed loop or a floating turnback can pass a cap on either side
+    assert len(cases) == 3404 and connected == 885 and several > 0
+
+
+def test_interchange_normal_keeps_what_interchanges_keep():
+    # draws too large to list their orbits: the form keeps each event's kind
+    # and labels, the strand ends and every value, and on a connected
+    # diagram it is its own form
+    data = (kauffman_datum(), unit_datum(2, 1))
+
+    def kept(x):
+        return (
+            sorted((e.kind.value, e.labels) for _, e in x.events()),
+            sorted((c.closed, c.ends) for c in trace_components(x)),
+            [evaluate(x, datum) for datum in data],
+        )
+
+    connected = 0
+    for s in range(600):
+        d = random_diagram(random.Random(s), (PLANAR, BRAIDED, SYMMETRIC)[s % 3], max_events=16, width=6, lo=-1, hi=1)
+        form = interchange_normal(d)
+        assert kept(form) == kept(d), to_text(d)
+        if is_connected(d):
+            connected += 1
+            assert interchange_normal(form) == form, to_text(d)
+    assert connected == 153
+
+
+def test_interchange_normal_ties():
+    # a cup directly above a cap: the cap goes first, the cup lands in its gap
+    form = Diagram.from_events((0, 1), [[cap(0, at=0)], [cup(0, at=0)]])
+    for layers in (
+        [[cup(0, at=0)], [cap(0, at=2)]],
+        [[cap(0, at=0)], [cup(0, at=0)]],
+        [[cup(0, at=2)], [cap(0, at=0)]],
+    ):
+        assert interchange_normal(Diagram.from_events((0, 1), layers)) == form
+    # two cups at one gap: the left one first; the other, brought down
+    # directly above it, lands at p + 2
+    form = Diagram.from_events((), [[cup(1, at=0)], [cup(0, at=2)]])
+    for layers in ([[cup(1, at=0)], [cup(0, at=2)]], [[cup(0, at=0)], [cup(1, at=0)]]):
+        assert interchange_normal(Diagram.from_events((), layers)) == form
+
+
+def test_interchange_normal_layers_independent_towers():
+    # two twisted pairs side by side, the left one listed first: the form
+    # interleaves them, one crossing of each per layer
+    left = [[cross_pos(0, 1, at=0)], [cross_pos(1, 0, at=0)]] * 3
+    right = [[cross_pos(2, 3, at=2)], [cross_pos(3, 2, at=2)]] * 3
+    form = Diagram.from_events((0, 1, 2, 3), [x for pair in zip(left, right) for x in pair])
+    assert interchange_normal(Diagram.from_events((0, 1, 2, 3), left + right)) == form
+    assert interchange_normal(form) == form
 
 
 def test_r2_forward_and_backward():
@@ -808,7 +930,23 @@ def test_equal_searches_a_pair_too_wide_to_evaluate():
     with pytest.raises(EvaluationError):
         evaluate(d1, kauffman_datum())
     assert equal(d1, d2, BRAIDED, budget=5000) is Equality.EQUAL
-    assert equal(d1, d2, BRAIDED, budget=0) is Equality.UNKNOWN
+    # the pair is one interchange apart, so the normal forms decide it
+    assert interchange_normal(d1) == interchange_normal(d2)
+    assert equal(d1, d2, BRAIDED, budget=0) is Equality.EQUAL
+    # the braid relation is no interchange: with the full twist on three
+    # strands before the caps, nothing but the search could join the pair
+    # one R3 apart, and at budget 0 it is Unknown
+    i = len(layers) - 2 * k
+    a, b, c = Diagram.from_events((), layers[:i]).target[:3]
+    braid = [[cross_pos(a, b, at=0)], [cross_pos(a, c, at=1)], [cross_pos(b, c, at=0)]]
+    braid += [[cross_pos(c, b, at=0)], [cross_pos(c, a, at=1)], [cross_pos(b, a, at=0)]]
+    d3 = Diagram.from_events((), layers[:i] + braid + layers[i:])
+    (m,) = [m for m in applicable_moves(d3, BRAIDED) if m.kind is MoveKind.R3 and m.slice_index == i]
+    d4 = apply_move(d3, m)
+    assert interchange_normal(reduce_diagram(d3, BRAIDED)) != interchange_normal(reduce_diagram(d4, BRAIDED))
+    with pytest.raises(EvaluationError):
+        evaluate(d3, kauffman_datum())
+    assert equal(d3, d4, BRAIDED, budget=0) is Equality.UNKNOWN
 
 
 def test_equal_boundary_mismatch():
