@@ -575,14 +575,29 @@ def _cmd_star_enum(args) -> int:
     return 0
 
 
+@functools.cache
+def _preset(name: str):
+    """The named preset, built and checked once per process."""
+    return _PRESETS[name]()
+
+
+def _decimal(n: int, chunk: int = 10**600) -> str:
+    """n in decimal however long, read off 600 digits at a time: below the
+    least limit (640) an interpreter may set on int-to-str conversion."""
+    chunks = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
 def _cmd_seg_complete(args) -> int:
-    data = _PRESETS[args.preset]()
-    comp = complete(data, args.budget)
+    comp = complete(_preset(args.preset), args.budget)
     print(f"objects: {len(comp.presentation.objects)}")
     print(f"generators: {len(comp.presentation.generators)}")
     print(f"relations: {len(comp.presentation.relations)}")
     for key in sorted(comp.class_counts, key=repr):
-        print(f"hom {key[0]} -> {key[1]}: {comp.class_counts[key]} classes")
+        print(f"hom {key[0]} -> {key[1]}: {_decimal(comp.class_counts[key])} classes")
     print(f"stabilized: {comp.stabilized}")
     return 0
 

@@ -3,11 +3,11 @@ category presentation, and a truncated colimit computing the same thing.
 
 A ``SimplicialData`` stores finite levels X_0 ... X_K together with all
 face and degeneracy maps in that range; the simplicial identities are
-checked at construction.  The standard inputs (monoid nerves, their
-pushouts, interval posets and graphs) are built from face and degeneracy
-formulas.  ``act`` evaluates the contravariant action of an arbitrary
-monotone map from one table per operator, built on first use by
-factoring the map into faces and degeneracies.
+checked at construction, one simplex at a time.  The standard inputs
+(monoid nerves, their pushouts, interval posets and graphs) are built
+from face and degeneracy formulas.  ``act`` evaluates the contravariant
+action of an arbitrary monotone map from one table per operator, built
+on first use by factoring the map into faces and degeneracies.
 
 ``is_segal`` tests whether level p is exactly the set of p-chains of
 composable edges, read from a cut fiber product.  ``complete`` builds the
@@ -93,49 +93,8 @@ class SimplicialData:
 
     def _check_identities(self) -> None:
         """Check d_i d_j = d_{j-1} d_i (i < j), that each s_j lands in its
-        level, and the d_i s_j identities, a whole table at a time.  When one
-        fails, or a lookup does, :meth:`_raise_first_identity_error` raises
-        the first failure in simplex order, so the error does not depend on
-        the order of the checks here."""
-        try:
-            hold = self._identities_hold()
-        except (KeyError, TypeError):  # a value outside its level, or not hashable
-            hold = False
-        if not hold:
-            self._raise_first_identity_error()
-
-    def _identities_hold(self) -> bool:
-        faces, degeneracies = self.faces, self.degeneracies
-
-        def image(table: dict, xs: Sequence) -> list:
-            return list(map(table.__getitem__, xs))
-
-        for p in range(2, self.K + 1):
-            d = [image(faces[(p, k)], self.levels[p]) for k in range(p + 1)]  # d_k on level p
-            for j in range(p + 1):
-                for i in range(j):
-                    if image(faces[(p - 1, i)], d[j]) != image(faces[(p - 1, j - 1)], d[i]):
-                        return False
-        for p in range(self.K):
-            level, above = list(self.levels[p]), set(self.levels[p + 1])
-            d = [image(faces[(p, k)], level) for k in range(p + 1)] if p else []
-            for j in range(p + 1):
-                sx = image(degeneracies[(p, j)], level)
-                if not above.issuperset(sx):
-                    return False
-                for i in range(p + 2):
-                    if i == j or i == j + 1:
-                        expected = level
-                    elif i < j:
-                        expected = image(degeneracies[(p - 1, j - 1)], d[i])
-                    else:
-                        expected = image(degeneracies[(p - 1, j)], d[i - 1])
-                    if image(faces[(p + 1, i)], sx) != expected:
-                        return False
-        return True
-
-    def _raise_first_identity_error(self) -> None:
-        """The identities one simplex at a time: raise the first failure."""
+        level, and the d_i s_j identities, one simplex at a time, and raise
+        the first failure in simplex order."""
         faces, degeneracies = self.faces, self.degeneracies
         for p in range(2, self.K + 1):
             for x in self.levels[p]:
@@ -278,20 +237,15 @@ def presentation_of(X: SimplicialData) -> CategoryPresentation:
         for e in X.levels[1]
         if e not in identities
     )
-    relations = []
-    seen = set()
+    relations = {}  # each relation once, in the order of its first 2-simplex
     for sigma in X.levels[2]:
         first = X.face(2, 2, sigma)
         second = X.face(2, 0, sigma)
         long = X.face(2, 1, sigma)
         lhs = tuple(e for e in (first, second) if e not in identities)
         rhs = tuple(e for e in (long,) if e not in identities)
-        if lhs == rhs:
-            continue
-        key = (lhs, rhs)
-        if key not in seen:
-            seen.add(key)
-            relations.append(key)
+        if lhs != rhs:
+            relations[(lhs, rhs)] = None
     return CategoryPresentation(objects, generators, tuple(relations))
 
 

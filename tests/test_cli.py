@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tangles import diagram, links, rewrite
+from tangles import cli, diagram, links, rewrite
 from tangles.cli import (
     Gen,
     IdWord,
@@ -36,6 +36,7 @@ from tangles.diagram import (
 )
 from tangles.evaluate import datum_to_text, kauffman_datum, trivial_datum
 from tangles.links import trefoil
+from tangles.segal import complete
 
 BRAIDED = AmbientDim.BRAIDED
 
@@ -743,6 +744,54 @@ def test_cli_seg_complete(capsys):
     code, out, _ = run(capsys, "seg", "complete", "--preset", "nerve-z3", "--budget", "4")
     assert code == 0
     assert "3 classes" in out and "stabilized: True" in out
+
+
+def _completion_text(comp) -> str:
+    """What ``seg complete`` prints for a completion."""
+    pres = comp.presentation
+    lines = [f"objects: {len(pres.objects)}", f"generators: {len(pres.generators)}",
+             f"relations: {len(pres.relations)}"]
+    lines += [f"hom {x} -> {y}: {n} classes" for (x, y), n in sorted(comp.class_counts.items(), key=repr)]
+    return "\n".join(lines + [f"stabilized: {comp.stabilized}", ""])
+
+
+def test_cli_seg_complete_builds_each_preset_once(capsys, monkeypatch):
+    fresh = dict(cli._PRESETS)
+    builds = []
+    for name, build in fresh.items():
+        monkeypatch.setitem(cli._PRESETS, name, lambda name=name, build=build: builds.append(name) or build())
+    cli._preset.cache_clear()
+    try:
+        for name in sorted(fresh):
+            for budget in range(8):
+                argv = ("seg", "complete", "--preset", name, "--budget", str(budget))
+                want = (0, _completion_text(complete(fresh[name](), budget)), "")
+                assert run(capsys, *argv) == want and run(capsys, *argv) == want, (name, budget)
+        assert builds == sorted(fresh)  # each preset once, on its first call
+        for name in fresh:  # while the builders still return fresh data
+            assert cli._PRESETS[name]() is not cli._preset(name) is cli._preset(name)
+    finally:
+        cli._preset.cache_clear()
+
+
+def test_cli_seg_complete_prints_a_count_past_the_int_digit_limit(capsys):
+    # at budget 30,000 a class count has 4,517 digits, past the default
+    # limit (4,300) on int-to-str conversion: it is printed whole, and the
+    # limit is left in force for user text
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "seg", "complete", "--preset", "pushout-z2-z3", "--budget", "30000")
+    assert (code, err) == (0, "")
+    line = next(line for line in out.splitlines() if line.startswith("hom "))
+    digits = line.removeprefix("hom ('U', 0) -> ('U', 0): ").removesuffix(" classes")
+    assert len(digits) > 4300 and digits.isdigit()
+    value = 0
+    for i in range(0, len(digits), 500):  # read back in chunks below any limit
+        value = value * 10 ** len(digits[i : i + 500]) + int(digits[i : i + 500])
+    assert value == complete(cli._PRESETS["pushout-z2-z3"](), 30000).class_count(("U", 0), ("U", 0))
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if limit:  # the interpreter limits conversion: a 5,000-digit label is refused
+        code, _, err = run(capsys, "validate", f"cup({'1' * 5000})")
+        assert code == 1 and err.startswith("error: syntax error at position 4")
 
 
 def test_cli_simplex_phi(capsys):
