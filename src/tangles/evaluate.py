@@ -310,28 +310,18 @@ def evaluate(d: Diagram, datum: RigidDatum) -> Matrix:
 # the Kauffman preset and friends
 
 
-def _kauffman_pairing() -> tuple[Matrix, Matrix]:
-    """The 2x2 pairing and copairing solving the loop and zigzag constraints."""
-    pairing = Matrix.from_rows([[Laurent.zero(), A], [-A_INV, Laurent.zero()]])
-    copairing = Matrix.from_rows([[Laurent.zero(), -A], [A_INV, Laurent.zero()]])
-    return pairing, copairing
-
-
 def kauffman_datum() -> RigidDatum:
     """The rank-2 bracket datum over Z[A, A^-1].
 
-    The entries are forced (up to basis) by requiring both loop values to
-    equal -A^2 - A^-2, all four zigzags, and the skein form of the
-    braiding c = A * turnback + A^-1 * identity; the state-sum oracle
-    certifies the choice on every closed diagram it is compared against.
+    The copairing b and the pairing d, read row-major from the 2x2 forms
+    [[0, -A], [A^-1, 0]] and [[0, A], [-A^-1, 0]], are forced (up to
+    basis) by requiring both loop values to equal -A^2 - A^-2, all four
+    zigzags, and the skein form of the braiding c = A * turnback + A^-1 *
+    identity; the state-sum oracle certifies the choice on every closed
+    diagram it is compared against.
     """
-    pairing, copairing = _kauffman_pairing()
-    flat = [copairing.entry(i, j) for i in range(2) for j in range(2)]
-    b = Matrix.column(flat)
-    b_prime = Matrix.column(flat)
-    d_row = [pairing.entry(i, j) for i in range(2) for j in range(2)]
-    d = Matrix.row(d_row)
-    d_prime = Matrix.row(d_row)
+    b = Matrix.column([0, -A, A_INV, 0])
+    d = Matrix.row([0, A, -A_INV, 0])
     turnback = b @ d  # E on V x V, with E^2 = delta E
     c = turnback.scale(A) + Matrix.identity(4).scale(A_INV)
     c_inv = turnback.scale(A_INV) + Matrix.identity(4).scale(A)
@@ -340,9 +330,9 @@ def kauffman_datum() -> RigidDatum:
         ring="laurent",
         rank=2,
         b=b,
-        b_prime=b_prime,
+        b_prime=b,
         d=d,
-        d_prime=d_prime,
+        d_prime=d,
         braiding=c,
         braiding_inv=c_inv,
         symmetric=False,
@@ -370,10 +360,8 @@ def flip_datum() -> RigidDatum:
     """Rank 2 over the integers, with the hyperbolic pairing and the
     strand-swap braiding; genuinely symmetric (c^2 = 1) and with loop
     value 2, so it detects any move that would drop a closed component."""
-    pairing = Matrix.from_rows([[0, 1], [1, 0]])
-    flat = [pairing.entry(i, j) for i in range(2) for j in range(2)]
-    b = Matrix.column(flat)
-    d = Matrix.row(flat)
+    b = Matrix.column([0, 1, 1, 0])  # the pairing [[0, 1], [1, 0]], read row-major
+    d = Matrix.row([0, 1, 1, 0])
     swap = Matrix(4, 4, {(0, 0): 1, (1, 2): 1, (2, 1): 1, (3, 3): 1})
     return RigidDatum(
         name="flip",

@@ -131,12 +131,6 @@ def expand(d: Diagram) -> Diagram:
     return Diagram.from_events(d.source, layers)
 
 
-def _single_event(s: Slice) -> Event | None:
-    if len(s.events) > 1:
-        raise MoveError("rewriting requires an expanded diagram (use expand)")
-    return s.events[0] if s.events else None
-
-
 # ---------------------------------------------------------------------------
 # strand-pair tracking across slices
 
@@ -289,9 +283,7 @@ def _interchange_apply(slices: Sequence[Slice], i: int) -> tuple[Event, Event] |
     change and e stays: a cup f' at p, right of e, ties with e at p."""
     if i + 1 >= len(slices):
         return None
-    e, f = _single_event(slices[i]), _single_event(slices[i + 1])
-    if e is None or f is None:
-        return None
+    e, f = slices[i].events[0], slices[i + 1].events[0]
     p, q = e.position, f.position
     if p < q + f.arity_in and q < p + e.arity_out:
         return None
@@ -468,6 +460,9 @@ def interchange_normal(d: Diagram) -> Diagram:
     * A consumer needs the emitters of its inputs and the caps closed
       between them; a cup needs the emitter of the two segments it ends
       up between, by the same descent.
+    * Closed caps are one height per gap, kept against the segment on the
+      gap's left: a consumer takes the one between its inputs, a crossing
+      carries the one on its right, a cap merges its own with its sides'.
     * Positions in a layer are prefix sums of the arity changes to the
       left, read on the segments the layers below leave.
 
@@ -478,46 +473,36 @@ def interchange_normal(d: Diagram) -> Diagram:
     right), and a larger connected orbit can hold two forms.
     """
     d = expand(d)
-    word: list[int] = list(range(len(d.source)))  # segments, and closed caps as -2 - height
-    closed = 0  # closed caps in the word
+    events = [s.events[0] for s in d.slices]
+    word: list[int] = list(range(len(d.source)))  # the segments
+    caps: dict[int | None, int] = {}  # segment (None: the left end) -> height of the caps closed right of it
     # blocked[a]: the height of what a cup left of segment a (None: the end) needs below it
     blocked: dict[int | None, int] = dict.fromkeys(word + [None], -1)
     emitted_at: dict[int, int] = dict.fromkeys(word, -1)
     emitter: dict[int, tuple[int, bool]] = {}  # segment -> (event, is its right output)
-    events, heights, ins, outs, anchors = [], [], [], [], {}
+    heights, ins, outs, anchors = [], [], [], {}
     fresh = len(word)
-    for k, s in enumerate(d.slices):
-        e = s.events[0]
-        reals = [j for j, x in enumerate(word) if x >= 0] + [len(word)] if closed else None
-        j = reals[e.position] if closed else e.position
-        if e.kind is EventKind.CUP:
-            anchor = word[j] if j < len(word) else None
-            anchors[k] = anchor
-            height = blocked[anchor] + 1
-            taken, lo, hi = (), j, j
-        else:
-            hi = (reals[e.position + 1] if closed else j + 1) + 1
-            taken, lo = (word[j], word[hi - 1]), j
-            between = word[j + 1 : hi - 1]
-            closed -= len(between)
-            height = 1 + max([emitted_at[x] for x in taken] + [-2 - g for g in between])
+    for k, e in enumerate(events):
+        j = e.position
         made = (fresh, fresh + 1) if e.arity_out else ()
         fresh += len(made)
-        if made:
-            left, right = made
-            blocked[left] = blocked[anchor if e.kind is EventKind.CUP else taken[0]]
-            blocked[right] = emitted_at[left] = emitted_at[right] = height
-            emitter[left], emitter[right] = (k, False), (k, True)
-            word[lo:hi] = made
-        else:  # a closed cap merges with the closed caps beside it
-            ghost = -2 - height
-            if lo and word[lo - 1] < 0:
-                lo, ghost, closed = lo - 1, min(ghost, word[lo - 1]), closed - 1
-            if hi < len(word) and word[hi] < 0:
-                hi, ghost, closed = hi + 1, min(ghost, word[hi]), closed - 1
-            word[lo:hi] = [ghost]
-            closed += 1
-        events.append(e)
+        # anchor: the segment a cup left of the left output descends beside
+        if e.kind is EventKind.CUP:
+            anchor = anchors[k] = word[j] if j < len(word) else None
+            height = blocked[anchor] + 1
+            taken = ()
+        else:
+            taken = anchor, b = word[j], word[j + 1]
+            height = 1 + max(emitted_at[anchor], emitted_at[b], caps.pop(anchor, -1))
+            if not made:  # a closed cap merges with the closed caps beside it
+                beside = word[j - 1] if j else None
+                caps[beside] = max(height, caps.get(beside, -1), caps.pop(b, -1))
+            elif b in caps:  # the caps right of a crossing stay right of it
+                caps[made[1]] = caps.pop(b)
+        for x, is_right in zip(made, (False, True)):
+            emitter[x], emitted_at[x] = (k, is_right), height
+            blocked[x] = height if is_right else blocked[anchor]
+        word[j : j + len(taken)] = made
         heights.append(height)
         ins.append(taken)
         outs.append(made)
@@ -526,35 +511,32 @@ def interchange_normal(d: Diagram) -> Diagram:
         """Where a cup left of segment a lands on the front, and the first
         cup of the layer that it descends beside."""
         path = []
-        while a not in index and a not in landing:
+        while a not in landing:
             k, right = emitter.get(a, (-1, True))
             if right or heights[k] < h:
                 raise RuntimeError("a cup of the layer cannot descend to its bottom")
             path.append(a)
             a = anchors[k] if k in anchors else ins[k][0]
-        at, first = landing[a] if a in landing else (index[a], None)
+        at, first = landing[a]
         for a in reversed(path):
             k = emitter[a][0]
             first = k if k in anchors else first
             landing[a] = (at, first)
         return at, first
 
-    layers: dict[int, list[int]] = {}
-    for k, h in enumerate(heights):
-        layers.setdefault(h, []).append(k)
     front = list(range(len(d.source)))
     out: list[list[Event]] = []
-    for h in sorted(layers):
-        index = {x: i for i, x in enumerate(front)}
-        landing: dict[int | None, tuple[int, int | None]] = {None: (len(front), None)}
+    by_height = sorted(range(len(events)), key=heights.__getitem__)
+    for h, layer in itertools.groupby(by_height, heights.__getitem__):
+        landing = {x: (i, None) for i, x in enumerate(front + [None])}
         keys, gaps = {}, {}
-        for k in layers[h]:
+        for k in layer:
             if k in anchors:
                 at, first = land(anchors[k])
                 gap = gaps.setdefault(at, [])
                 gap.insert(gap.index(first) if first in gap else len(gap), k)
             else:
-                keys[k] = (index[ins[k][0]], 0)
+                keys[k] = (landing[ins[k][0]][0], 0)
         for at, gap in gaps.items():
             keys.update((k, (at, 1 + r)) for r, k in enumerate(gap))
         # a consumer shifts what lies right of it, but not the cups at its gap
@@ -819,10 +801,10 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
 @functools.cache
 def _separating_data(symmetric: bool) -> tuple:
     """The data ``equal`` evaluates under before it searches, built once
-    per process: the Kauffman datum and a rank-one unit datum, or their
-    symmetric counterparts."""
-    from .evaluate import flip_datum, kauffman_datum, unit_datum
+    per process: the Kauffman preset, which the CLI shares, and a rank-one
+    unit datum, or their symmetric counterparts."""
+    from .evaluate import flip_datum, preset_datum, unit_datum
 
     if symmetric:
         return flip_datum(), unit_datum(0, -1)
-    return kauffman_datum(), unit_datum(2, 1)
+    return preset_datum("kauffman"), unit_datum(2, 1)

@@ -94,33 +94,35 @@ class SimplicialData:
     def _check_identities(self) -> None:
         """Check d_i d_j = d_{j-1} d_i (i < j), that each s_j lands in its
         level, and the d_i s_j identities, one simplex at a time, and raise
-        the first failure in simplex order."""
-        faces, degeneracies = self.faces, self.degeneracies
+        the first failure in simplex order.  Each simplex's faces are read
+        once, as its row."""
+        degeneracies = self.degeneracies
+        faces = [[self.faces[(p, i)] for i in range(p + 1)] if p else [] for p in range(self.K + 1)]
         for p in range(2, self.K + 1):
             for x in self.levels[p]:
+                row = [table[x] for table in faces[p]]
                 for j in range(p + 1):
                     for i in range(j):
-                        a = faces[(p - 1, i)][faces[(p, j)][x]]
-                        b = faces[(p - 1, j - 1)][faces[(p, i)][x]]
-                        if a != b:
+                        if faces[p - 1][i][row[j]] != faces[p - 1][j - 1][row[i]]:
                             raise SimplicialError(
                                 f"d_{i} d_{j} != d_{j-1} d_{i} at level {p} on {x!r}"
                             )
         for p in range(self.K):
             above = set(self.levels[p + 1])
             for x in self.levels[p]:
+                row = [table[x] for table in faces[p]]
                 for j in range(p + 1):
                     sx = degeneracies[(p, j)][x]
                     if sx not in above:
                         raise SimplicialError(f"s_{j}({x!r}) missing from level {p+1}")
                     for i in range(p + 2):
-                        fx = faces[(p + 1, i)][sx]
+                        fx = faces[p + 1][i][sx]
                         if i == j or i == j + 1:
                             expected = x
                         elif i < j:
-                            expected = degeneracies[(p - 1, j - 1)][faces[(p, i)][x]]
+                            expected = degeneracies[(p - 1, j - 1)][row[i]]
                         else:
-                            expected = degeneracies[(p - 1, j)][faces[(p, i - 1)][x]]
+                            expected = degeneracies[(p - 1, j)][row[i - 1]]
                         if fx != expected:
                             raise SimplicialError(
                                 f"d_{i} s_{j} identity fails at level {p} on {x!r}"

@@ -27,6 +27,7 @@ monotone map between the complements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -114,17 +115,8 @@ def compose_monotone(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
 
 def all_monotone_maps(source: SimplexObject, target: SimplexObject) -> list[MonotoneMap]:
     """Every monotone map [source.p] -> [target.p], in lexicographic order."""
-    maps: list[MonotoneMap] = []
-
-    def extend(prefix: tuple[int, ...], lo: int) -> None:
-        if len(prefix) == source.p + 1:
-            maps.append(MonotoneMap(source, target, prefix))
-            return
-        for v in range(lo, target.p + 1):
-            extend(prefix + (v,), v)
-
-    extend((), 0)
-    return maps
+    values = itertools.combinations_with_replacement(target.points(), source.p + 1)
+    return [MonotoneMap(source, target, v) for v in values]
 
 
 def elementary_maps(source: SimplexObject, target: SimplexObject) -> list[MonotoneMap]:

@@ -24,6 +24,7 @@ from tangles.evaluate import (
     EVALUATE_LIMIT,
     STATE_SUM_LIMIT,
     EvaluationError,
+    RigidDatum,
     bracket,
     bracket_state_sum,
     datum_from_text,
@@ -242,6 +243,15 @@ def test_datum_serialization_roundtrip():
         back = datum_from_text(text)
         assert datum_to_text(back) == text
         assert back.rank == datum.rank and back.symmetric == datum.symmetric
+
+
+def test_datum_serialization_keeps_each_structure_map():
+    # b' and d' are read from their own fields, not copied from b and d
+    b, b_prime, d, d_prime = (Matrix(1, 1, {(0, 0): x}) for x in (2, 3, 5, 7))
+    datum = RigidDatum("lopsided", "int", 1, b, b_prime, d, d_prime)
+    back = datum_from_text(datum_to_text(datum))
+    assert [back.b, back.b_prime, back.d, back.d_prime] == [datum.b, datum.b_prime, datum.d, datum.d_prime]
+    assert back.b != back.b_prime and back.d != back.d_prime
 
 
 def test_kauffman_golden_file():

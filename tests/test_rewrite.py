@@ -404,6 +404,135 @@ def test_interchange_normal_layers_independent_towers():
     assert interchange_normal(form) == form
 
 
+def marker_interchange_normal(d):
+    """``interchange_normal`` as first written, with the closed caps kept
+    as negative markers (-2 - height) inside the segment word, a count of
+    them, and a per-event map from positions to word indices once a cap has
+    closed: the reference the gap-height form must match."""
+    d = expand(d)
+    word: list[int] = list(range(len(d.source)))  # segments, and closed caps as -2 - height
+    closed = 0  # closed caps in the word
+    # blocked[a]: the height of what a cup left of segment a (None: the end) needs below it
+    blocked: dict[int | None, int] = dict.fromkeys(word + [None], -1)
+    emitted_at: dict[int, int] = dict.fromkeys(word, -1)
+    emitter: dict[int, tuple[int, bool]] = {}  # segment -> (event, is its right output)
+    events, heights, ins, outs, anchors = [], [], [], [], {}
+    fresh = len(word)
+    for k, s in enumerate(d.slices):
+        e = s.events[0]
+        reals = [j for j, x in enumerate(word) if x >= 0] + [len(word)] if closed else None
+        j = reals[e.position] if closed else e.position
+        if e.kind is EventKind.CUP:
+            anchor = word[j] if j < len(word) else None
+            anchors[k] = anchor
+            height = blocked[anchor] + 1
+            taken, lo, hi = (), j, j
+        else:
+            hi = (reals[e.position + 1] if closed else j + 1) + 1
+            taken, lo = (word[j], word[hi - 1]), j
+            between = word[j + 1 : hi - 1]
+            closed -= len(between)
+            height = 1 + max([emitted_at[x] for x in taken] + [-2 - g for g in between])
+        made = (fresh, fresh + 1) if e.arity_out else ()
+        fresh += len(made)
+        if made:
+            left, right = made
+            blocked[left] = blocked[anchor if e.kind is EventKind.CUP else taken[0]]
+            blocked[right] = emitted_at[left] = emitted_at[right] = height
+            emitter[left], emitter[right] = (k, False), (k, True)
+            word[lo:hi] = made
+        else:  # a closed cap merges with the closed caps beside it
+            ghost = -2 - height
+            if lo and word[lo - 1] < 0:
+                lo, ghost, closed = lo - 1, min(ghost, word[lo - 1]), closed - 1
+            if hi < len(word) and word[hi] < 0:
+                hi, ghost, closed = hi + 1, min(ghost, word[hi]), closed - 1
+            word[lo:hi] = [ghost]
+            closed += 1
+        events.append(e)
+        heights.append(height)
+        ins.append(taken)
+        outs.append(made)
+
+    def land(a):
+        """Where a cup left of segment a lands on the front, and the first
+        cup of the layer that it descends beside."""
+        path = []
+        while a not in index and a not in landing:
+            k, right = emitter.get(a, (-1, True))
+            if right or heights[k] < h:
+                raise RuntimeError("a cup of the layer cannot descend to its bottom")
+            path.append(a)
+            a = anchors[k] if k in anchors else ins[k][0]
+        at, first = landing[a] if a in landing else (index[a], None)
+        for a in reversed(path):
+            k = emitter[a][0]
+            first = k if k in anchors else first
+            landing[a] = (at, first)
+        return at, first
+
+    layers: dict[int, list[int]] = {}
+    for k, h in enumerate(heights):
+        layers.setdefault(h, []).append(k)
+    front = list(range(len(d.source)))
+    out: list[list[diagram.Event]] = []
+    for h in sorted(layers):
+        index = {x: i for i, x in enumerate(front)}
+        landing: dict[int | None, tuple[int, int | None]] = {None: (len(front), None)}
+        keys, gaps = {}, {}
+        for k in layers[h]:
+            if k in anchors:
+                at, first = land(anchors[k])
+                gap = gaps.setdefault(at, [])
+                gap.insert(gap.index(first) if first in gap else len(gap), k)
+            else:
+                keys[k] = (index[ins[k][0]], 0)
+        for at, gap in gaps.items():
+            keys.update((k, (at, 1 + r)) for r, k in enumerate(gap))
+        # a consumer shifts what lies right of it, but not the cups at its gap
+        shift, held, held_at = 0, 0, -1
+        for k in sorted(keys, key=keys.get):
+            at = keys[k][0]
+            if at > held_at:
+                shift, held = shift + held, 0
+            p = at + shift
+            if k in anchors:
+                shift += 2
+            elif front[p : p + 2] != list(ins[k]):
+                raise RuntimeError("a consumer of the layer does not find its inputs")
+            else:
+                held, held_at = len(outs[k]) - 2, at
+            front[p : p + len(ins[k])] = outs[k]
+            out.append([diagram.Event(events[k].kind, p, events[k].labels)])
+    form = Diagram.from_events(d.source, out)
+    if form.target != d.target:
+        raise RuntimeError("the interchange normal form changed the target")
+    return form
+
+
+def test_interchange_normal_matches_the_marker_reference():
+    # closed caps as gap heights give the same forms, or the same fault,
+    # as markers in the word, on the closed diagrams and draws of three sizes
+    cases = list(iter_closed_diagrams(6, 3))
+    for dim in (PLANAR, BRAIDED, SYMMETRIC):
+        cases += [random_diagram(random.Random(s), dim) for s in range(1000)]
+        cases += [random_diagram(random.Random(s), dim, max_events=16, width=6, lo=-1, hi=1) for s in range(1000)]
+        cases += [random_diagram(random.Random(s), dim, max_events=40, width=8, lo=-2, hi=2) for s in range(300)]
+
+    def outcome(form, d):
+        try:
+            return form(d)
+        except RuntimeError as exc:
+            return str(exc)
+
+    capped = 0
+    for d in cases:
+        assert outcome(interchange_normal, d) == outcome(marker_interchange_normal, d), to_text(d)
+        events = [e for _, e in d.events()]
+        capped += any(e.kind is EventKind.CAP and i + 1 < len(events) for i, e in enumerate(events))
+    assert len(cases) == 7304 and capped > 1000
+
+
 def test_r2_forward_and_backward():
     d = Diagram.from_events((0, 1), [[cross_pos(0, 1)], [cross_neg(1, 0)]])
     moves = [m for m in applicable_moves(d, BRAIDED) if m.kind is MoveKind.R2]

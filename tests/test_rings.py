@@ -149,3 +149,18 @@ def test_divide_exact_rejects():
         A.divide_exact(Laurent.zero())
     with pytest.raises(ArithmeticError):
         (A * 2).divide_exact(Laurent({1: 2, 0: 1}))  # leading coefficient 2
+
+
+def test_matrix_equality_compares_shapes_and_stored_entries():
+    # no matrix stores a zero, and a constant Laurent entry equals its int
+    constants = Matrix.from_rows([[Laurent({0: 2}), Laurent.zero()], [0, Laurent({0: -1})]])
+    assert Matrix.from_rows([[2, 0], [0, -1]]) == constants
+    assert Matrix.identity(2).scale(A) - Matrix.identity(2).scale(A) == Matrix(2, 2)
+    assert Matrix.from_rows([[1, A]]) != Matrix.from_rows([[1, A * A]])
+    # shapes count even when nothing is stored
+    assert Matrix(2, 3) != Matrix(3, 2)
+    assert Matrix(2, 3) == Matrix(2, 3, {(1, 2): 0})
+    # a Laurent entry is not a Fraction entry: the two compare unequal
+    assert Matrix.row([A]) != Matrix.row([Fraction(1, 2)])
+    assert Matrix.row([Laurent.one()]) != Matrix.row([Fraction(1, 2)])
+    assert Matrix.row([Fraction(2)]) == Matrix.row([2])

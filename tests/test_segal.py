@@ -108,8 +108,8 @@ def _construction_error(levels, faces, degeneracies):
 @pytest.mark.parametrize("preset", sorted(_PRESETS))
 def test_identity_check_raises_the_first_error_of_the_simplex_loop(preset):
     # one table entry at a time is sent to another simplex of its level or
-    # out of it: the table-at-a-time check must raise what the simplex loop
-    # raises first, or nothing when the loop raises nothing
+    # out of it: construction must raise what the reference loop
+    # _first_identity_error raises first, or nothing when it raises nothing
     X = _PRESETS[preset]()
     rng = random.Random(preset)
     assert _first_identity_error(X.levels, X.faces, X.degeneracies) is None
