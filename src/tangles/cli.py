@@ -468,15 +468,9 @@ def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
 
 
 def _parsed_diagram(args, dim: AmbientDim) -> Diagram:
+    """The diagram of the expression argument.  ``to_diagram`` refuses a
+    planar crossing, the one fault ``validate`` finds without a window."""
     return to_diagram(parse_expr(_read_expr(args)), dim)
-
-
-def _diagram_from_args(args, dim: AmbientDim) -> Diagram:
-    d = _parsed_diagram(args, dim)
-    report = validate(d, dim)
-    if not report.valid:
-        raise DiagramError(str(report))
-    return d
 
 
 def _cmd_validate(args) -> int:
@@ -499,23 +493,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_normalize(args) -> int:
     dim = _dim(args)
-    if dim is not AmbientDim.PLANAR:
-        print(to_text(reduce_diagram(_diagram_from_args(args, dim), dim)), end="")
-        return 0
-    # normalize_planar traces the strands once and refuses exactly the
-    # diagrams that validate refuses; only then is the report built
     d = _parsed_diagram(args, dim)
-    try:
-        form = normalize_planar(d)
-    except DiagramError:
-        raise DiagramError(str(validate(d, dim))) from None
-    print(form, end="")
+    print(normalize_planar(d) if dim is AmbientDim.PLANAR else to_text(reduce_diagram(d, dim)), end="")
     return 0
 
 
 def _cmd_eval(args) -> int:
     dim = _dim(args)
-    d = _diagram_from_args(args, dim)
+    d = _parsed_diagram(args, dim)
     datum, report = _datum(args.datum, dim)
     if not report.valid:
         raise EvaluationError(f"datum {datum.name!r} is not valid for n={args.dim}:\n{report}")
@@ -536,7 +521,7 @@ def _cmd_invariant(args) -> int:
             f"the bracket is not an invariant for n={args.dim}, where the two crossings "
             "are identified"
         )
-    d = _diagram_from_args(args, dim)
+    d = _parsed_diagram(args, dim)
     if d.source or d.target:
         raise DiagramError("invariants need a closed diagram")
     value = bracket(d)

@@ -386,9 +386,12 @@ def validate(
     dim: AmbientDim,
     label_window: tuple[int, int] | None = None,
 ) -> ValidationReport:
-    """Check dimension legality and, in the planar case, the absence of
-    closed components.  Slice chaining and event typing need no check
-    here: ``Slice`` and ``Diagram`` refuse to be built without them.
+    """Check dimension legality.  Slice chaining and event typing need no
+    check here: ``Slice`` and ``Diagram`` refuse to be built without them.
+    Nor does a planar closed component: the label is constant along a
+    strand and drops by one where the strand turns left, rises by one
+    where it turns right, and a crossing-free closed curve, read
+    counterclockwise, turns left twice more than right, so none types.
 
     ``label_window=(i, j)`` additionally rejects labels outside [-i, j].
     """
@@ -402,11 +405,6 @@ def validate(
         bad = sorted(k for k in d.labels() if not lo <= k <= hi)
         if bad:
             issues.append(Issue(None, None, f"labels {bad} outside window [{lo},{hi}]"))
-    if dim is AmbientDim.PLANAR and not issues:
-        for comp in trace_components(d):
-            if comp.closed:
-                issues.append(Issue(None, None, "closed component in planar dimension"))
-                break
     return ValidationReport(tuple(issues))
 
 

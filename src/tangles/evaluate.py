@@ -50,7 +50,6 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import is_
 
 from .diagram import (
     AmbientDim,
@@ -78,9 +77,11 @@ class EvaluationError(ValueError):
     """Raised when a diagram and a datum cannot be paired."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RigidDatum:
-    """Exact matrices presenting a rigid (optionally braided) object."""
+    """Exact matrices presenting a rigid (optionally braided) object.  A
+    datum is a value: its fields cannot be reassigned, so a report of
+    ``validate_datum`` and the columns kept on it stay true of it."""
 
     name: str
     ring: str  # "int", "rational" or "laurent"
@@ -92,8 +93,8 @@ class RigidDatum:
     braiding: Matrix | None = None
     braiding_inv: Matrix | None = None
     symmetric: bool = False
-    # (kind, first and last label parities) -> (the six matrices read, columns)
-    _columns: dict = field(default_factory=dict, repr=False)
+    # (kind, first and last label parities) -> columns
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = self.rank
@@ -117,7 +118,7 @@ class RigidDatum:
     def crossing(self, parity_a: int, parity_b: int, sign: int) -> Matrix:
         """Matrix of the crossing that consumes strands of the given label
         parities (0 = V, 1 = V*) and the given sign, derived by bending."""
-        if self.braiding is None or self.braiding_inv is None:
+        if self.braiding is None:
             raise EvaluationError(f"datum {self.name} has no braiding")
         if not parity_a and not parity_b:
             return self.braiding if sign > 0 else self.braiding_inv
@@ -150,18 +151,16 @@ class RigidDatum:
         return self.crossing(labels[0] % 2, labels[1] % 2, sign)
 
     def columns(self, e: Event) -> dict:
-        """The event's matrix as input digits -> [(output digits, entry)], kept
-        per kind and label parities until a matrix it is read from is replaced."""
+        """The event's matrix as input digits -> [(output digits, entry)],
+        built once per kind and label parities."""
         key = (e.kind, e.labels[0] % 2, e.labels[-1] % 2)
-        sources = (self.b, self.b_prime, self.d, self.d_prime, self.braiding, self.braiding_inv)
-        hit = self._columns.get(key)
-        if hit is None or not all(map(is_, hit[0], sources)):
+        table = self._columns.get(key)
+        if table is None:
             ins, outs = (list(product(range(self.rank), repeat=n)) for n in (e.arity_in, e.arity_out))
-            table: dict = {}
+            table = self._columns[key] = {}
             for (i, j), v in self.event_matrix(e.kind, e.labels).entries.items():
                 table.setdefault(ins[j], []).append((outs[i], v))
-            hit = self._columns[key] = (sources, table)
-        return hit[1]
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +549,6 @@ def datum_to_text(datum: RigidDatum) -> str:
         lines.append("c^-1: none")
     else:
         lines.append("c: " + _matrix_to_text(datum.braiding, datum.ring))
-        if datum.braiding_inv is None:
-            raise RuntimeError(f"datum {datum.name} has a braiding without its inverse")
         lines.append("c^-1: " + _matrix_to_text(datum.braiding_inv, datum.ring))
     return "\n".join(lines) + "\n"
 

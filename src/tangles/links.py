@@ -4,16 +4,16 @@ A closed component must turn back an even number of times and, in this
 calculus, always carries an odd number of self-crossings: the typing of
 cups (which emit a descending pair) and caps (which consume an ascending
 pair) forces one extra swap per component.  Exhaustive search over all
-closed diagrams with at most six events confirms both facts.  In
-particular no crossing-free closed loop exists, and the simplest unknot
-diagram is a circle with a single kink, of self-writhe +1 (or -1 for the
-mirror).  Framing-sensitive quantities therefore never vanish on these
-diagrams; the writhe-normalized invariants in :mod:`tangles.evaluate`
-remove exactly that dependence.
+closed diagrams with at most six events confirms both facts, and that no
+crossing-free closed loop exists is a theorem (see ``diagram.validate``).
+So the simplest unknot diagram is a circle with a single kink, of
+self-writhe +1 (or -1 for the mirror).  Framing-sensitive quantities
+therefore never vanish on these diagrams; the writhe-normalized
+invariants in :mod:`tangles.evaluate` remove exactly that dependence.
 
-Each builtin is assembled from generators, validated and traced once, at
-import time, so a typing bug cannot produce a stale golden value silently;
-``BUILTINS[name]()`` returns that one diagram.
+Each builtin is assembled from generators, which type it, and traced
+once, at import time, so a typing bug cannot produce a stale golden value
+silently; ``BUILTINS[name]()`` returns that one diagram.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .diagram import (
-    AmbientDim,
     Diagram,
     cap,
     cross_neg,
@@ -30,7 +29,6 @@ from .diagram import (
     mirror,
     tensor,
     trace_components,
-    validate,
 )
 
 
@@ -89,9 +87,6 @@ def unlink() -> Diagram:
 
 
 def _checked(d: Diagram, components: int) -> Callable[[], Diagram]:
-    report = validate(d, AmbientDim.BRAIDED)
-    if not report.valid:
-        raise AssertionError(f"builtin diagram failed validation: {report}")
     comps = trace_components(d)
     if len(comps) != components or any(not c.closed for c in comps):
         raise AssertionError("builtin diagram has the wrong component structure")

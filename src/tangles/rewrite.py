@@ -32,13 +32,14 @@ rewrites the first redex found.  The rule set, by ambient dimension:
   Reidemeister pairs and zigzags, hence evaluation-sound.
 
 A planar diagram's normal form is the labelled non-crossing matching of
-its boundary obtained by strand tracing.  Two planar diagrams are declared
-equal exactly when their normal forms coincide; soundness is the
-zigzag/interchange congruence (checked move by move in the tests), and
-completeness rests on the discreteness of planar mapping sets, probed at
-desk scale by the exhaustive suites.  Through arcs carry equal labels and
-turnbacks carry consecutive ones; violations raise RuntimeError because
-they indicate bugs, not bad input.
+its boundary obtained by strand tracing; it loses no closed component, as
+none types without a crossing.  Two planar diagrams are equal exactly when
+their normal forms coincide; soundness is the zigzag/interchange
+congruence (checked move by move in the tests), and completeness rests on
+the discreteness of planar mapping sets, probed at desk scale by the
+exhaustive suites.  Through arcs carry equal labels and turnbacks
+consecutive ones; violations raise RuntimeError because they indicate
+bugs, not bad input.
 
 ``reduce_diagram`` rewrites one list of slices in place.  Each matcher
 keeps the slices where it found no redex as two ranges, below a low mark
@@ -417,18 +418,16 @@ def _boundary(d: Diagram, i: int) -> ObjectWord:
 
 def _replace(slices: list[Slice], start: int, stop: int, layers, word: ObjectWord) -> None:
     """Replace slices start..stop-1 by one slice per event layer, typed
-    from word (the word below start), and retype the slices above up to
-    the first whose input chains."""
+    from word (the word below start).  Every move keeps its boundary, so
+    layers that do not end on the word above them are a fault."""
+    above = slices[stop - 1].output() if stop > start else word
     new = []
     for layer in layers:
         s = Slice(word, tuple(layer))
         new.append(s)
         word = s.output()
-    j = stop
-    while j < len(slices) and slices[j].input != word:
-        slices[j] = s = Slice(word, slices[j].events)
-        word = s.output()
-        j += 1
+    if word != above:
+        raise RuntimeError(f"a move changed the word {above} above it to {word}")
     slices[start:stop] = new
 
 
@@ -593,13 +592,11 @@ def normalize_planar(d: Diagram) -> PlanarNormalForm:
     planarity) are theorems about valid planar diagrams, so violations
     raise RuntimeError.
     """
-    planar = not any(e.is_crossing for s in d.slices for e in s.events)
-    components = trace_components(d) if planar else ()
-    if not planar or any(comp.closed for comp in components):
+    if any(e.is_crossing for s in d.slices for e in s.events):
         raise DiagramError(f"not a valid planar diagram:\n{validate(d, AmbientDim.PLANAR)}")
     arcs = []
-    for comp in components:
-        if comp.closed or len(comp.ends) != 2:
+    for comp in trace_components(d):
+        if len(comp.ends) != 2:
             raise RuntimeError("planar component without exactly two boundary ends")
         (sa, ia), (sb, ib) = comp.ends
         la = d.source[ia] if sa == "source" else d.target[ia]

@@ -107,6 +107,8 @@ class Laurent:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, Fraction) and other.denominator == 1:  # equal to its int
+            other = other.numerator
         if isinstance(other, int):
             other = Laurent.promote(other)
         if not isinstance(other, Laurent):

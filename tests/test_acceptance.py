@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (visible with -s or -rA);
 under ``pytest -v`` the per-test verdicts serve as the pass/fail lines.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -602,8 +603,7 @@ def test_criterion_10_datum_validation():
         assert validate_datum(trivial_datum(), dim).valid
 
     # and the preset is genuinely braided, not symmetric
-    flagged = kauffman_datum()
-    flagged.symmetric = True
+    flagged = dataclasses.replace(kauffman_datum(), symmetric=True)
     assert not validate_datum(flagged, SYMMETRIC).valid
     print("\n[criterion 10] PASS Kauffman datum passes all identities symbolically; "
           "trivial datum valid in every dimension")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -33,6 +34,7 @@ from tangles.diagram import (
     cup,
     elementary,
     tensor,
+    validate,
 )
 from tangles.evaluate import datum_to_text, kauffman_datum, trivial_datum
 from tangles.links import trefoil
@@ -338,6 +340,8 @@ def test_to_diagram_matches_the_fold():
             got = built(to_diagram, e, dim)
             assert got == built(folded, e, dim), print_expr(e)
             outcomes.add(type(got))
+            # the CLI validates nothing after to_diagram: nothing is left to find
+            assert not isinstance(got, Diagram) or validate(got, dim).valid, print_expr(e)
     assert outcomes == {Diagram, tuple}  # both results and errors were compared
     exprs = bench_expressions()
     assert len(exprs) > 400
@@ -345,7 +349,9 @@ def test_to_diagram_matches_the_fold():
         e = parse_expr(text)
         assert isinstance(to_diagram(e, AmbientDim.from_dimension(dim)), Diagram), text
         for other in dims:
-            assert built(to_diagram, e, other) == built(folded, e, other), text
+            got = built(to_diagram, e, other)
+            assert got == built(folded, e, other), text
+            assert not isinstance(got, Diagram) or validate(got, other).valid, text
 
 
 def expression_text(d):
@@ -646,6 +652,19 @@ def test_cli_datum_validate(capsys):
     code, out, _ = run(capsys, "datum", "--datum", "kauffman", "id[]")
     assert code == 0
     assert "Yang-Baxter" in out
+
+
+def test_cli_datum_without_a_braiding_fails_where_crossings_are(tmp_path, capsys):
+    path = tmp_path / "planar.datum"
+    path.write_text(datum_to_text(dataclasses.replace(kauffman_datum(), braiding=None, braiding_inv=None)))
+    assert "c: none" in path.read_text()
+    code, out, _ = run(capsys, "datum", "--dim", "2", "--datum", str(path))
+    assert code == 0 and "braiding" not in out
+    code, out, _ = run(capsys, "datum", "--dim", "3", "--datum", str(path))
+    assert code == 1
+    assert [ln for ln in out.splitlines() if ln.startswith("FAIL")] == [
+        "FAIL braiding present (required for BRAIDED)"
+    ]
 
 
 def test_cli_words_factor(capsys):

@@ -28,7 +28,12 @@ from tangles.diagram import (
     writhe,
 )
 from tangles.evaluate import bracket_state_sum, loop_value
-from tangles.generate import iter_closed_diagrams, random_composable_pair, random_diagram
+from tangles.generate import (
+    iter_closed_diagrams,
+    iter_diagrams,
+    random_composable_pair,
+    random_diagram,
+)
 from tangles.links import BUILTINS, hopf, trefoil, unknot, unlink
 from tangles.rings import Laurent
 from tangles.unionfind import UnionFind
@@ -188,6 +193,17 @@ def test_no_crossing_free_closed_loop():
     # exhaustively: no closed diagram without crossings at <= 6 events
     for d in iter_closed_diagrams(max_events=6, max_crossings=0, width=6, lo=-2, hi=2):
         raise AssertionError(f"found a crossing-free closed diagram:\n{to_text(d)}")
+    # nor a closed component of an open planar diagram, which validate and
+    # normalize_planar therefore do not look for
+    count = 0
+    for src in ((), (0,), (0, 1), (1, 0), (-1, 0, 1)):
+        for d in iter_diagrams(src, PLANAR, max_events=5, width=6, lo=-2, hi=2):
+            assert not any(c.closed for c in trace_components(d)), to_text(d)
+            count += 1
+    assert count == 61955
+    for seed in range(2000):
+        d = random_diagram(random.Random(seed), PLANAR, max_events=40, width=8, lo=-3, hi=3)
+        assert not any(c.closed for c in trace_components(d)), to_text(d)
 
 
 def test_closed_components_have_odd_self_crossings():

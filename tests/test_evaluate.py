@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import pathlib
@@ -56,7 +57,7 @@ def test_kauffman_datum_valid():
 def test_kauffman_not_symmetric():
     datum = kauffman_datum()
     assert not validate_datum(datum, AmbientDim.SYMMETRIC).valid  # c^2 != 1, flag or not
-    datum.symmetric = True
+    datum = dataclasses.replace(datum, symmetric=True)
     report = validate_datum(datum, AmbientDim.SYMMETRIC)
     assert not report.valid
     assert any("c^2" in c.name and not c.ok for c in report.checks)
@@ -74,9 +75,7 @@ def test_unit_and_flip_data_valid():
 
 
 def test_planar_only_datum_rejects_crossings():
-    datum = kauffman_datum()
-    datum.braiding = None
-    datum.braiding_inv = None
+    datum = dataclasses.replace(kauffman_datum(), braiding=None, braiding_inv=None)
     d = Diagram.from_events((0, 0), [[cross_pos(0, 0)]])
     with pytest.raises(EvaluationError):
         evaluate(d, datum)
@@ -254,6 +253,20 @@ def test_datum_serialization_keeps_each_structure_map():
     assert back.b != back.b_prime and back.d != back.d_prime
 
 
+def test_datum_from_text_skips_blank_lines_inside_the_text():
+    text = datum_to_text(kauffman_datum())
+    spaced = text.replace("\n", "\n\n   \n", 4)
+    assert spaced.count("\n") == text.count("\n") + 8
+    assert datum_to_text(datum_from_text(spaced)) == text
+
+
+def test_symmetric_flag_on_a_planar_only_datum_fails():
+    datum = dataclasses.replace(kauffman_datum(), braiding=None, braiding_inv=None)
+    assert validate_datum(datum, AmbientDim.PLANAR).valid
+    report = validate_datum(dataclasses.replace(datum, symmetric=True), AmbientDim.PLANAR)
+    assert [str(c) for c in report.checks if not c.ok] == ["FAIL symmetric flag on planar-only datum"]
+
+
 def test_kauffman_golden_file():
     golden = GOLDEN.read_text()
     assert datum_to_text(kauffman_datum()) == golden
@@ -348,24 +361,33 @@ def test_evaluate_matches_padded_on_tied_slices(source, events):
 
 
 def test_evaluate_reads_a_replaced_datum_matrix():
-    # the event columns cached on the datum follow a matrix that is replaced
+    # a datum is a value: a matrix is replaced in a new datum, whose event
+    # columns are its own, and the datum it came from evaluates as before
     datum = flip_datum()
     d = Diagram.from_events((0,), [[cup(0, at=1)], [cap(0, at=0)]])
     assert evaluate(d, datum) == padded_evaluate(d, datum)
-    datum.b_prime = datum.b_prime.scale(3)
-    assert evaluate(d, datum) == padded_evaluate(d, datum) == Matrix.identity(2).scale(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        datum.b_prime = datum.b_prime.scale(3)
+    scaled = dataclasses.replace(datum, b_prime=datum.b_prime.scale(3))
+    assert evaluate(d, scaled) == padded_evaluate(d, scaled) == Matrix.identity(2).scale(3)
+    assert evaluate(d, datum) == padded_evaluate(d, datum) == Matrix.identity(2)
 
 
 def test_evaluate_reads_a_replaced_braiding():
-    # the derived crossings follow the matrices they were derived from
-    datum = kauffman_datum()
-    assert evaluate(trefoil(True), datum).scalar() == Laurent({9: -1, 1: 1, -3: 1, -7: 1})
-    datum.braiding, datum.braiding_inv = datum.braiding_inv, datum.braiding
+    # the derived crossings follow the matrices they were derived from; a
+    # datum is a value, so the swap makes a new datum and the old one stays
+    original = kauffman_datum()
+    trefoil_value = Laurent({9: -1, 1: 1, -3: 1, -7: 1})
+    assert evaluate(trefoil(True), original).scalar() == trefoil_value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        original.braiding = original.braiding_inv
+    datum = dataclasses.replace(original, braiding=original.braiding_inv, braiding_inv=original.braiding)
     fresh = kauffman_datum()
-    fresh.braiding, fresh.braiding_inv = fresh.braiding_inv, fresh.braiding
+    fresh = dataclasses.replace(fresh, braiding=fresh.braiding_inv, braiding_inv=fresh.braiding)
     mirror = Laurent({7: 1, 3: 1, -1: 1, -9: -1})
     assert evaluate(trefoil(True), fresh).scalar() == mirror
     assert evaluate(trefoil(True), datum).scalar() == mirror
+    assert evaluate(trefoil(True), original).scalar() == trefoil_value
     for pa in (0, 1):
         for pb in (0, 1):
             for sign in (1, -1):

@@ -929,6 +929,32 @@ def test_equal_planar_examples():
     assert equal(other, Diagram.identity((0,)), PLANAR) is Equality.EQUAL
 
 
+def test_equal_planar_distinct_matchings():
+    # (1, 0) -> (1, 0, 1, 0): the new turnback right of the through strands, or left
+    right = Diagram.from_events((1, 0), [[cup(0, at=2)]])
+    left = Diagram.from_events((1, 0), [[cup(0, at=0)]])
+    assert normalize_planar(right) != normalize_planar(left)
+    assert equal(right, left, PLANAR) is Equality.DISTINCT
+
+
+def test_replace_refuses_layers_that_change_the_word_above():
+    # every move keeps its boundary, so such layers are a fault, not a move
+    slices = list(Diagram.from_events((0,), [[cup(0, at=1)], [cap(0, at=0)]]).slices)
+    before = list(slices)
+    for start, stop, layers in (
+        (0, 2, [[cup(1, at=1)]]),  # (0,) -> (0, 2, 1) where (0,) was
+        (1, 2, []),  # leaves (0, 1, 0) where (0,) was
+        (1, 1, [[cap(0, at=0)]]),  # an insertion that does not end on (0, 1, 0)
+        (2, 2, [[cup(0, at=0)]]),  # an insertion at the top
+    ):
+        word = slices[start].input if start < len(slices) else slices[-1].output()
+        with pytest.raises(RuntimeError):
+            rewrite._replace(slices, start, stop, layers, word)
+        assert slices == before
+    rewrite._replace(slices, 0, 2, [], (0,))  # the zigzag's removal keeps (0,)
+    assert slices == []
+
+
 def test_mixed_matching_normal_form():
     # a cup beside a cap: one target turnback (1, 0), one source turnback (2, 3)
     d = tensor(

@@ -160,7 +160,16 @@ def test_matrix_equality_compares_shapes_and_stored_entries():
     # shapes count even when nothing is stored
     assert Matrix(2, 3) != Matrix(3, 2)
     assert Matrix(2, 3) == Matrix(2, 3, {(1, 2): 0})
-    # a Laurent entry is not a Fraction entry: the two compare unequal
+    # a Laurent entry equals a Fraction entry only when both are one integer
     assert Matrix.row([A]) != Matrix.row([Fraction(1, 2)])
     assert Matrix.row([Laurent.one()]) != Matrix.row([Fraction(1, 2)])
     assert Matrix.row([Fraction(2)]) == Matrix.row([2])
+
+
+def test_ring_equality_is_transitive_through_the_integers():
+    # Laurent.one() == 1 == Fraction(1), so the constant equals the Fraction
+    assert Laurent.one() == Fraction(1) and Fraction(1) == Laurent.one()
+    assert Matrix.row([Laurent.one()]) == Matrix.row([Fraction(1)])
+    assert Laurent.one() != Fraction(1, 2)
+    assert Laurent({0: -3}) == Fraction(-3) and A != Fraction(1)
+    assert hash(Laurent.one()) == hash(Fraction(1))
