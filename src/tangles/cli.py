@@ -55,6 +55,7 @@ from .diagram import (
     component_framings,
 )
 from .evaluate import (
+    PRESET_DATA,
     DatumReport,
     EvaluationError,
     RigidDatum,
@@ -441,7 +442,7 @@ _PRESETS = {
 def _read_expr(args) -> str:
     if args.expr is not None:
         return args.expr
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return fh.read()
     return sys.stdin.read()
@@ -460,7 +461,7 @@ def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
     """The named datum and its validation report for dim.  The fixed
     presets are built and validated once per process; a datum file is
     read and validated on every call."""
-    if name in ("kauffman", "trivial"):
+    if name in PRESET_DATA:
         return preset_datum(name), _preset_report(name, dim)
     with open(name, "r", encoding="utf-8") as fh:
         datum = datum_from_text(fh.read())
@@ -566,12 +567,15 @@ def _preset(name: str):
     return _PRESETS[name]()
 
 
-def _decimal(n: int, chunk: int = 10**600) -> str:
+_CHUNK = 10**600
+
+
+def _decimal(n: int) -> str:
     """n in decimal however long, read off 600 digits at a time: below the
     least limit (640) an interpreter may set on int-to-str conversion."""
     chunks = []
-    while n >= chunk:
-        n, low = divmod(n, chunk)
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
         chunks.append(f"{low:0600d}")
     return str(n) + "".join(reversed(chunks))
 
@@ -628,8 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_expr_command("eval", _cmd_eval, help="evaluate against a rigid datum")
     p.add_argument("--datum", default="kauffman", help="kauffman, trivial, or a datum file")
     add_expr_command("invariant", _cmd_invariant, help="bracket, normalized value, writhe table")
-    p = add_expr_command("datum", _cmd_datum, help="validate a rigid datum")
+    p = sub.add_parser("datum", help="validate a rigid datum")
+    p.add_argument("--dim", type=int, default=3, help="ambient dimension n >= 2")
     p.add_argument("--datum", default="kauffman", help="kauffman, trivial, or a datum file")
+    p.set_defaults(fn=_cmd_datum)
 
     words = sub.add_parser("words", help="word combinatorics").add_subparsers(
         dest="subcommand", required=True

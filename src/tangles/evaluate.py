@@ -456,10 +456,13 @@ def kink_factor(w: int) -> Laurent:
     return Laurent.monomial(3 * w, -1 if w % 2 else 1)
 
 
+PRESET_DATA = {"kauffman": kauffman_datum, "trivial": trivial_datum}
+
+
 @functools.cache
 def preset_datum(name: str) -> RigidDatum:
-    """The preset "kauffman" or "trivial", built once per process."""
-    return kauffman_datum() if name == "kauffman" else trivial_datum()
+    """The preset of ``PRESET_DATA`` by that name, built once per process."""
+    return PRESET_DATA[name]()
 
 
 def bracket(d: Diagram) -> Laurent:

@@ -37,9 +37,9 @@ none types without a crossing.  Two planar diagrams are equal exactly when
 their normal forms coincide; soundness is the zigzag/interchange
 congruence (checked move by move in the tests), and completeness rests on
 the discreteness of planar mapping sets, probed at desk scale by the
-exhaustive suites.  Through arcs carry equal labels and turnbacks
-consecutive ones; violations raise RuntimeError because they indicate
-bugs, not bad input.
+exhaustive suites.  Its arcs, their labels and their planarity are
+theorems of the typing (``normalize_planar`` states them), checked once
+by a census test, not on every call.
 
 ``reduce_diagram`` rewrites one list of slices in place.  Each matcher
 keeps the slices where it found no redex as two ranges, below a low mark
@@ -84,6 +84,7 @@ from .diagram import (
     trace_components,
     validate,
 )
+from .evaluate import EvaluationError, evaluate, flip_datum, preset_datum, unit_datum
 
 
 class MoveError(ValueError):
@@ -252,14 +253,9 @@ def _kink2_at(slices: Sequence[Slice], i: int, dim: AmbientDim) -> _Site | None:
     if not (e1.is_crossing and e2.is_crossing):
         return None
     block = Diagram(slices[i].input, slices[i : i + 4])
-    if block.target != block.source:
+    through = [(("source", q), ("target", q)) for q in range(len(block.source))]
+    if block.target != block.source or [c.ends for c in trace_components(block)] != through:
         return None
-    for comp in trace_components(block):
-        if comp.closed or len(comp.ends) != 2:
-            return None
-        (sa, pa), (sb, pb) = comp.ends
-        if {sa, sb} != {"source", "target"} or pa != pb:
-            return None
     return Move(MoveKind.KINK2, True, i, i + 3), i + 4, []
 
 
@@ -587,44 +583,17 @@ def normalize_planar(d: Diagram) -> PlanarNormalForm:
     """The boundary matching of a valid planar diagram, by strand tracing.
 
     Two planar diagrams are equal (in the zigzag/interchange congruence)
-    exactly when their normal forms agree.  The invariants of the matching
-    (equal labels on through arcs, consecutive labels on turnbacks, and
-    planarity) are theorems about valid planar diagrams, so violations
-    raise RuntimeError.
+    exactly when their normal forms agree.  The trace is that matching: no
+    planar component is closed (see ``validate``), so each is an arc, and
+    ``trace_components`` sorts them.  The label drops by one at a left turn
+    and rises by one at a right turn, so a through arc, turning as often
+    each way, keeps its label, and a source (target) turnback read from its
+    left end turns right (left) once more: la, la + 1 (la, la - 1).  Arcs
+    without crossings are disjoint, so no two interleave on the boundary.
     """
     if any(e.is_crossing for s in d.slices for e in s.events):
         raise DiagramError(f"not a valid planar diagram:\n{validate(d, AmbientDim.PLANAR)}")
-    arcs = []
-    for comp in trace_components(d):
-        if len(comp.ends) != 2:
-            raise RuntimeError("planar component without exactly two boundary ends")
-        (sa, ia), (sb, ib) = comp.ends
-        la = d.source[ia] if sa == "source" else d.target[ia]
-        lb = d.source[ib] if sb == "source" else d.target[ib]
-        if sa == "source" and sb == "target":
-            if la != lb:
-                raise RuntimeError("through strand changed its level")
-        elif sa == sb == "source":
-            if lb != la + 1:
-                raise RuntimeError("source turnback is not consecutively labelled")
-        elif sa == sb == "target":
-            if lb != la - 1:
-                raise RuntimeError("target turnback is not consecutively labelled")
-        arcs.append(((sa, ia), (sb, ib)))
-    arcs.sort()
-    _assert_planar_matching(arcs, len(d.source), len(d.target))
-    return PlanarNormalForm(d.source, d.target, tuple(arcs))
-
-
-def _assert_planar_matching(arcs, n_source: int, n_target: int) -> None:
-    def circle(end: tuple[str, int]) -> int:
-        side, i = end
-        return i if side == "source" else n_source + (n_target - 1 - i)
-
-    chords = [tuple(sorted((circle(a), circle(b)))) for a, b in arcs]
-    for (a1, b1), (a2, b2) in itertools.combinations(chords, 2):
-        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-            raise RuntimeError("strand matching is not planar")
+    return PlanarNormalForm(d.source, d.target, tuple(c.ends for c in trace_components(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +678,11 @@ class Equality(enum.Enum):
 
 
 def _signature(d: Diagram, dim: AmbientDim):
-    comps = trace_components(d)
-    ends = tuple(sorted(c.ends for c in comps))
+    # the ends in trace order, which is canonical; a closed component's are ()
     total = sum(e.sign for _, e in d.events() if e.is_crossing)
     if dim is AmbientDim.SYMMETRIC:
         total %= 2
-    return (len(comps), ends, total)
+    return (tuple(c.ends for c in trace_components(d)), total)
 
 
 def _neighbors(d: Diagram, dim: AmbientDim, window) -> Iterable[Diagram]:
@@ -757,8 +725,6 @@ def equal(d1: Diagram, d2: Diagram, dim: AmbientDim, budget: int = 200) -> Equal
     if _signature(r1, dim) != _signature(r2, dim):
         return Equality.DISTINCT
 
-    from .evaluate import EvaluationError, evaluate
-
     for datum in _separating_data(dim is AmbientDim.SYMMETRIC):
         try:
             if evaluate(r1, datum) != evaluate(r2, datum):
@@ -800,8 +766,6 @@ def _separating_data(symmetric: bool) -> tuple:
     """The data ``equal`` evaluates under before it searches, built once
     per process: the Kauffman preset, which the CLI shares, and a rank-one
     unit datum, or their symmetric counterparts."""
-    from .evaluate import flip_datum, preset_datum, unit_datum
-
     if symmetric:
         return flip_datum(), unit_datum(0, -1)
     return preset_datum("kauffman"), unit_datum(2, 1)

@@ -649,7 +649,7 @@ def test_cli_datum_file(tmp_path, capsys):
 
 
 def test_cli_datum_validate(capsys):
-    code, out, _ = run(capsys, "datum", "--datum", "kauffman", "id[]")
+    code, out, _ = run(capsys, "datum", "--datum", "kauffman")
     assert code == 0
     assert "Yang-Baxter" in out
 
@@ -904,6 +904,8 @@ def test_cli_internal_fault_exits_2(capsys, monkeypatch):
         ("eval", "--dim", "x", "unknot"),
         ("seg", "complete", "--preset", "nope"),
         ("frobnicate",),
+        ("datum", "id[]"),  # datum reads no expression
+        ("datum", "cup(((", "--file", "/nonexistent"),
     ],
 )
 def test_cli_usage_error_exits_1(capsys, argv):

@@ -23,6 +23,7 @@ from tangles.diagram import (
 )
 from tangles.evaluate import (
     EVALUATE_LIMIT,
+    PRESET_DATA,
     STATE_SUM_LIMIT,
     EvaluationError,
     RigidDatum,
@@ -36,6 +37,7 @@ from tangles.evaluate import (
     kauffman_datum,
     kink_factor,
     loop_value,
+    preset_datum,
     trivial_datum,
     unit_datum,
     validate_datum,
@@ -66,6 +68,13 @@ def test_kauffman_not_symmetric():
 def test_trivial_datum_valid_everywhere():
     for dim in AmbientDim:
         assert validate_datum(trivial_datum(), dim).valid
+
+
+def test_preset_datum_refuses_an_unknown_name():
+    for name, build in PRESET_DATA.items():
+        assert preset_datum(name) is preset_datum(name) == build()
+    with pytest.raises(KeyError):
+        preset_datum("kauffmann")
 
 
 def test_unit_and_flip_data_valid():
