@@ -55,7 +55,7 @@ from .diagram import (
     component_framings,
 )
 from .evaluate import (
-    PRESET_DATA,
+    PRESETS,
     DatumReport,
     EvaluationError,
     RigidDatum,
@@ -461,7 +461,7 @@ def _datum(name: str, dim: AmbientDim) -> tuple[RigidDatum, DatumReport]:
     """The named datum and its validation report for dim.  The fixed
     presets are built and validated once per process; a datum file is
     read and validated on every call."""
-    if name in PRESET_DATA:
+    if name in PRESETS:
         return preset_datum(name), _preset_report(name, dim)
     with open(name, "r", encoding="utf-8") as fh:
         datum = datum_from_text(fh.read())

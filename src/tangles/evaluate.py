@@ -456,13 +456,15 @@ def kink_factor(w: int) -> Laurent:
     return Laurent.monomial(3 * w, -1 if w % 2 else 1)
 
 
-PRESET_DATA = {"kauffman": kauffman_datum, "trivial": trivial_datum}
+PRESETS = ("kauffman", "trivial")
 
 
 @functools.cache
 def preset_datum(name: str) -> RigidDatum:
-    """The preset of ``PRESET_DATA`` by that name, built once per process."""
-    return PRESET_DATA[name]()
+    """The preset of ``PRESETS`` by that name, built once per process."""
+    if name not in PRESETS:
+        raise KeyError(name)
+    return kauffman_datum() if name == "kauffman" else trivial_datum()
 
 
 def bracket(d: Diagram) -> Laurent:

@@ -31,15 +31,14 @@ rewrites the first redex found.  The rule set, by ambient dimension:
   identity, which makes the move a composite of sign collapses, second
   Reidemeister pairs and zigzags, hence evaluation-sound.
 
-A planar diagram's normal form is the labelled non-crossing matching of
-its boundary obtained by strand tracing; it loses no closed component, as
-none types without a crossing.  Two planar diagrams are equal exactly when
-their normal forms coincide; soundness is the zigzag/interchange
-congruence (checked move by move in the tests), and completeness rests on
-the discreteness of planar mapping sets, probed at desk scale by the
-exhaustive suites.  Its arcs, their labels and their planarity are
-theorems of the typing (``normalize_planar`` states them), checked once
-by a census test, not on every call.
+A planar diagram's normal form is its boundary matching, read off by
+strand tracing.  That it is a labelled non-crossing matching losing no
+closed component is a theorem of the typing (``normalize_planar`` states
+it), checked once by a census test, not on every call.  Two planar
+diagrams are equal exactly when their normal forms coincide; soundness is
+the zigzag/interchange congruence (checked move by move in the tests), and
+completeness rests on the discreteness of planar mapping sets, probed at
+desk scale by the exhaustive suites.
 
 ``reduce_diagram`` rewrites one list of slices in place.  Each matcher
 keeps the slices where it found no redex as two ranges, below a low mark
@@ -582,14 +581,13 @@ class PlanarNormalForm:
 def normalize_planar(d: Diagram) -> PlanarNormalForm:
     """The boundary matching of a valid planar diagram, by strand tracing.
 
-    Two planar diagrams are equal (in the zigzag/interchange congruence)
-    exactly when their normal forms agree.  The trace is that matching: no
-    planar component is closed (see ``validate``), so each is an arc, and
-    ``trace_components`` sorts them.  The label drops by one at a left turn
-    and rises by one at a right turn, so a through arc, turning as often
-    each way, keeps its label, and a source (target) turnback read from its
-    left end turns right (left) once more: la, la + 1 (la, la - 1).  Arcs
-    without crossings are disjoint, so no two interleave on the boundary.
+    The trace is that matching: no planar component is closed (see
+    ``validate``), so each is an arc, and ``trace_components`` sorts them.
+    The label drops by one at a left turn and rises by one at a right turn,
+    so a through arc, turning as often each way, keeps its label, and a
+    source (target) turnback read from its left end turns right (left) once
+    more: la, la + 1 (la, la - 1).  Arcs without crossings are disjoint, so
+    no two interleave on the boundary.
     """
     if any(e.is_crossing for s in d.slices for e in s.events):
         raise DiagramError(f"not a valid planar diagram:\n{validate(d, AmbientDim.PLANAR)}")

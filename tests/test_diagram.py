@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from tangles.generate import (
     random_diagram,
 )
 from tangles.links import BUILTINS, hopf, trefoil, unknot, unlink
+from tangles.rewrite import normalize_planar
 from tangles.rings import Laurent
 from tangles.unionfind import UnionFind
 
@@ -186,6 +188,41 @@ def test_validate_label_window():
     assert not validate(d, BRAIDED, label_window=(0, 2)).valid
 
 
+def _interleaving(arcs, n_source: int, n_target: int) -> bool:
+    """Whether the ends of two arcs interleave around the rectangle's
+    boundary, read source left to right, then target right to left."""
+
+    def circle(end):
+        side, i = end
+        return i if side == "source" else n_source + (n_target - 1 - i)
+
+    chords = [tuple(sorted((circle(a), circle(b)))) for a, b in arcs]
+    return any(
+        a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1
+        for (a1, b1), (a2, b2) in itertools.combinations(chords, 2)
+    )
+
+
+_STEP = {("source", "target"): 0, ("source", "source"): 1, ("target", "target"): -1}
+
+
+def assert_planar_matching(d):
+    """The theorems normalize_planar states rather than checks: every end is
+    matched once, the arcs (and each arc's ends) are sorted, a through arc
+    keeps its label, source and target turnbacks step it by +1 and -1, and
+    no two arcs interleave."""
+    nf = normalize_planar(d)
+    assert nf.source == d.source and nf.target == d.target
+    matched = [end for arc in nf.arcs for end in arc]
+    assert len(matched) == len(set(matched)) == len(d.source) + len(d.target)
+    assert list(nf.arcs) == sorted(tuple(sorted(arc)) for arc in nf.arcs), to_text(d)
+    for (sa, ia), (sb, ib) in nf.arcs:
+        la = (d.source if sa == "source" else d.target)[ia]
+        lb = (d.source if sb == "source" else d.target)[ib]
+        assert lb - la == _STEP[sa, sb], to_text(d)
+    assert not _interleaving(nf.arcs, len(d.source), len(d.target)), to_text(d)
+
+
 def test_no_crossing_free_closed_loop():
     # a cup followed directly by a cap cannot type: (1, 0) is descending
     with pytest.raises(DiagramError):
@@ -194,16 +231,19 @@ def test_no_crossing_free_closed_loop():
     for d in iter_closed_diagrams(max_events=6, max_crossings=0, width=6, lo=-2, hi=2):
         raise AssertionError(f"found a crossing-free closed diagram:\n{to_text(d)}")
     # nor a closed component of an open planar diagram, which validate and
-    # normalize_planar therefore do not look for
+    # normalize_planar therefore do not look for; the same walk checks the
+    # matching's theorems that normalize_planar states
     count = 0
     for src in ((), (0,), (0, 1), (1, 0), (-1, 0, 1)):
         for d in iter_diagrams(src, PLANAR, max_events=5, width=6, lo=-2, hi=2):
             assert not any(c.closed for c in trace_components(d)), to_text(d)
+            assert_planar_matching(d)
             count += 1
     assert count == 61955
     for seed in range(2000):
         d = random_diagram(random.Random(seed), PLANAR, max_events=40, width=8, lo=-3, hi=3)
         assert not any(c.closed for c in trace_components(d)), to_text(d)
+        assert_planar_matching(d)
 
 
 def test_closed_components_have_odd_self_crossings():

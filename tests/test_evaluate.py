@@ -23,7 +23,7 @@ from tangles.diagram import (
 )
 from tangles.evaluate import (
     EVALUATE_LIMIT,
-    PRESET_DATA,
+    PRESETS,
     STATE_SUM_LIMIT,
     EvaluationError,
     RigidDatum,
@@ -71,7 +71,7 @@ def test_trivial_datum_valid_everywhere():
 
 
 def test_preset_datum_refuses_an_unknown_name():
-    for name, build in PRESET_DATA.items():
+    for name, build in zip(PRESETS, (kauffman_datum, trivial_datum)):
         assert preset_datum(name) is preset_datum(name) == build()
     with pytest.raises(KeyError):
         preset_datum("kauffmann")
