@@ -12,12 +12,18 @@ tighter than ";"):
             | "unknot" | "trefoil" | "hopf" | "unlink"
             | "(" expr ")"
 
-Text becomes a diagram in one pass: each event is built once, at its
-final position (offsets along a "|" chain are prefix sums of widths), and
-each slice is typed once, so a chain of terms of any length is built in
-time linear in its length.  The parser and
-``to_diagram`` keep their own stacks instead of recursing, so neither
-length nor parenthesis depth is limited by Python's recursion limit.
+An expression has the grammar's shape: a ";" chain is one ``Seq`` and a
+"|" chain one ``Par``, members in order, and a chain of one is its member.
+A group that starts a chain of its own kind joins it (``(a ; b) ; c`` is
+``a ; b ; c``); a later group stays one member (``a ; (b ; c)``).  Text
+becomes a diagram in one pass: each event is built once, at its final
+position (offsets along a "|" chain are prefix sums of widths), and each
+slice is typed once, so a chain of terms of any length is built in time
+linear in its length.  The parser, ``print_expr`` and ``to_diagram`` keep
+their own stacks, so neither length nor parenthesis depth meets Python's
+recursion limit.  The dataclass ``==``, ``hash`` and ``repr``, which no
+command calls, recurse once per group nested in a group: under the default
+limit they raise ``RecursionError`` from about 250, 500 and 250 groups.
 
 Subcommands write deterministic text to stdout and use exit status 0 for
 success, 1 for user errors (usage, syntax, typing, boundary mismatches,
@@ -37,7 +43,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import links
 from .diagram import (
@@ -103,55 +109,18 @@ class Named(Expr):
     name: str
 
 
-class _Node(Expr):
-    """The base of Seq and Par.  Their ==, hash and repr are structural, as
-    the dataclass ones are, but read one walk of the tree with an explicit
-    stack instead of recursing, so a chain of any length costs no
-    recursion."""
+@dataclass(frozen=True)
+class Seq(Expr):
+    """A ";" chain, bottom first."""
 
-    def _tokens(self) -> Iterator:
-        """The dataclass repr of the tree as a stream: the text around each
-        Seq or Par, and each leaf as it is."""
-        todo: list = [self]
-        while todo:
-            e = todo.pop()
-            if isinstance(e, _Node):
-                a, b = e.__match_args__
-                todo += (")", getattr(e, b), f", {b}=", getattr(e, a), f"{type(e).__name__}({a}=")
-            else:
-                yield e
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Node):
-            return NotImplemented
-        return list(self._tokens()) == list(other._tokens())
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._tokens()))
-
-    def __repr__(self) -> str:
-        return "".join(t if isinstance(t, str) else repr(t) for t in self._tokens())
-
-    def members(self) -> list[Expr]:
-        """The chain along the left spine, last first."""
-        e, kind, (first, second) = self, type(self), self.__match_args__
-        out = []
-        while type(e) is kind:
-            out.append(getattr(e, second))
-            e = getattr(e, first)
-        return out + [e]
+    members: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Seq(_Node):
-    first: Expr
-    second: Expr
+@dataclass(frozen=True)
+class Par(Expr):
+    """A "|" chain, left first."""
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Par(_Node):
-    left: Expr
-    right: Expr
+    members: tuple[Expr, ...]
 
 
 # Every non-space character starts a token; a character that starts no
@@ -201,20 +170,21 @@ def _int(text: str, tokens: list, j: int) -> int:
 
 def parse_expr(text: str) -> Expr:
     """expr, term and factor of the grammar in one loop over the tokens.
-    Each "(" saves the enclosing expression's ";" chain and "|" chain on a
-    stack, so nesting depth costs no recursion."""
+    The open ";" and "|" chains gather their members in lists, and each "("
+    saves the enclosing pair on a stack, so nesting depth costs no recursion;
+    a group that starts a chain of its own kind gives it its members."""
     t = _tokenize(text)
     t.append(None)  # the end of input, equal to no token
     i = 0
-    enclosing: list[tuple[Expr | None, Expr | None]] = []
-    seq: Expr | None = None  # the terms before the last ";"
-    par: Expr | None = None  # the factors of the current term
+    enclosing: list[tuple[list[Expr], list[Expr]]] = []
+    seq: list[Expr] = []  # the terms of the current expression
+    par: list[Expr] = []  # the factors of the current term
     while True:
         v = t[i]
         if v == "(":
             i += 1
             enclosing.append((seq, par))
-            seq = par = None
+            seq, par = [], []
             continue
         ints = []
         if v in _SHAPES:
@@ -245,17 +215,19 @@ def parse_expr(text: str) -> Expr:
         else:
             raise _error(text, t, i)
         i += 1
-        par = factor if par is None else Par(par, factor)
+        par.append(factor)
         while True:  # after a factor: close groups until "|", ";" or the end
             v = t[i]
             if v == "|":
                 i += 1
                 break
-            e = par if seq is None else Seq(seq, par)
+            term = par[0] if len(par) == 1 else Par(tuple(par))
+            seq += term.members if not seq and type(term) is Seq else [term]
             if v == ";":
                 i += 1
-                seq, par = e, None
+                par = []
                 break
+            e = seq[0] if len(seq) == 1 else Seq(tuple(seq))
             if not enclosing:
                 if v is not None:
                     raise _error(text, t, i)
@@ -264,13 +236,13 @@ def parse_expr(text: str) -> Expr:
                 raise _error(text, t, i, ")")
             i += 1
             seq, par = enclosing.pop()
-            par = e if par is None else Par(par, e)
+            par += e.members if not par and type(e) is Par else [e]
 
 
 def print_expr(e: Expr) -> str:
     """The text of an expression, with the parentheses its tree needs.
     The tree is walked with an explicit stack of pieces, text or
-    subexpressions, so a chain of any length costs no recursion."""
+    subexpressions, so no length or depth costs recursion."""
     todo: list = [e]
     out: list[str] = []
     while todo:
@@ -283,17 +255,14 @@ def print_expr(e: Expr) -> str:
             out.append(f"id[{','.join(str(a) for a in item.labels)}]")
         elif isinstance(item, Named):
             out.append(item.name)
-        elif isinstance(item, Par):
-            todo += reversed(_grouped(item.left, Seq) + [" | "] + _grouped(item.right, (Seq, Par)))
-        elif isinstance(item, Seq):
-            todo += reversed([item.first, " ; "] + _grouped(item.second, Seq))
+        elif isinstance(item, (Seq, Par)):
+            mark, kinds = (" ; ", Seq) if isinstance(item, Seq) else (" | ", (Seq, Par))
+            for m in reversed(item.members):
+                todo += (")", m, "(", mark) if isinstance(m, kinds) else (m, mark)
+            todo.pop()  # no mark before the first member
         else:
             raise TypeError(f"not an expression: {item!r}")
     return "".join(out)
-
-
-def _grouped(e: Expr, kinds) -> list:
-    return ["(", e, ")"] if isinstance(e, kinds) else [e]
 
 
 _KINDS = {k.value: k for k in EventKind}  # the kinds are spelled as in the grammar
@@ -332,8 +301,8 @@ def _beside(rest: list, x: int, level: int, layers, planar: bool, source: list, 
 
 @dataclass(slots=True)
 class _Chain:
-    """An open ";" or "|" chain: the members still to place, last first,
-    the level the next starts at, and the placed ones' source, target and
+    """An open Seq or Par: its members still to place, last first, the
+    level the next starts at, and the placed ones' source, target and
     level widths, which offset a "|" chain's next member."""
 
     par: bool
@@ -350,10 +319,10 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
     Along a "|" chain each member's offset at each level is the prefix sum
     of the widths to its left (``widen``, as in ``tensor``), so each event
     is built once, at its final position; ";" checks the boundary, as
-    ``compose`` does.  Each slice is typed once, when the result is.  The
-    tree is walked with a stack of open chains, members left to right, so
-    errors come in the order of a fold through ``compose`` and ``tensor``,
-    and a chain of any length or depth costs no recursion."""
+    ``compose`` does.  Each slice is typed once, when the result is.  Each
+    Seq or Par is an open chain on a stack, its members placed left to
+    right, so errors come in the order of a fold through ``compose`` and
+    ``tensor``, and a chain of any length or depth costs no recursion."""
     planar = not dim.allows_crossings
     layers: list[list[Event]] = []
     pars: list[_Chain] = []  # the open "|" chains, outermost first
@@ -395,13 +364,13 @@ def to_diagram(e: Expr, dim: AmbientDim) -> Diagram:
                 raise DiagramError(f"builtin {f.name!r} has crossings, illegal for n=2")
             done = (d.source, d.target, place(layers, d, level, origin))
         elif isinstance(f, Seq):
-            chains.append(_Chain(False, f.members(), level))
+            chains.append(_Chain(False, list(reversed(f.members)), level))
         elif type(f) is Gen:  # a generator that is a whole ";" member, read in place
             event = _place_event(f, origin(level), level, layers, planar)
             source, target = event.consumes(), event.emits()
             done = (source, target, [len(source), len(target)])
         elif isinstance(f, (Par, IdWord)):  # an identity word is a "|" chain of one
-            rest, source, target = f.members() if isinstance(f, Par) else [f], [], []
+            rest, source, target = list(reversed(f.members)) if isinstance(f, Par) else [f], [], []
             widths = _beside(rest, origin(level), level, layers, planar, source, target)
             if rest:
                 pars.append(_Chain(True, rest, level, source, target, widths))
@@ -448,10 +417,6 @@ def _read_expr(args) -> str:
     return sys.stdin.read()
 
 
-def _dim(args) -> AmbientDim:
-    return AmbientDim.from_dimension(args.dim)
-
-
 @functools.cache
 def _preset_report(name: str, dim: AmbientDim) -> DatumReport:
     return validate_datum(preset_datum(name), dim)
@@ -475,7 +440,7 @@ def _parsed_diagram(args, dim: AmbientDim) -> Diagram:
 
 
 def _cmd_validate(args) -> int:
-    dim = _dim(args)
+    dim = AmbientDim.from_dimension(args.dim)
     d = _parsed_diagram(args, dim)
     window = None
     if args.window:
@@ -493,14 +458,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    dim = _dim(args)
+    dim = AmbientDim.from_dimension(args.dim)
     d = _parsed_diagram(args, dim)
     print(normalize_planar(d) if dim is AmbientDim.PLANAR else to_text(reduce_diagram(d, dim)), end="")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    dim = _dim(args)
+    dim = AmbientDim.from_dimension(args.dim)
     d = _parsed_diagram(args, dim)
     datum, report = _datum(args.datum, dim)
     if not report.valid:
@@ -516,7 +481,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
-    dim = _dim(args)
+    dim = AmbientDim.from_dimension(args.dim)
     if dim is AmbientDim.SYMMETRIC:
         raise EvaluationError(
             f"the bracket is not an invariant for n={args.dim}, where the two crossings "
@@ -540,7 +505,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_datum(args) -> int:
-    _, report = _datum(args.datum, _dim(args))
+    _, report = _datum(args.datum, AmbientDim.from_dimension(args.dim))
     print(report)
     return 0 if report.valid else 1
 
@@ -603,7 +568,14 @@ def _cmd_simplex_phi(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """A usage error is a user error: exit status 1, where argparse uses 2."""
+    """A usage error is a user error: exit status 1, where argparse uses 2.
+    Each subcommand reports the arguments it does not take, with its usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -61,15 +61,14 @@ def random_diagram(
         length = rng.randrange(0, 4)
         source = tuple(rng.randrange(lo, hi + 1) for _ in range(length))
     word = tuple(source)
-    layers: list[list[Event]] = []
+    slices: list[Slice] = []
     for _ in range(rng.randrange(0, max_events + 1)):
         options = legal_events(word, dim, lo, hi, width)
         if not options:
             break
-        e = rng.choice(options)
-        layers.append([e])
-        word = Slice(word, (e,)).output()
-    return Diagram.from_events(tuple(source), layers)
+        slices.append(Slice(word, (rng.choice(options),)))
+        word = slices[-1].output()
+    return Diagram(tuple(source), tuple(slices))
 
 
 def random_composable_pair(
@@ -78,6 +77,28 @@ def random_composable_pair(
     d1 = random_diagram(rng, dim, **kwargs)
     d2 = random_diagram(rng, dim, source=d1.target, **kwargs)
     return d1, d2
+
+
+def _walk(
+    source: tuple, dim: AmbientDim, max_events: int, max_crossings: int, width: int, lo: int, hi: int
+) -> Iterator[list[Slice]]:
+    """Depth-first over all diagrams over source with at most max_events
+    events, one per slice, and at most max_crossings crossings: each one's
+    slices, before the diagrams that extend it.  One list is yielded each
+    time, changed as the walk goes on, and each slice is typed once."""
+    slices: list[Slice] = []
+
+    def walk(word: tuple[int, ...], crossings: int) -> Iterator[list[Slice]]:
+        yield slices
+        if len(slices) == max_events:
+            return
+        for e in legal_events(word, dim, lo, hi, width):
+            if crossings + e.is_crossing <= max_crossings:
+                slices.append(Slice(word, (e,)))
+                yield from walk(slices[-1].output(), crossings + e.is_crossing)
+                slices.pop()
+
+    return walk(source, 0)
 
 
 def iter_diagrams(
@@ -90,17 +111,9 @@ def iter_diagrams(
 ) -> Iterator[Diagram]:
     """Depth-first enumeration of all diagrams over the given source word
     with at most max_events events, one per slice."""
-
-    def walk(layers: list[list[Event]], word: tuple[int, ...]) -> Iterator[Diagram]:
-        yield Diagram.from_events(tuple(source), [list(l) for l in layers])
-        if len(layers) == max_events:
-            return
-        for e in legal_events(word, dim, lo, hi, width):
-            layers.append([e])
-            yield from walk(layers, Slice(word, (e,)).output())
-            layers.pop()
-
-    yield from walk([], tuple(source))
+    source = tuple(source)
+    for slices in _walk(source, dim, max_events, max_events, width, lo, hi):
+        yield Diagram(source, tuple(slices))
 
 
 def iter_closed_diagrams(
@@ -112,21 +125,6 @@ def iter_closed_diagrams(
 ) -> Iterator[Diagram]:
     """All closed diagrams (empty boundary) reachable from the empty word
     within the bounds, in braided ambient dimension."""
-    dim = AmbientDim.BRAIDED
-
-    def walk(
-        layers: list[list[Event]], word: tuple[int, ...], crossings: int
-    ) -> Iterator[Diagram]:
-        if not word and layers:
-            yield Diagram.from_events((), [list(l) for l in layers])
-        if len(layers) == max_events:
-            return
-        for e in legal_events(word, dim, lo, hi, width):
-            extra = 1 if e.is_crossing else 0
-            if crossings + extra > max_crossings:
-                continue
-            layers.append([e])
-            yield from walk(layers, Slice(word, (e,)).output(), crossings + extra)
-            layers.pop()
-
-    yield from walk([], (), 0)
+    for slices in _walk((), AmbientDim.BRAIDED, max_events, max_crossings, width, lo, hi):
+        if slices and not slices[-1].output():
+            yield Diagram((), tuple(slices))

@@ -328,9 +328,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, len(self.entries)))
 
-    def is_identity(self) -> bool:
-        return self == Matrix.identity(self.rows) and self.rows == self.cols
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -54,13 +55,22 @@ def test_parse_generators():
 def test_parse_precedence():
     e = parse_expr("id[0] | cup(0) ; cap(0) | id[0]")
     assert e == Seq(
-        Par(IdWord((0,)), Gen("cup", (0,))), Par(Gen("cap", (0,)), IdWord((0,)))
+        (Par((IdWord((0,)), Gen("cup", (0,)))), Par((Gen("cap", (0,)), IdWord((0,)))))
     )
 
 
 def test_parse_parens():
     e = parse_expr("(cup(0) ; cap(0)) | id[]")
-    assert isinstance(e, Par) and isinstance(e.left, Seq)
+    assert isinstance(e, Par) and isinstance(e.members[0], Seq)
+
+
+def test_parse_joins_a_group_that_starts_a_chain_of_its_kind():
+    a, b, c = Gen("cup", (0,)), Gen("cap", (0,)), IdWord((0,))
+    assert parse_expr("(cup(0) ; cap(0)) ; id[0]") == Seq((a, b, c))
+    assert parse_expr("(cup(0) | cap(0)) | id[0]") == Par((a, b, c))
+    assert parse_expr("cup(0) ; (cap(0) ; id[0])") == Seq((a, Seq((b, c))))
+    for op in (";", "|"):
+        assert len(parse_expr(f" {op} ".join(["id[0]"] * 3000)).members) == 3000
 
 
 def test_parse_error_position():
@@ -87,9 +97,11 @@ def random_expr(rng, depth=0):
         if kind == "id":
             return IdWord(tuple(rng.randrange(-3, 4) for _ in range(rng.randrange(0, 3))))
         return Named(rng.choice(["unknot", "trefoil", "hopf", "unlink"]))
-    if roll < 0.7:
-        return Seq(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
-    return Par(random_expr(rng, depth + 1), random_expr(rng, depth + 1))
+    kind = Seq if roll < 0.7 else Par
+    members = [random_expr(rng, depth + 1), random_expr(rng, depth + 1)]
+    if type(members[0]) is kind:  # the parser's form: a first member of the chain's kind joins it
+        members[:1] = members[0].members
+    return kind(tuple(members))
 
 
 def test_print_parse_roundtrip():
@@ -106,8 +118,8 @@ def test_print_parse_roundtrip():
 
 def test_long_chains_compare_hash_and_print_without_recursion():
     assert repr(parse_expr("id[0] ; id[1] | cup(0)")) == (
-        "Seq(first=IdWord(labels=(0,)), "
-        "second=Par(left=IdWord(labels=(1,)), right=Gen(kind='cup', args=(0,))))"
+        "Seq(members=(IdWord(labels=(0,)), "
+        "Par(members=(IdWord(labels=(1,)), Gen(kind='cup', args=(0,))))))"
     )
     for op in (";", "|"):
         terms = ["id[0]"] * 3000
@@ -139,6 +151,28 @@ def reference_tokenize(text):
             raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
     return tokens
+
+
+@dataclasses.dataclass(frozen=True)
+class Bin:
+    """The reference parser's node: one ";" or "|" between two operands."""
+
+    op: str
+    first: object
+    second: object
+
+
+def flattened(e):
+    """A reference tree as chains: each left spine of one operator is one
+    Seq or Par, members in order."""
+    if not isinstance(e, Bin):
+        return e
+    op, members = e.op, []
+    while isinstance(e, Bin) and e.op == op:
+        members.append(flattened(e.second))
+        e = e.first
+    members.append(flattened(e))
+    return (Seq if op == ";" else Par)(tuple(reversed(members)))
 
 
 class ReferenceParser:
@@ -174,13 +208,13 @@ class ReferenceParser:
                 seq = par = None
                 continue
             factor = self.atom()
-            par = factor if par is None else Par(par, factor)
+            par = factor if par is None else Bin("|", par, factor)
             while True:
                 tok = self.peek()
                 if tok is not None and tok[1] == "|":
                     self.take()
                     break
-                e = par if seq is None else Seq(seq, par)
+                e = par if seq is None else Bin(";", seq, par)
                 if tok is not None and tok[1] == ";":
                     self.take()
                     seq, par = e, None
@@ -191,7 +225,7 @@ class ReferenceParser:
                     return e
                 self.take("punct", ")")
                 seq, par = enclosing.pop()
-                par = e if par is None else Par(par, e)
+                par = e if par is None else Bin("|", par, e)
 
     def ints(self, count):
         out = [int(self.take("int")[1])]
@@ -269,7 +303,7 @@ def test_parser_matches_the_reference_on_mutated_expressions():
             text = text[: rng.randrange(300)]
         text = mutated(rng, text)
         got = parsed(parse_expr, text)
-        assert got == parsed(lambda t: ReferenceParser(t).parse(), text), repr(text)
+        assert got == parsed(lambda t: flattened(ReferenceParser(t).parse()), text), repr(text)
         outcomes[isinstance(got, tuple)] += 1
     assert min(outcomes.values()) > 1000  # both trees and errors were compared
 
@@ -302,9 +336,8 @@ def folded(e, dim):
         if not dim.allows_crossings:
             raise DiagramError(f"builtin {e.name!r} has crossings, illegal for n=2")
         return d
-    if isinstance(e, Seq):
-        return compose(folded(e.first, dim), folded(e.second, dim))
-    return tensor(folded(e.left, dim), folded(e.right, dim))
+    parts = (folded(m, dim) for m in e.members)
+    return functools.reduce(compose if isinstance(e, Seq) else tensor, parts)
 
 
 def built(build, e, dim):
@@ -398,10 +431,8 @@ def named_leaves(e):
     out, todo = [], [e]
     while todo:
         e = todo.pop()
-        if isinstance(e, Seq):
-            todo += (e.first, e.second)
-        elif isinstance(e, Par):
-            todo += (e.left, e.right)
+        if isinstance(e, (Seq, Par)):
+            todo += e.members
         elif isinstance(e, Named):
             out.append(e.name)
     return out
@@ -468,16 +499,22 @@ def test_cli_long_chains_and_deep_nesting(capsys):
 
 
 def test_cli_nested_right_chains(capsys):
-    # a; (b; (c; ...)) and a | (b | (c | ...)) nest to the right, 800 deep
+    # a ; (b ; (c ; ...)) and a | (b | (c | ...)) nest to the right, 800 deep
     depth = 800
-    seq = " ; (".join(zigzag_chain(depth).split(" ; ")) + ")" * (depth - 1)
+
+    def nested(op, terms):  # terms[0] op (terms[1] op (... op (terms[-2] op terms[-1])))
+        return f" {op} (".join(terms[:-1]) + f" {op} {terms[-1]}" + ")" * (len(terms) - 2)
+
+    seq = nested(";", zigzag_chain(depth).split(" ; "))
     e = parse_expr(seq)
-    assert isinstance(e, Seq) and isinstance(e.second, Seq)
+    assert isinstance(e, Seq) and len(e.members) == 2 and isinstance(e.members[1], Seq)
     code, out, _ = run(capsys, "normalize", "--dim", "2", seq)
     assert (code, out) == (0, "source: 0\ntarget: 0\narc: source[0](0) -- target[0](0)\n")
-    par = " | (".join(["cup(0)"] * depth) + ")" * (depth - 1)
+    par = nested("|", ["cup(0)"] * depth)
     code, out, _ = run(capsys, "validate", par)
     assert code == 0 and out.splitlines()[2] == "target: " + " ".join(["1 0"] * depth)
+    for text in (seq, par):  # texts, not trees: == on trees this deep recurses
+        assert print_expr(parse_expr(text)) == text
 
 
 def test_cli_planar_normalize_traces_once(capsys, monkeypatch):
@@ -912,6 +949,23 @@ def test_cli_usage_error_exits_1(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 1 and "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, prog",
+    [
+        (("datum", "--dim", "3", "id[]"), "tangles datum"),
+        (("seg", "complete", "--budget", "3", "zzz"), "tangles seg complete"),
+        (("validate", "id[0]", "id[1]"), "tangles validate"),
+    ],
+)
+def test_cli_subcommand_reports_its_own_unrecognized_arguments(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    lines = capsys.readouterr().err.splitlines()
+    assert exc.value.code == 1
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert lines[-1] == f"{prog}: error: unrecognized arguments: {argv[-1]}"
 
 
 def test_cli_eval_refuses_a_wide_group_at_once(capsys):

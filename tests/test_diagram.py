@@ -79,6 +79,9 @@ def test_compose_zigzag_shape():
 def test_compose_mismatch():
     with pytest.raises(DiagramError):
         compose(elementary(cup(0), PLANAR), elementary(cap(1), PLANAR))
+    with pytest.raises(DiagramError) as err:
+        Diagram((0,), (Slice((1,), ()),))  # the slices must chain from the source
+    assert str(err.value) == "slice 0 expects input (1,), previous boundary is (0,)"
 
 
 def test_tensor_examples():
@@ -309,6 +312,8 @@ def test_writhe_examples():
     assert component_framings(hopf()) == [1, -1]
     with pytest.raises(DiagramError):
         writhe(zigzag())  # open components
+    with pytest.raises(DiagramError):
+        self_writhe(zigzag())
 
 
 def test_mirror_involution():

@@ -5,6 +5,7 @@ import pathlib
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -246,11 +247,14 @@ def test_kink_factor():
 
 
 def test_datum_serialization_roundtrip():
-    for datum in (kauffman_datum(), trivial_datum(), flip_datum(), unit_datum(3, -1)):
+    one = lambda x: Matrix(1, 1, {(0, 0): Fraction(x)})
+    halves = RigidDatum("halves", "rational", 1, *map(one, ("1/2", "1/2", "2", "2")), one("-3/5"), one("-5/3"))
+    for datum in (kauffman_datum(), trivial_datum(), flip_datum(), unit_datum(3, -1), halves):
         text = datum_to_text(datum)
         back = datum_from_text(text)
-        assert datum_to_text(back) == text
+        assert datum_to_text(back) == text and back == datum
         assert back.rank == datum.rank and back.symmetric == datum.symmetric
+    assert "b: 1/2\n" in text and "c: -3/5\n" in text  # the rational entries as written
 
 
 def test_datum_serialization_keeps_each_structure_map():

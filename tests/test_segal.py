@@ -201,6 +201,17 @@ def test_pushout_not_segal():
     assert not is_segal(p, 2)
 
 
+def test_two_simplices_with_one_spine_are_not_segal():
+    # the point, with a second 2-simplex u beside the degenerate t: both
+    # have the spine (e, e)
+    X = SimplicialData(
+        levels=(("v",), ("e",), ("t", "u")),
+        faces={(1, i): {"e": "v"} for i in range(2)} | {(2, i): {"t": "e", "u": "e"} for i in range(3)},
+        degeneracies={(0, 0): {"v": "e"}, (1, 0): {"e": "t"}, (1, 1): {"e": "t"}},
+    )
+    assert is_segal(X, 1) and not is_segal(X, 2)
+
+
 def test_degenerate_only_is_segal():
     x = one_truncated("ab", [], K=2)
     assert is_segal(x, 2)
