@@ -43,6 +43,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Sequence
 
 from . import links
@@ -516,8 +517,14 @@ def _cmd_words_factor(args) -> int:
     return 0
 
 
+@functools.cache
+def _monoid(name: str) -> PointedMonoid:
+    """The named monoid, built and checked once per process."""
+    return _MONOIDS[name]()
+
+
 def _cmd_star_enum(args) -> int:
-    listing = free_product_listing(_MONOIDS[args.left](), _MONOIDS[args.right](), args.bound)
+    listing = free_product_listing(_monoid(args.left), _monoid(args.right), args.bound)
     by_length = Counter(length for length, _ in listing)  # the listing is sorted: lengths in order
     lines = [f"total: {len(listing)}"]
     lines += [f"length {length}: {count}" for length, count in by_length.items()]
@@ -532,26 +539,13 @@ def _preset(name: str):
     return _PRESETS[name]()
 
 
-_CHUNK = 10**600
-
-
-def _decimal(n: int) -> str:
-    """n in decimal however long, read off 600 digits at a time: below the
-    least limit (640) an interpreter may set on int-to-str conversion."""
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0600d}")
-    return str(n) + "".join(reversed(chunks))
-
-
 def _cmd_seg_complete(args) -> int:
     comp = complete(_preset(args.preset), args.budget)
     print(f"objects: {len(comp.presentation.objects)}")
     print(f"generators: {len(comp.presentation.generators)}")
     print(f"relations: {len(comp.presentation.relations)}")
-    for key in sorted(comp.class_counts, key=repr):
-        print(f"hom {key[0]} -> {key[1]}: {_decimal(comp.class_counts[key])} classes")
+    for key in sorted(comp.class_counts, key=repr):  # Decimal prints past the int-to-str limit
+        print(f"hom {key[0]} -> {key[1]}: {Decimal(comp.class_counts[key])} classes")
     print(f"stabilized: {comp.stabilized}")
     return 0
 

@@ -70,11 +70,7 @@ class AmbientDim(enum.Enum):
     def from_dimension(n: int) -> "AmbientDim":
         if n < 2:
             raise DiagramError(f"ambient dimension must be >= 2, got {n}")
-        if n == 2:
-            return AmbientDim.PLANAR
-        if n == 3:
-            return AmbientDim.BRAIDED
-        return AmbientDim.SYMMETRIC
+        return AmbientDim(min(n, 4))  # every n >= 4 behaves as 4
 
     @property
     def allows_crossings(self) -> bool:
@@ -352,24 +348,8 @@ def degree(w: Sequence[int]) -> int:
 
 
 @dataclass(frozen=True)
-class Issue:
-    slice_index: int | None
-    position: int | None
-    message: str
-
-    def __str__(self) -> str:
-        where = ""
-        if self.slice_index is not None:
-            where = f"slice {self.slice_index}"
-            if self.position is not None:
-                where += f", position {self.position}"
-            where += ": "
-        return where + self.message
-
-
-@dataclass(frozen=True)
 class ValidationReport:
-    issues: tuple[Issue, ...]
+    issues: tuple[str, ...]
 
     @property
     def valid(self) -> bool:
@@ -378,7 +358,7 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.valid:
             return "ok"
-        return "\n".join(str(i) for i in self.issues)
+        return "\n".join(self.issues)
 
 
 def validate(
@@ -395,16 +375,16 @@ def validate(
 
     ``label_window=(i, j)`` additionally rejects labels outside [-i, j].
     """
-    issues: list[Issue] = []
+    issues: list[str] = []
     for idx, s in enumerate(d.slices):
         for e in s.events:
             if e.is_crossing and not dim.allows_crossings:
-                issues.append(Issue(idx, e.position, "crossing in planar dimension"))
+                issues.append(f"slice {idx}, position {e.position}: crossing in planar dimension")
     if label_window is not None:
         lo, hi = -label_window[0], label_window[1]
         bad = sorted(k for k in d.labels() if not lo <= k <= hi)
         if bad:
-            issues.append(Issue(None, None, f"labels {bad} outside window [{lo},{hi}]"))
+            issues.append(f"labels {bad} outside window [{lo},{hi}]")
     return ValidationReport(tuple(issues))
 
 
@@ -518,17 +498,9 @@ def self_writhe(d: Diagram) -> int:
 
 def mirror(d: Diagram) -> Diagram:
     """Swap positive and negative crossings everywhere."""
-    flip = {EventKind.XPOS: EventKind.XNEG, EventKind.XNEG: EventKind.XPOS}
-    slices = tuple(
-        Slice(
-            s.input,
-            tuple(
-                Event(flip.get(e.kind, e.kind), e.position, e.labels) for e in s.events
-            ),
-        )
-        for s in d.slices
-    )
-    return Diagram(d.source, slices)
+    flip = {_XPOS: _XNEG, _XNEG: _XPOS}
+    layers = [[Event(flip.get(e.kind, e.kind), e.position, e.labels) for e in s.events] for s in d.slices]
+    return Diagram.from_events(d.source, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +524,11 @@ def _parse_event(token: str) -> Event:
         position = int(pos_text)
     except ValueError as exc:
         raise DiagramError(f"cannot parse event {token!r}") from exc
-    kinds = {k.value: k for k in EventKind}
-    if head not in kinds:
-        raise DiagramError(f"unknown event kind {head!r} in {token!r}")
-    return Event(kinds[head], position, labels)
+    try:
+        kind = EventKind(head)
+    except ValueError:
+        raise DiagramError(f"unknown event kind {head!r} in {token!r}") from None
+    return Event(kind, position, labels)
 
 
 def from_text(text: str) -> Diagram:

@@ -87,18 +87,24 @@ def _walk(
     slices, before the diagrams that extend it.  One list is yielded each
     time, changed as the walk goes on, and each slice is typed once."""
     slices: list[Slice] = []
-
-    def walk(word: tuple[int, ...], crossings: int) -> Iterator[list[Slice]]:
-        yield slices
-        if len(slices) == max_events:
-            return
-        for e in legal_events(word, dim, lo, hi, width):
-            if crossings + e.is_crossing <= max_crossings:
-                slices.append(Slice(word, (e,)))
-                yield from walk(slices[-1].output(), crossings + e.is_crossing)
+    yield slices
+    stack = [(source, 0, iter(legal_events(source, dim, lo, hi, width)))] if max_events else []
+    while stack:
+        word, crossings, events = stack[-1]
+        for e in events:
+            if crossings + e.is_crossing > max_crossings:
+                continue
+            slices.append(Slice(word, (e,)))
+            yield slices
+            if len(slices) < max_events:
+                out = slices[-1].output()
+                stack.append((out, crossings + e.is_crossing, iter(legal_events(out, dim, lo, hi, width))))
+                break
+            slices.pop()
+        else:
+            stack.pop()
+            if stack:  # the slice that led to the frame just left
                 slices.pop()
-
-    return walk(source, 0)
 
 
 def iter_diagrams(

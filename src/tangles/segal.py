@@ -176,15 +176,11 @@ def is_segal(X: SimplicialData, p: int) -> bool:
         raise SimplicialError(f"level {p} not stored (K = {X.K})")
     if p <= 1:
         return True
-    spines = {}
-    for x in X.levels[p]:
-        spine = tuple(X.edge(p, x, i) for i in range(1, p + 1))
-        if spine in spines and spines[spine] != x:
-            return False
-        spines[spine] = x
+    spines = {tuple(X.edge(p, x, i) for i in range(1, p + 1)) for x in X.levels[p]}
     chains = cut_fiber_product(
         X, MonotoneMap(SimplexObject(p - 2), SimplexObject(p), tuple(range(1, p)))
     )
+    # the chains are distinct: when all |X_p| of them are spines, no two simplices share one
     return len(chains) == len(X.levels[p]) and all(chain in spines for chain in chains)
 
 
@@ -711,12 +707,8 @@ def one_truncated(
         for p in range(1, K + 1)
     ]
 
-    def compose(a, b):
-        if is_identity(a):
-            return b
-        if is_identity(b):
-            return a
-        raise SimplicialError("graph data cannot compose two edges")
+    def compose(a, b):  # a level tuple has one non-identity edge at most: a or b is an identity
+        return b if is_identity(a) else a
 
     def face(p: int, i: int, x):
         if p == 1:  # an edge's d_0 is its target, d_1 its source

@@ -20,13 +20,16 @@ merge strictly decreases the letter count, so the loop terminates.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Word = tuple
 
 LEFT = "L"
 RIGHT = "R"
+LISTING_LIMIT = 1 << 20  # the most elements free_product_listing lists
 
 
 def concat(ws: Iterable[Sequence]) -> Word:
@@ -291,10 +294,37 @@ def free_product_enumerate(
     return [FREE_PRODUCT_UNIT] + [FreeProductElement(letters) for _, letters in walk]
 
 
+def free_product_count(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> int:
+    """The number of elements of A * B of total weight <= max_weight, unit
+    included, counted by weight and last side without listing them.  Only
+    weights that have nonunits are summed over: a table monoid costs
+    O(max_weight) steps."""
+    on_left, on_right = ([(w, n) for w in range(1, max_weight + 1) if (n := len(m._elements_by_weight(w)))]
+                         for m in (A, B))
+    reach = max([w for w, _ in on_left + on_right], default=1)
+    # per side, by weight as far back as a nonunit reaches: the elements ending there, the unit at 0
+    left, right = (deque([0] * (reach - 1) + [1], maxlen=reach) for _ in range(2))
+    total = int(max_weight >= 0)  # the unit
+    for _ in range(max_weight):
+        new_left = new_right = 0
+        for w, n in on_left:
+            new_left += n * right[-w]
+        for w, n in on_right:
+            new_right += n * left[-w]
+        left.append(new_left)
+        right.append(new_right)
+        total += new_left + new_right
+    return total
+
+
 def free_product_listing(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> list[tuple[int, str]]:
     """(alternation length, text) of every element of A * B of total weight
     <= max_weight, sorted; the text is ``str`` of the element, built once
-    per element from its parent's, without building the element."""
+    per element from its parent's, without building the element.  More
+    than LISTING_LIMIT elements are refused before the first is built."""
+    count = free_product_count(A, B, max_weight)
+    if count > LISTING_LIMIT:
+        raise MonoidError(f"{Decimal(count)} elements of weight <= {max_weight} exceed {LISTING_LIMIT}")
     listing = [(0, UNIT_TEXT)]
     listing += free_product_walk(A, B, max_weight, letter_text, "*")
     listing.sort()

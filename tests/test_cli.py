@@ -741,6 +741,7 @@ def _star_listing_by_objects(left, right, bound):
 
 def test_cli_star_enum_matches_the_object_listing_for_every_monoid_pair(capsys):
     from tangles.cli import _MONOIDS
+    from tangles.words import free_product_count
 
     for left, right in itertools.product(sorted(_MONOIDS), repeat=2):
         top = 8 if "free" in left + right else 10
@@ -749,6 +750,43 @@ def test_cli_star_enum_matches_the_object_listing_for_every_monoid_pair(capsys):
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, "")
             assert out == _star_listing_by_objects(left, right, bound), (left, right, bound)
+            count = free_product_count(_MONOIDS[left](), _MONOIDS[right](), bound)
+            assert out.startswith(f"total: {count}\n"), (left, right, bound)
+
+
+def test_cli_star_enum_refuses_more_elements_than_the_limit_before_listing(capsys, monkeypatch):
+    from tangles import words
+
+    # Z/4 * Z/3 has 205,584,996 elements of alternation length <= 20
+    code, out, err = run(capsys, "star", "enum", "--left", "z4", "--right", "z3", "--bound", "20")
+    assert (code, out) == (1, "")
+    assert err == "error: 205584996 elements of weight <= 20 exceed 1048576\n"
+    # a count past the interpreter's int-to-str limit is named whole
+    code, out, err = run(capsys, "star", "enum", "--left", "z4", "--right", "z3", "--bound", "12000")
+    assert (code, out) == (1, "")
+    digits = err.removeprefix("error: ").removesuffix(" elements of weight <= 12000 exceed 1048576\n")
+    assert len(digits) > 4300 and digits.isdigit()
+    # a listing of exactly the limit is listed, and one element more is refused
+    argv = ("star", "enum", "--left", "z4", "--right", "z2", "--bound", "12")
+    monkeypatch.setattr(words, "LISTING_LIMIT", 3641)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.splitlines()[0] == "total: 3641"
+    monkeypatch.setattr(words, "LISTING_LIMIT", 3640)
+    assert run(capsys, *argv) == (1, "", "error: 3641 elements of weight <= 12 exceed 3640\n")
+
+
+def test_cli_star_enum_builds_each_monoid_once(capsys, monkeypatch):
+    built = []
+    makers = {name: (lambda name=name, make=make: built.append(name) or make()) for name, make in cli._MONOIDS.items()}
+    monkeypatch.setattr(cli, "_MONOIDS", makers)
+    cli._monoid.cache_clear()
+    try:
+        for bound, total in ((3, 23), (4, 41)):
+            code, out, _ = run(capsys, "star", "enum", "--left", "z4", "--right", "z2", "--bound", str(bound))
+            assert code == 0 and out.splitlines()[0] == f"total: {total}"
+        assert sorted(built) == ["z2", "z4"]
+    finally:
+        cli._monoid.cache_clear()
 
 
 def test_cli_star_enum_refuses_a_negative_bound(capsys):

@@ -622,3 +622,36 @@ def test_closed_components_that_tie_keep_the_order_of_their_lowest_cups():
 def test_each_builtin_is_built_once():
     for make in BUILTINS.values():
         assert make() is make()
+    # and each has its components, all closed (traced here, not at each import)
+    components = {"unknot": 1, "trefoil": 1, "hopf": 2, "unlink": 2}
+    assert sorted(components) == sorted(BUILTINS)
+    for name, count in components.items():
+        comps = trace_components(BUILTINS[name]())
+        assert len(comps) == count and all(c.closed for c in comps), name
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AmbientDim.from_dimension(1), "ambient dimension must be >= 2, got 1"),
+        (lambda: Event(EventKind.CUP, -1, (0,)), "negative event position -1"),
+        (lambda: Event(EventKind.CAP, 0, (0, 1)), "cap event needs 1 label(s)"),
+        (lambda: Event(EventKind.XPOS, 0, (0,)), "x+ event needs 2 label(s)"),
+        (lambda: from_text("source: 0\ncap@0(0)\n"), "expected a 'slice:' line, got 'cap@0(0)'"),
+        (lambda: from_text("source:\nslice: cop@0(0)\n"), "unknown event kind 'cop' in 'cop@0(0)'"),
+        (lambda: from_text("source:\nslice: cup@x(0)\n"), "cannot parse event 'cup@x(0)'"),
+        (lambda: from_text("source:\nslice: cup@0(0\n"), "cannot parse event 'cup@0(0'"),
+    ],
+)
+def test_bad_input_is_refused_with_its_message(build, message):
+    with pytest.raises(DiagramError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_validate_reports_each_issue_as_its_text():
+    kink = Diagram.from_events((), [[cup(0)], [cross_pos(1, 0)], [cap(0)]])
+    report = validate(kink, PLANAR, label_window=(0, 0))
+    assert report.issues == ("slice 1, position 0: crossing in planar dimension", "labels [1] outside window [0,0]")
+    assert str(report) == "\n".join(report.issues) and not report.valid
+    assert str(validate(kink, BRAIDED)) == "ok"

@@ -566,3 +566,18 @@ def test_state_sum_refuses_more_than_sixteen_crossings_up_front():
         bracket_state_sum(torus(17))
     assert time.perf_counter() - start < 0.1
     assert bracket(torus(17)) != Laurent.zero()  # one evaluation has no such limit
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"b": kauffman_datum().d}, "b must have shape (4, 1)"),
+        ({"d_prime": kauffman_datum().b}, "d_prime must have shape (1, 4)"),
+        ({"braiding_inv": None}, "braiding and its inverse must come together"),
+        ({"braiding": kauffman_datum().b}, "braiding must act on V (x) V"),
+    ],
+)
+def test_a_datum_of_the_wrong_shape_is_refused(changes, message):
+    with pytest.raises(EvaluationError) as info:
+        dataclasses.replace(kauffman_datum(), **changes)
+    assert str(info.value) == message

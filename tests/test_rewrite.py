@@ -1150,3 +1150,20 @@ def test_equal_builds_its_evaluation_data_once(monkeypatch):
     for _ in range(3):
         assert equal(trefoil(), kinked, BRAIDED, budget=5) is Equality.DISTINCT
     assert len(calls) <= 1
+
+
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (Move(MoveKind.ZIGZAG, False, 0, position=0, labels=(5,), variant="cap_left"),
+         "no strand of the required level at the site"),
+        (Move(MoveKind.ZIGZAG, False, 0, position=1, labels=(0,), variant="cap_right"),
+         "no strand of the required level at the site"),
+        (Move(MoveKind.R2, False, 0, position=0, labels=(1,)), "no adjacent strand pair at the site"),
+        (Move(MoveKind.R3, False, 0), "r3 has no backward move"),
+    ],
+)
+def test_a_backward_move_without_its_site_is_refused(move, message):
+    with pytest.raises(MoveError) as info:
+        apply_move(Diagram.identity((0,)), move)
+    assert str(info.value) == message

@@ -1245,3 +1245,31 @@ def test_normal_form_counts_equal_the_closure_on_random_presentations():
                 certified += 1
                 assert counted == _closure_counts(pres, budget), (pres, budget)
     assert certified > 1000 and failed > 1000
+
+
+def _nerve_without(faces=(), degeneracies=()):
+    n = nerve_of_monoid(Z2, K=2)
+    return SimplicialData(
+        n.levels,
+        {k: v for k, v in n.faces.items() if k not in faces},
+        {k: v for k, v in n.degeneracies.items() if k not in degeneracies},
+    )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimplicialData(nerve_of_monoid(Z2, K=2).levels[:2], {}, {}),
+         "simplicial data must be stored at least to level 2"),
+        (lambda: _nerve_without(faces=[(2, 1)]), "missing face map d_1 at level 2"),
+        (lambda: _nerve_without(degeneracies=[(1, 0)]), "missing degeneracy s_0 at level 1"),
+        (lambda: is_segal(nerve_of_monoid(Z2, K=2), 3), "level 3 not stored (K = 2)"),
+        (lambda: cut_fiber_product(nerve_of_monoid(Z2, K=2), MonotoneMap(SimplexObject(0), SimplexObject(3), (1,))),
+         "level 3 not stored (K = 2)"),
+        (lambda: colimit_truncated(nerve_of_monoid(Z2, K=2), 1, 3), "levels up to 3 needed, stored 2"),
+    ],
+)
+def test_malformed_data_and_levels_not_stored_are_refused(build, message):
+    with pytest.raises(SimplicialError) as info:
+        build()
+    assert str(info.value) == message
