@@ -66,6 +66,18 @@ A = Laurent.monomial(1)
 A_INV = Laurent.monomial(-1)
 EVALUATE_LIMIT = 1 << 20  # the most basis words one group's state may range over
 STATE_SUM_LIMIT = 1 << 16  # the most smoothings bracket_state_sum enumerates
+RINGS = ("int", "rational", "laurent")
+# One row per structure map: (text key, field, strands out, strands in).  A
+# map is a matrix from r^in to r^out; the square ones, c and c^-1, are the
+# braiding pair, which a planar datum leaves out.
+_MAPS = (
+    ("b", "b", 2, 0),
+    ("b'", "b_prime", 2, 0),
+    ("d", "d", 0, 2),
+    ("d'", "d_prime", 0, 2),
+    ("c", "braiding", 2, 2),
+    ("c^-1", "braiding_inv", 2, 2),
+)
 
 
 def loop_value() -> Laurent:
@@ -77,6 +89,11 @@ class EvaluationError(ValueError):
     """Raised when a diagram and a datum cannot be paired."""
 
 
+def _check_ring(ring: str) -> None:
+    if ring not in RINGS:
+        raise EvaluationError(f"unknown ring {ring!r} (expected int, rational or laurent)")
+
+
 @dataclass(frozen=True)
 class RigidDatum:
     """Exact matrices presenting a rigid (optionally braided) object.  A
@@ -84,7 +101,7 @@ class RigidDatum:
     ``validate_datum`` and the columns kept on it stay true of it."""
 
     name: str
-    ring: str  # "int", "rational" or "laurent"
+    ring: str  # one of RINGS
     rank: int
     b: Matrix
     b_prime: Matrix
@@ -97,21 +114,16 @@ class RigidDatum:
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = self.rank
-        shapes = {
-            "b": (self.b, (r * r, 1)),
-            "b_prime": (self.b_prime, (r * r, 1)),
-            "d": (self.d, (1, r * r)),
-            "d_prime": (self.d_prime, (1, r * r)),
-        }
-        for name, (m, shape) in shapes.items():
-            if (m.rows, m.cols) != shape:
-                raise EvaluationError(f"{name} must have shape {shape}")
+        _check_ring(self.ring)
+        for _, name, outs, ins in _MAPS:
+            m, shape = getattr(self, name), (self.rank**outs, self.rank**ins)
+            if m is None and outs == ins:
+                continue
+            if m is None or (m.rows, m.cols) != shape:
+                what = "act on V (x) V" if outs == ins else f"have shape {shape}"
+                raise EvaluationError(f"{name} must {what}")
         if (self.braiding is None) != (self.braiding_inv is None):
             raise EvaluationError("braiding and its inverse must come together")
-        if self.braiding is not None:
-            if (self.braiding.rows, self.braiding.cols) != (r * r, r * r):
-                raise EvaluationError("braiding must act on V (x) V")
 
     # -- derived crossings ---------------------------------------------------
 
@@ -200,18 +212,10 @@ def validate_datum(datum: RigidDatum, dim: AmbientDim) -> DatumReport:
     def check(name: str, lhs: Matrix, rhs: Matrix) -> None:
         checks.append(DatumCheck(name, lhs == rhs))
 
-    check("zigzag (1 x d)(b x 1) = 1 on V", idr.kron(datum.d) @ (datum.b.kron(idr)), idr)
-    check("zigzag (d x 1)(1 x b) = 1 on V*", datum.d.kron(idr) @ (idr.kron(datum.b)), idr)
-    check(
-        "zigzag (1 x d')(b' x 1) = 1 on V*",
-        idr.kron(datum.d_prime) @ (datum.b_prime.kron(idr)),
-        idr,
-    )
-    check(
-        "zigzag (d' x 1)(1 x b') = 1 on V",
-        datum.d_prime.kron(idr) @ (idr.kron(datum.b_prime)),
-        idr,
-    )
+    dualities = (("", datum.b, datum.d, "V", "V*"), ("'", datum.b_prime, datum.d_prime, "V*", "V"))
+    for prime, b, d, left, right in dualities:
+        check(f"zigzag (1 x d{prime})(b{prime} x 1) = 1 on {left}", idr.kron(d) @ b.kron(idr), idr)
+        check(f"zigzag (d{prime} x 1)(1 x b{prime}) = 1 on {right}", d.kron(idr) @ idr.kron(b), idr)
 
     if dim.allows_crossings or datum.braiding is not None:
         if datum.braiding is None:
@@ -228,11 +232,8 @@ def validate_datum(datum: RigidDatum, dim: AmbientDim) -> DatumReport:
             check("Yang-Baxter on V x V x V", lhs, rhs)
             crossings = {k: datum.crossing(*k) for k in product((0, 1), (0, 1), (1, -1))}
             for (pa, pb, s), forward in crossings.items():
-                check(
-                    f"mixed second Reidemeister ({pa},{pb},{'+' if s > 0 else '-'})",
-                    crossings[pb, pa, -s] @ forward,
-                    Matrix.identity(r * r),
-                )
+                name = f"mixed second Reidemeister ({pa},{pb},{'+' if s > 0 else '-'})"
+                check(name, crossings[pb, pa, -s] @ forward, id2)
             if datum.symmetric or dim is AmbientDim.SYMMETRIC:
                 check("symmetric: c^2 = 1", c @ c, id2)
     elif datum.symmetric:
@@ -521,82 +522,48 @@ def _entry_from_text(token: str, ring: str):
     raise EvaluationError(f"bad {ring} value {token!r}")
 
 
-def _matrix_to_text(m: Matrix, ring: str) -> str:
-    return " ".join(
-        _entry_to_text(m.entry(i, j), ring) for i in range(m.rows) for j in range(m.cols)
-    )
-
-
-def _matrix_from_text(text: str, rows: int, cols: int, ring: str) -> Matrix:
-    tokens = text.split()
-    if len(tokens) != rows * cols:
-        raise EvaluationError(f"expected {rows * cols} entries, got {len(tokens)}")
-    entries = {}
-    for idx, tok in enumerate(tokens):
-        entries[(idx // cols, idx % cols)] = _entry_from_text(tok, ring)
-    return Matrix(rows, cols, entries)
-
-
 def datum_to_text(datum: RigidDatum) -> str:
-    r = datum.rank
+    """The datum's name, ring, rank and symmetric flag, then one line per
+    structure map of ``_MAPS``: its entries row-major, or ``none``."""
     lines = [
         f"name: {datum.name}",
         f"ring: {datum.ring}",
-        f"rank: {r}",
+        f"rank: {datum.rank}",
         f"symmetric: {int(datum.symmetric)}",
-        "b: " + _matrix_to_text(datum.b, datum.ring),
-        "b': " + _matrix_to_text(datum.b_prime, datum.ring),
-        "d: " + _matrix_to_text(datum.d, datum.ring),
-        "d': " + _matrix_to_text(datum.d_prime, datum.ring),
     ]
-    if datum.braiding is None:
-        lines.append("c: none")
-        lines.append("c^-1: none")
-    else:
-        lines.append("c: " + _matrix_to_text(datum.braiding, datum.ring))
-        lines.append("c^-1: " + _matrix_to_text(datum.braiding_inv, datum.ring))
+    for key, name, _, _ in _MAPS:
+        m = getattr(datum, name)
+        entries = ["none"] if m is None else [_entry_to_text(x, datum.ring) for r in m.to_rows() for x in r]
+        lines.append(f"{key}: " + " ".join(entries))
     return "\n".join(lines) + "\n"
 
 
 def datum_from_text(text: str) -> RigidDatum:
     """Read the format ``datum_to_text`` writes.  A malformed datum (a
     missing field, a rank or flag that is not an integer, a bad matrix
-    entry, a wrong number of entries, rank below 1) raises EvaluationError."""
+    entry, a wrong number of entries, rank below 1, a datum the
+    ``RigidDatum`` checks refuse) raises EvaluationError."""
     fields: dict[str, str] = {}
-    for ln in text.strip().splitlines():
-        if not ln.strip():
-            continue
+    for ln in text.splitlines():
         key, _, value = ln.partition(":")
         fields[key.strip()] = value.strip()
     try:
         ring = fields["ring"]
-        if ring not in ("int", "rational", "laurent"):
-            raise EvaluationError(f"unknown ring {ring!r} (expected int, rational or laurent)")
+        _check_ring(ring)
         rank = _entry_from_text(fields["rank"], "int")
         if rank < 1:
             raise EvaluationError(f"rank must be at least 1, got {rank}")
         symmetric = bool(_entry_from_text(fields["symmetric"], "int"))
-        r2 = rank * rank
-        b = _matrix_from_text(fields["b"], r2, 1, ring)
-        b_prime = _matrix_from_text(fields["b'"], r2, 1, ring)
-        d = _matrix_from_text(fields["d"], 1, r2, ring)
-        d_prime = _matrix_from_text(fields["d'"], 1, r2, ring)
-        if fields["c"] == "none":
-            c = c_inv = None
-        else:
-            c = _matrix_from_text(fields["c"], r2, r2, ring)
-            c_inv = _matrix_from_text(fields["c^-1"], r2, r2, ring)
+        maps = {}
+        for key, name, outs, ins in _MAPS:
+            rows, cols, tokens = rank**outs, rank**ins, fields[key].split()
+            if tokens == ["none"]:
+                maps[name] = None
+            elif len(tokens) != rows * cols:
+                raise EvaluationError(f"expected {rows * cols} entries, got {len(tokens)}")
+            else:
+                entries = {divmod(k, cols): _entry_from_text(t, ring) for k, t in enumerate(tokens)}
+                maps[name] = Matrix(rows, cols, entries)
     except KeyError as exc:
         raise EvaluationError(f"datum text missing field {exc}") from exc
-    return RigidDatum(
-        name=fields.get("name", "datum"),
-        ring=ring,
-        rank=rank,
-        b=b,
-        b_prime=b_prime,
-        d=d,
-        d_prime=d_prime,
-        braiding=c,
-        braiding_inv=c_inv,
-        symmetric=symmetric,
-    )
+    return RigidDatum(name=fields.get("name", "datum"), ring=ring, rank=rank, symmetric=symmetric, **maps)

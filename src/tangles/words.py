@@ -20,9 +20,7 @@ merge strictly decreases the letter count, so the loop terminates.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Word = tuple
@@ -30,6 +28,7 @@ Word = tuple
 LEFT = "L"
 RIGHT = "R"
 LISTING_LIMIT = 1 << 20  # the most elements free_product_listing lists
+LISTING_TEXT_LIMIT = 1 << 26  # the most characters of text it builds, a newline after each element
 
 
 def concat(ws: Iterable[Sequence]) -> Word:
@@ -294,37 +293,70 @@ def free_product_enumerate(
     return [FREE_PRODUCT_UNIT] + [FreeProductElement(letters) for _, letters in walk]
 
 
+def free_product_totals(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> Iterator[tuple[int, int, int]]:
+    """For each bound w from 0 to max_weight: w, the number of elements of
+    A * B of total weight <= w (unit included), and the characters of their
+    texts with a newline after each, counted by weight and last side
+    without listing them.
+
+    An element's text and newline are its parent's, one character (a ``*``
+    or the newline) and its last letter's text; the unit, as a parent,
+    brings nothing.  Letters are spelled only at weights that have
+    nonunits, and each weight's sum runs over the fewer of one side's
+    letter weights and the weights at which elements end on the other.
+    """
+    if max_weight < 0:
+        return
+    count, chars = 1, len(UNIT_TEXT) + 1
+    yield 0, count, chars
+    # per side: its monoid, its letters (weight -> nonunits, characters of their texts
+    # plus one each), and the elements that end on it and on the other side (weight ->
+    # elements, characters of their texts and newlines), the unit at 0 on both
+    left, right = {0: (1, 0)}, {0: (1, 0)}
+    sides = ((LEFT, A, {}, left, right), (RIGHT, B, {}, right, left))
+    for weight in range(1, max_weight + 1):
+        for side, m, mine, grown, before in sides:
+            if nonunits := m._elements_by_weight(weight):
+                mine[weight] = (len(nonunits), sum(len(letter_text(side, el)) + 1 for el in nonunits))
+            n = c = 0
+            if len(mine) <= len(before):
+                for w, (a, t) in mine.items():
+                    if parent := before.get(weight - w):
+                        n += a * parent[0]
+                        c += a * parent[1] + t * parent[0]
+            else:
+                for k, (p, q) in before.items():
+                    if letter := mine.get(weight - k):
+                        n += letter[0] * p
+                        c += letter[0] * q + letter[1] * p
+            if n:  # no sum reads weight itself, since every letter weighs at least 1
+                grown[weight] = (n, c)
+                count += n
+                chars += c
+        yield weight, count, chars
+
+
 def free_product_count(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> int:
     """The number of elements of A * B of total weight <= max_weight, unit
-    included, counted by weight and last side without listing them.  Only
-    weights that have nonunits are summed over: a table monoid costs
-    O(max_weight) steps."""
-    on_left, on_right = ([(w, n) for w in range(1, max_weight + 1) if (n := len(m._elements_by_weight(w)))]
-                         for m in (A, B))
-    reach = max([w for w, _ in on_left + on_right], default=1)
-    # per side, by weight as far back as a nonunit reaches: the elements ending there, the unit at 0
-    left, right = (deque([0] * (reach - 1) + [1], maxlen=reach) for _ in range(2))
-    total = int(max_weight >= 0)  # the unit
-    for _ in range(max_weight):
-        new_left = new_right = 0
-        for w, n in on_left:
-            new_left += n * right[-w]
-        for w, n in on_right:
-            new_right += n * left[-w]
-        left.append(new_left)
-        right.append(new_right)
-        total += new_left + new_right
-    return total
+    included, from :func:`free_product_totals`."""
+    count = 0
+    for _, count, _ in free_product_totals(A, B, max_weight):
+        pass
+    return count
 
 
 def free_product_listing(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> list[tuple[int, str]]:
     """(alternation length, text) of every element of A * B of total weight
     <= max_weight, sorted; the text is ``str`` of the element, built once
     per element from its parent's, without building the element.  More
-    than LISTING_LIMIT elements are refused before the first is built."""
-    count = free_product_count(A, B, max_weight)
-    if count > LISTING_LIMIT:
-        raise MonoidError(f"{Decimal(count)} elements of weight <= {max_weight} exceed {LISTING_LIMIT}")
+    than LISTING_LIMIT elements, or more than LISTING_TEXT_LIMIT characters
+    of text with a newline after each element, are refused before the
+    first is built, at the first weight whose running total passes its limit."""
+    for weight, count, chars in free_product_totals(A, B, max_weight):
+        if count > LISTING_LIMIT:
+            raise MonoidError(f"{count} elements of weight <= {weight} exceed {LISTING_LIMIT}")
+        if chars > LISTING_TEXT_LIMIT:
+            raise MonoidError(f"{chars} characters of text for weight <= {weight} exceed {LISTING_TEXT_LIMIT}")
     listing = [(0, UNIT_TEXT)]
     listing += free_product_walk(A, B, max_weight, letter_text, "*")
     listing.sort()

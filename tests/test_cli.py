@@ -760,12 +760,11 @@ def test_cli_star_enum_refuses_more_elements_than_the_limit_before_listing(capsy
     # Z/4 * Z/3 has 205,584,996 elements of alternation length <= 20
     code, out, err = run(capsys, "star", "enum", "--left", "z4", "--right", "z3", "--bound", "20")
     assert (code, out) == (1, "")
-    assert err == "error: 205584996 elements of weight <= 20 exceed 1048576\n"
-    # a count past the interpreter's int-to-str limit is named whole
+    assert err == "error: 2351460 elements of weight <= 15 exceed 1048576\n"
+    # counting stops at the first weight past the limit, whatever the bound
     code, out, err = run(capsys, "star", "enum", "--left", "z4", "--right", "z3", "--bound", "12000")
     assert (code, out) == (1, "")
-    digits = err.removeprefix("error: ").removesuffix(" elements of weight <= 12000 exceed 1048576\n")
-    assert len(digits) > 4300 and digits.isdigit()
+    assert err == "error: 2351460 elements of weight <= 15 exceed 1048576\n"
     # a listing of exactly the limit is listed, and one element more is refused
     argv = ("star", "enum", "--left", "z4", "--right", "z2", "--bound", "12")
     monkeypatch.setattr(words, "LISTING_LIMIT", 3641)
@@ -773,6 +772,21 @@ def test_cli_star_enum_refuses_more_elements_than_the_limit_before_listing(capsy
     assert (code, err) == (0, "") and out.splitlines()[0] == "total: 3641"
     monkeypatch.setattr(words, "LISTING_LIMIT", 3640)
     assert run(capsys, *argv) == (1, "", "error: 3641 elements of weight <= 12 exceed 3640\n")
+
+
+@pytest.mark.parametrize(
+    "left, right, bound, message",
+    [
+        ("free-x", "trivial", 100000, "67109493 characters of text for weight <= 5180 exceed 67108864"),
+        ("z4", "z3", 1000000, "2351460 elements of weight <= 15 exceed 1048576"),
+    ],
+    ids=["text-limit", "element-limit"],
+)
+def test_cli_star_enum_refuses_at_the_first_weight_past_a_limit(capsys, left, right, bound, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "star", "enum", "--left", left, "--right", right, "--bound", str(bound))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 3
 
 
 def test_cli_star_enum_builds_each_monoid_once(capsys, monkeypatch):
@@ -938,8 +952,13 @@ def test_cli_datum_file_unknown_ring(tmp_path, capsys):
         ("b: 1\n", "b: x\n"),
         ("b: 1\n", "b: 1 1\n"),
         ("ring: int\nrank: 1\nsymmetric: 1\nb: 1\n", "ring: rational\nrank: 1\nsymmetric: 1\nb: 1/0\n"),
+        ("c: 1\nc^-1: 1\n", "c: none\nc^-1: x\n"),
+        ("c: 1\nc^-1: 1\n", "c: none\n"),
     ],
-    ids=["missing-field", "rank-x", "rank-negative", "rank-zero", "flag-x", "bad-entry", "entry-count", "zero-denominator"],
+    ids=[
+        "missing-field", "rank-x", "rank-negative", "rank-zero", "flag-x", "bad-entry", "entry-count", "zero-denominator",
+        "c-inverse-garbage", "c-inverse-missing",
+    ],
 )
 def test_cli_rejects_malformed_datum_file(tmp_path, capsys, old, new):
     text = datum_to_text(trivial_datum())

@@ -575,6 +575,8 @@ def test_state_sum_refuses_more_than_sixteen_crossings_up_front():
         ({"d_prime": kauffman_datum().b}, "d_prime must have shape (1, 4)"),
         ({"braiding_inv": None}, "braiding and its inverse must come together"),
         ({"braiding": kauffman_datum().b}, "braiding must act on V (x) V"),
+        ({"braiding_inv": kauffman_datum().b}, "braiding_inv must act on V (x) V"),
+        ({"ring": "foo"}, "unknown ring 'foo' (expected int, rational or laurent)"),
     ],
 )
 def test_a_datum_of_the_wrong_shape_is_refused(changes, message):

@@ -17,6 +17,7 @@ from tangles.words import (
     free_product_listing,
     free_product_multiply,
     free_product_normalize,
+    free_product_totals,
     free_product_walk,
     is_alternating,
     letter_text,
@@ -269,6 +270,8 @@ def test_listing_is_the_sorted_text_of_the_enumeration_for_every_monoid_pair():
             elements = free_product_enumerate(A, B, bound)
             texts = sorted((e.alternation_length(), str(e)) for e in elements)
             assert free_product_listing(A, B, bound) == texts, (left, right, bound)
+            *_, last = free_product_totals(A, B, bound)
+            assert last == (bound, len(texts), sum(len(text) + 1 for _, text in texts)), (left, right, bound)
 
 
 def test_walk_spells_each_element_from_its_parent_in_enumeration_order():
