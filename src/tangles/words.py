@@ -302,8 +302,8 @@ def free_product_totals(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> 
     An element's text and newline are its parent's, one character (a ``*``
     or the newline) and its last letter's text; the unit, as a parent,
     brings nothing.  Letters are spelled only at weights that have
-    nonunits, and each weight's sum runs over the fewer of one side's
-    letter weights and the weights at which elements end on the other.
+    nonunits, and each weight's sum runs over one side's letter weights;
+    a side with no letters yet is skipped.
     """
     if max_weight < 0:
         return
@@ -318,31 +318,18 @@ def free_product_totals(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> 
         for side, m, mine, grown, before in sides:
             if nonunits := m._elements_by_weight(weight):
                 mine[weight] = (len(nonunits), sum(len(letter_text(side, el)) + 1 for el in nonunits))
+            elif not mine:
+                continue
             n = c = 0
-            if len(mine) <= len(before):
-                for w, (a, t) in mine.items():
-                    if parent := before.get(weight - w):
-                        n += a * parent[0]
-                        c += a * parent[1] + t * parent[0]
-            else:
-                for k, (p, q) in before.items():
-                    if letter := mine.get(weight - k):
-                        n += letter[0] * p
-                        c += letter[0] * q + letter[1] * p
+            for w, (a, t) in mine.items():
+                if parent := before.get(weight - w):
+                    n += a * parent[0]
+                    c += a * parent[1] + t * parent[0]
             if n:  # no sum reads weight itself, since every letter weighs at least 1
                 grown[weight] = (n, c)
                 count += n
                 chars += c
         yield weight, count, chars
-
-
-def free_product_count(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> int:
-    """The number of elements of A * B of total weight <= max_weight, unit
-    included, from :func:`free_product_totals`."""
-    count = 0
-    for _, count, _ in free_product_totals(A, B, max_weight):
-        pass
-    return count
 
 
 def free_product_listing(A: PointedMonoid, B: PointedMonoid, max_weight: int) -> list[tuple[int, str]]:
