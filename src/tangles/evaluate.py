@@ -539,14 +539,20 @@ def datum_to_text(datum: RigidDatum) -> str:
 
 
 def datum_from_text(text: str) -> RigidDatum:
-    """Read the format ``datum_to_text`` writes.  A malformed datum (a
-    missing field, a rank or flag that is not an integer, a bad matrix
-    entry, a wrong number of entries, rank below 1, a datum the
-    ``RigidDatum`` checks refuse) raises EvaluationError."""
+    """Read the format ``datum_to_text`` writes; blank lines are skipped.
+    A malformed datum (a missing, repeated or unknown field, a rank or
+    flag that is not an integer, a bad matrix entry, a wrong number of
+    entries, rank below 1, a datum the ``RigidDatum`` checks refuse)
+    raises EvaluationError."""
+    known = {"name", "ring", "rank", "symmetric", *(key for key, _, _, _ in _MAPS)}
     fields: dict[str, str] = {}
-    for ln in text.splitlines():
-        key, _, value = ln.partition(":")
-        fields[key.strip()] = value.strip()
+    for ln in filter(str.strip, text.splitlines()):
+        key, _, value = (part.strip() for part in ln.partition(":"))
+        if key in fields:
+            raise EvaluationError(f"datum field {key!r} given twice")
+        if key not in known:
+            raise EvaluationError(f"unknown datum field {key!r}")
+        fields[key] = value
     try:
         ring = fields["ring"]
         _check_ring(ring)

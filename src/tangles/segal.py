@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
-from .simplex import ConvexSubset, MonotoneMap, SimplexObject, all_monotone_maps, elementary_maps
+from .simplex import ConvexSubset, MonotoneMap, SimplexObject, elementary_maps
 from .unionfind import UnionFind
 from .words import PointedMonoid
 
@@ -405,9 +405,27 @@ def pieces_of(f: MonotoneMap) -> list[ConvexSubset]:
     """
     a = f.target
     cuts = [0] + list(f.values) + [a.p]
-    return [
-        ConvexSubset(cuts[i], cuts[i + 1], a) for i in range(len(cuts) - 1)
-    ]
+    return [ConvexSubset(lo, hi, a) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _first_vertex_index(C: SimplicialData, dims) -> dict[int, dict]:
+    """For each d in ``dims``, the d-simplices x by first vertex as (x, last
+    vertex, its edges), and under None the chains ((x,), last vertex, first
+    vertex and edges); each table is looked up once, each entry read once."""
+    index: dict[int, dict] = {d: {None: []} for d in dims}
+    for d, by_first in index.items():
+        first, last, *edges = [C.table(d, v) for v in [(0,), (d,), *zip(range(d), range(1, d + 1))]]
+        for x in C.levels[d]:
+            v, end, part = first[x], last[x], tuple([e[x] for e in edges])
+            by_first[None].append(((x,), end, (v, *part)))
+            by_first.setdefault(v, []).append((x, end, part))
+    return index
+
+
+def _extend(states: list, by_first: dict) -> list:
+    """Each (chain, end vertex, spine chain so far) extended by each simplex starting at its end."""
+    return [(chain + (x,), last, spine + part)
+            for chain, end, spine in states for x, last, part in by_first.get(end, ())]
 
 
 def cut_fiber_product(C: SimplicialData, f: MonotoneMap) -> list[tuple]:
@@ -421,20 +439,12 @@ def cut_fiber_product(C: SimplicialData, f: MonotoneMap) -> list[tuple]:
     a = f.target.p
     if a > C.K:
         raise SimplicialError(f"level {a} not stored (K = {C.K})")
-    index: dict[int, dict] = {}  # dimension -> first vertex (None: any) -> [(simplex, last)]
-    chains: list[tuple[tuple, Hashable]] = [((), None)]  # the first piece may start anywhere
-    for piece in pieces_of(f):
-        dim = piece.hi - piece.lo
-        if dim not in index:
-            by_first = index[dim] = {}
-            for x in C.levels[dim]:
-                pair = (x, C.vertex(dim, x, dim))
-                for first in (None, C.vertex(dim, x, 0)):
-                    by_first.setdefault(first, []).append(pair)
-        chains = [
-            (prefix + (x,), end) for prefix, at in chains for x, end in index[dim].get(at, ())
-        ]
-    return [prefix for prefix, _ in chains]
+    dims = [piece.hi - piece.lo for piece in pieces_of(f)]
+    index = _first_vertex_index(C, set(dims))
+    states = index[dims[0]][None]
+    for dim in dims[1:]:
+        states = _extend(states, index[dim])
+    return [chain for chain, _, _ in states]
 
 
 def restriction_plan(f: tuple, a0: int, outer: tuple, inner: tuple) -> tuple[tuple[int, int, tuple], ...]:
@@ -495,25 +505,30 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     faces, with every object on the way no larger than its source or its
     target, so within the bound; restriction is functorial, so the
     relation of the composite is implied by those of its factors.  Maps
-    are value tuples, and each morphism restricts its chains through one
-    :func:`restriction_plan`.
+    are value tuples.  The cut fiber product of phi: [b] -> [a] is built
+    from its prefix's, that of [b-1] -> [phi(b)], built before it: each
+    chain extended by a simplex of dimension a - phi(b), found in one
+    index of levels 0..N by first vertex.
 
     Family 1 needs no union-find.  Call the restriction of an item (a,
     phi, chain) along phi to id_[a] its spine chain: its element of the
-    cut fiber product of the identity.  A Family 1 move relates an item
-    over (a, phi o g) to its restriction over (a, phi), and restriction is
-    functorial, so both have the same spine chain.  Every item is also
-    joined to its spine chain through elementary maps of sizes at most
-    max(a, b), inside the bound of whichever run holds the item.  So the
-    Family 1 classes, bounded or not, are the spine chains, one each.
+    cut fiber product of the identity, carried as the chain grows (its
+    first vertex, each piece's edges, its last vertex).  A Family 1 move
+    relates an item over (a, phi o g) to its restriction over (a, phi),
+    and restriction is functorial, so both have the same spine chain.
+    Every item is also joined to its spine chain through elementary maps
+    of sizes at most max(a, b), inside the bound of whichever run holds
+    the item.  So the Family 1 classes, bounded or not, are the spine
+    chains, one each.
 
     Family 2 runs once per elementary f: [a1] -> [a0], with phi = f: each
     chain x of the cut fiber product of f joins (the spine chain of x, f o
     s) to (x restricted along f to the spine of [a1], s) for every anchor
-    s of a1, on the distinct pairs of spine chains.  A move with any phi1,
-    from f o phi1 over [a0] to phi1 over [a1], follows from three: Family
-    1 at a0 along phi1 (from f o phi1 to f), this move, and Family 1 at
-    a1.  A tag's class is that of (its spine chain, its anchor).
+    s of a1, on the distinct pairs of spine chains (one plan per f, its
+    tables looked up once).  A move with any phi1, from f o phi1 over [a0]
+    to phi1 over [a1], follows from three: Family 1 at a0 along phi1 (from
+    f o phi1 to f), this move, and Family 1 at a1.  A tag's class is that
+    of (its spine chain, its anchor).
 
     The moves within bound N - 1 (a0, a1 < N) run first, and the classes
     of the bound-(N-1) tags, those of the nodes over [a] with a < N, are
@@ -525,30 +540,28 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     by source size and values, then anchor, then chain) and come ordered
     by their first tag.
     """
-    simplex = [SimplexObject(a) for a in range(N + 1)]
     identity = [tuple(range(a + 1)) for a in range(N + 1)]
-    anchors = [[s.values for s in all_monotone_maps(SimplexObject(p), A)] for A in simplex]
+    anchors = [list(itertools.combinations_with_replacement(range(a + 1), p + 1)) for a in range(N + 1)]
     anchor_index = [{s: k for k, s in enumerate(maps)} for maps in anchors]
     width = len(anchors[N])  # node of (spine chain r, anchor k): r * width + k
-    chains = {(a, phi.values): cut_fiber_product(C, phi)
-              for a, A in enumerate(simplex) for B in simplex for phi in all_monotone_maps(B, A)}
-    spine: list[dict[tuple, int]] = []  # a -> spine chain over [a] -> its number
-    for a in range(N + 1):
-        spine.append({chain: i for i, chain in enumerate(chains[(a, identity[a])], sum(map(len, spine)))})
+    index = _first_vertex_index(C, range(N + 1))
+    chains: dict[tuple, list] = {}  # (a, phi) -> [(chain, end vertex, spine chain but its end)]
+    for a, b in itertools.product(range(N + 1), repeat=2):
+        for phi in itertools.combinations_with_replacement(range(a + 1), b + 1):
+            prefix = chains[(phi[-1], phi[:-1])] if b else index[phi[0]][None]
+            chains[(a, phi)] = _extend(prefix, index[a - phi[-1]])
+    number = itertools.count()  # spine[a]: spine chain over [a] -> its number, counted from [0] up
+    spine = [{chain: next(number) for chain, _, _ in chains[(a, identity[a])]} for a in range(N + 1)]
+    labels = {key: [spine[key[0]][part + (end,)] for _, end, part in items] for key, items in chains.items()}
 
-    def spines(f: tuple, a0: int, phi: tuple) -> list[int]:
-        """The spine chains over [a1] of phi's chains restricted along f:
-        [a1] -> [a0]."""
-        plan, index = restriction_plan(f, a0, phi, identity[len(f) - 1]), spine[len(f) - 1]
-        return [index[restrict_chain(C, plan, chain)] for chain in chains[(a0, phi)]]
-
-    labels = {(a, phi): spines(identity[a], a, phi) for a, phi in chains}
     uf = UnionFind()
 
     def run(sizes) -> None:
         for a1, a0 in sizes:
-            for f in (u.values for u in elementary_maps(simplex[a1], simplex[a0])):
-                pairs = set(zip(labels[(a0, f)], spines(f, a0, f)))
+            for f in (u.values for u in elementary_maps(SimplexObject(a1), SimplexObject(a0))):
+                plan = [(i, C.table(d, v)) for i, d, v in restriction_plan(f, a0, f, identity[a1])]
+                moved = [spine[a1][tuple([t[chain[i]] for i, t in plan])] for chain, _, _ in chains[(a0, f)]]
+                pairs = set(zip(labels[(a0, f)], moved))
                 for k1, s in enumerate(anchors[a1]):
                     k0 = anchor_index[a0][tuple([f[v] for v in s])]
                     for r0, r1 in pairs:
@@ -567,7 +580,7 @@ def _colimit_tags_and_classes(C: SimplicialData, p: int, N: int):
     for (a, phi), items in chains.items():
         for k, s in enumerate(anchors[a]):
             tag = (a, phi, s)
-            for r, chain in zip(labels[(a, phi)], items):
+            for r, (chain, _, _) in zip(labels[(a, phi)], items):
                 groups.setdefault(root[r * width + k], []).append((tag, chain))
     classes = list(groups.values())
     below = sum(map(len, spine[:N])) * width  # the nodes over [a] with a < N are numbered below this
@@ -584,14 +597,16 @@ def colimit_truncated(C: SimplicialData, p: int, N: int) -> TruncatedColimit:
     colimit is infinite it stays False, and that is reported honestly.
     The classes come from one forest (``_colimit_tags_and_classes``): a
     (phi, chain) item's class under the moves that keep the ambient is
-    its restriction to the spine of [a], the moves that change the
-    ambient join (spine chain, anchor) nodes once per elementary map, and
-    the bound-(N-1) classes are counted after the bounded moves and
-    before the rest.  Raises SimplicialError on a negative bound or a
-    level C does not store.
+    its restriction to the spine of [a], carried as the chain is built
+    from its prefix's, the moves that change the ambient join (spine
+    chain, anchor) nodes once per elementary map, and the bound-(N-1)
+    classes are counted after the bounded moves and before the rest.
+    Raises SimplicialError on a negative bound or a level C does not
+    store, SimplexError on a negative p.
     """
     if N < 0:
         raise SimplicialError(f"colimit bound must be >= 0, got {N}")
+    SimplexObject(p)  # refuses a negative p
     if max(p, N) > C.K:
         raise SimplicialError(f"levels up to {max(p, N)} needed, stored {C.K}")
     return TruncatedColimit(p, N, *_colimit_tags_and_classes(C, p, N))

@@ -954,10 +954,12 @@ def test_cli_datum_file_unknown_ring(tmp_path, capsys):
         ("ring: int\nrank: 1\nsymmetric: 1\nb: 1\n", "ring: rational\nrank: 1\nsymmetric: 1\nb: 1/0\n"),
         ("c: 1\nc^-1: 1\n", "c: none\nc^-1: x\n"),
         ("c: 1\nc^-1: 1\n", "c: none\n"),
+        ("b: 1\n", "b: garbage ((\nb: 1\n"),
+        ("b: 1\n", "b: 1\nfrobnicate: 1\n"),
     ],
     ids=[
         "missing-field", "rank-x", "rank-negative", "rank-zero", "flag-x", "bad-entry", "entry-count", "zero-denominator",
-        "c-inverse-garbage", "c-inverse-missing",
+        "c-inverse-garbage", "c-inverse-missing", "repeated-key", "unknown-key",
     ],
 )
 def test_cli_rejects_malformed_datum_file(tmp_path, capsys, old, new):

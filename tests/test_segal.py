@@ -317,11 +317,20 @@ def test_cut_fiber_product_indexed_by_first_vertex_matches_the_scan(K):
 
 def test_cut_fiber_product_reads_each_vertex_once_per_piece_dimension(monkeypatch):
     # the spine of [4] cuts it into four edges: the index reads the two end
-    # vertices of every edge once, where the scan read them per prefix
+    # vertices of every edge once from their operator tables, where the scan
+    # read them per prefix (through C.vertex, which reads the same tables)
     X = pushout_of_nerves(Z3, Z3, K=4)
     calls = []
-    real = X.vertex
-    monkeypatch.setattr(X, "vertex", lambda p, x, v: calls.append(p) or real(p, x, v))
+    real = X.table
+
+    class Counted(dict):
+        def __getitem__(self, x):
+            calls.append(x)
+            return dict.__getitem__(self, x)
+
+    monkeypatch.setattr(
+        X, "table", lambda m, values: Counted(real(m, values)) if len(values) == 1 else real(m, values)
+    )
     spine = MonotoneMap(SimplexObject(2), SimplexObject(4), (1, 2, 3))
     chains = cut_fiber_product(X, spine)
     assert len(calls) == 2 * len(X.levels[1])
@@ -329,6 +338,30 @@ def test_cut_fiber_product_reads_each_vertex_once_per_piece_dimension(monkeypatc
     assert _cut_fiber_product_by_scan(X, spine) == chains
     assert len(calls) > 10 * len(X.levels[1])
     assert not is_segal(X, 4)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in _PRESETS if _PRESETS[name]().K == 3))
+def test_cut_fiber_product_is_its_prefix_product_extended_by_one_simplex(name):
+    # the pieces of phi: [b] -> [a] are those of its restriction [b-1] ->
+    # [phi(b)] and [phi(b), a]; for b = 0 the prefix is the piece [0, phi(0)]
+    C = _PRESETS[name]()
+    for a in range(C.K + 1):
+        for b in range(C.K + 1):
+            for phi in all_monotone_maps(SimplexObject(b), SimplexObject(a)):
+                c, dim = phi.values[-1], a - phi.values[-1]
+                if b:
+                    restriction = MonotoneMap(SimplexObject(b - 1), SimplexObject(c), phi.values[:-1])
+                    prefix = cut_fiber_product(C, restriction)
+                    last = c - phi.values[-2]
+                else:
+                    prefix, last = [(x,) for x in C.levels[c]], c
+                extended = [
+                    chain + (x,)
+                    for chain in prefix
+                    for x in C.levels[dim]
+                    if C.vertex(dim, x, 0) == C.vertex(last, chain[-1], last)
+                ]
+                assert cut_fiber_product(C, phi) == extended, phi
 
 
 def test_vertex_and_edge_refuse_indices_outside_the_simplex():
@@ -800,6 +833,21 @@ def test_colimit_matches_the_one_forest_reference_on_small_monoid_nerves():
             for N in (0, 1, 2):
                 col = colimit_truncated(C, p, N)
                 assert (col.classes, col.stabilized) == _colimit_by_one_forest(C, p, N), (t, p, N)
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        nerve_of_interval_poset(3, K=3),
+        one_truncated("uv", [("a", "u", "v"), ("b", "v", "u"), ("c", "u", "u")], K=3),
+    ],
+    ids=["interval-poset-3", "graph-uv"],
+)
+def test_colimit_matches_the_one_forest_reference_outside_the_presets(C):
+    for p in range(4):
+        for N in range(4):
+            col = colimit_truncated(C, p, N)
+            assert (col.classes, col.stabilized) == _colimit_by_one_forest(C, p, N), (p, N)
 
 
 def _doubled_generator():
