@@ -514,8 +514,10 @@ def _entry_from_text(token: str, ring: str):
             coeffs = {}
             if inside:
                 for part in inside.split(","):
-                    e, c = part.split(":")
-                    coeffs[int(e)] = int(c)
+                    e, c = (int(x) for x in part.split(":"))
+                    if e in coeffs:
+                        raise ValueError(f"repeated exponent {e}")
+                    coeffs[e] = c
             return Laurent(coeffs)
     except (ValueError, ZeroDivisionError):
         pass

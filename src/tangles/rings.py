@@ -4,7 +4,12 @@ Laurent polynomials, plus sparse matrices over any of them.
 ``Laurent`` is the ring Z[A, A^-1], stored as a dict from exponent to
 nonzero integer coefficient.  Printing uses descending exponents with
 explicit signs and ``A^k`` syntax (``A`` for exponent 1, a bare integer
-for exponent 0), e.g. ``-A^2-A^-2``; ``parse`` accepts the same syntax.
+for exponent 0), e.g. ``-A^2-A^-2``; ``parse`` accepts the same syntax,
+with a sign between terms.  The constructor refuses an exponent or
+coefficient that is not an integer.  Each ring operation builds its
+result dict once and owns it: an int scales, a one-term operand shifts
+and scales, a sum deletes a cancelled term in place, and a longer product
+drops its zero sums in one pass.
 
 ``Matrix`` stores only nonzero entries.  Entries may be ints, Fractions or
 Laurent polynomials; ints mix freely with either of the other two.  A
@@ -38,9 +43,20 @@ class Laurent:
         clean: dict[int, int] = {}
         if coeffs:
             for exp, c in coeffs.items():
-                if c:
-                    clean[int(exp)] = int(c)
+                e, k = int(exp), int(c)
+                if e != exp or k != c:
+                    raise TypeError(f"exponent {exp!r} and coefficient {c!r} must be integers")
+                if k:
+                    clean[e] = k
         self.coeffs = clean
+
+    @staticmethod
+    def _of(coeffs: dict[int, int]) -> "Laurent":
+        """Wrap a dict this module built, with int exponents and nonzero
+        int coefficients, without checking or copying it."""
+        out = object.__new__(Laurent)
+        out.coeffs = coeffs
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -61,7 +77,7 @@ class Laurent:
         if isinstance(x, Laurent):
             return x
         if isinstance(x, int):
-            return Laurent({0: x})
+            return Laurent._of({0: x} if x else {})
         raise TypeError(f"cannot promote {x!r} to a Laurent polynomial")
 
     # -- ring structure ----------------------------------------------------
@@ -70,13 +86,17 @@ class Laurent:
         other = Laurent.promote(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Laurent(out)
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return Laurent._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Laurent({e: -c for e, c in self.coeffs.items()})
+        return Laurent._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-Laurent.promote(other))
@@ -85,13 +105,20 @@ class Laurent:
         return Laurent.promote(other) - self
 
     def __mul__(self, other):
-        other = Laurent.promote(other)
+        if isinstance(other, int):  # scale; nothing cancels unless other is 0
+            return Laurent._of({e: c * other for e, c in self.coeffs.items()} if other else {})
+        a, b = self.coeffs, Laurent.promote(other).coeffs
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:  # shift and scale a; nothing cancels
+            ((s, k),) = b.items()
+            return Laurent._of({e + s: c * k for e, c in a.items()})
         out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return Laurent(out)
+        return Laurent._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -130,7 +157,7 @@ class Laurent:
         if not self.is_unit():
             raise ArithmeticError(f"{self} is not a unit of Z[A, A^-1]")
         (exp, c), = self.coeffs.items()
-        return Laurent({-exp: c})
+        return Laurent._of({-exp: c})
 
     def divide_exact(self, divisor) -> "Laurent":
         """The Laurent polynomial q with q * divisor == self, by long division
@@ -151,11 +178,11 @@ class Laurent:
                 rest[e + k] = rest.get(e + k, 0) - c * v
                 if not rest[e + k]:
                     del rest[e + k]
-        return Laurent(quotient)
+        return Laurent._of(quotient)
 
     def substitute_inverse(self) -> "Laurent":
         """The ring involution A -> A^-1."""
-        return Laurent({-e: c for e, c in self.coeffs.items()})
+        return Laurent._of({-e: c for e, c in self.coeffs.items()})
 
     def degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
@@ -187,6 +214,8 @@ class Laurent:
 
     @staticmethod
     def parse(text: str) -> "Laurent":
+        if re.search(r"\d +\d", text):  # "A^-1 2" is no A^-12
+            raise ValueError(f"a space splits a number in {text!r}")
         s = text.replace(" ", "")
         if s in ("", "0"):
             return Laurent.zero()
@@ -194,7 +223,7 @@ class Laurent:
         pos = 0
         while pos < len(s):
             m = Laurent._TERM.match(s, pos)
-            if not m or m.end() == pos:
+            if not m or m.end() == pos or (pos and not m.group(1)):  # terms after the first need a sign
                 raise ValueError(f"cannot parse Laurent polynomial {text!r} at {pos}")
             sign, digits, var, _, exp = m.groups()
             coeff = int(digits) if digits else 1

@@ -971,6 +971,17 @@ def test_cli_rejects_malformed_datum_file(tmp_path, capsys, old, new):
     assert code == 1 and err.startswith("error: ")
 
 
+def test_cli_rejects_a_repeated_exponent_in_a_kauffman_datum_entry(tmp_path, capsys):
+    golden = (Path(__file__).parent / "golden" / "kauffman.datum").read_text()
+    path = tmp_path / "golden.datum"
+    path.write_text(golden)
+    assert run(capsys, "eval", "--datum", str(path), "trefoil")[0] == 0
+    assert "\nc: {-1:1} " in golden
+    path.write_text(golden.replace("\nc: {-1:1} ", "\nc: {-1:5,-1:1} "))
+    code, out, err = run(capsys, "eval", "--datum", str(path), "trefoil")
+    assert code == 1 and out == "" and err.startswith("error: bad laurent value '{-1:5,-1:1}'")
+
+
 def test_cli_rejects_unreadable_files(tmp_path, capsys):
     binary = tmp_path / "binary"
     binary.write_bytes(b"\xff\xfe\x00")

@@ -69,6 +69,74 @@ def test_parse_roundtrip():
         Laurent.parse("A^^2")
 
 
+def test_laurent_refuses_input_it_would_truncate():
+    for coeffs in ({0: Fraction(1, 2)}, {1: 2.7}, {0.5: 1}, {"1": 1}, {1: "2"}):
+        with pytest.raises(TypeError):
+            Laurent(coeffs)
+    with pytest.raises(TypeError):
+        Laurent.monomial(1, Fraction(1, 3))
+    assert Laurent({2.0: Fraction(6, 2)}) == Laurent({2: 3})
+
+
+def test_parse_needs_a_sign_between_terms():
+    for text in ("AA", "A2", "2A3", "A^2A", "A^-1 2"):
+        with pytest.raises(ValueError):
+            Laurent.parse(text)
+    assert Laurent.parse("+2A-3") == Laurent({1: 2, 0: -3})
+
+
+def _dict_of(x):
+    return dict(x.coeffs) if isinstance(x, Laurent) else ({0: x} if x else {})
+
+
+def _reference(op, x, y):
+    """x op y over plain dicts: every pair of terms, then the zeros dropped."""
+    a, b = _dict_of(x), _dict_of(y)
+    if op == "*":
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    else:
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + (c if op == "+" else -c)
+    return {e: c for e, c in out.items() if c}
+
+
+def test_operators_match_the_plain_dict_reference_and_own_their_results():
+    rng = random.Random(32)
+    ops = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
+    for _ in range(300):
+        x = rand_laurent(rng)
+        others = [
+            rand_laurent(rng),
+            -x,
+            x,
+            Laurent.monomial(rng.randrange(-5, 6), rng.choice((-3, -1, 1, 2))),
+            0, 1, -1, rng.randrange(-9, 10),
+        ]
+        for y in others:
+            for left, right in ((x, y), (y, x)):
+                before = _dict_of(left), _dict_of(right)
+                for op, f in ops.items():
+                    z = f(left, right)
+                    assert isinstance(z, Laurent)
+                    assert z.coeffs == _reference(op, left, right), (left, op, right)
+                    assert all(type(e) is int and type(c) is int and c for e, c in z.coeffs.items())
+                    z.coeffs[99] = 1  # a result owns its dict
+                    assert (_dict_of(left), _dict_of(right)) == before
+    for x in (Laurent.zero(), A, Laurent({2: 3, -1: -2})):
+        before = dict(x.coeffs)
+        for y in (-x, x.substitute_inverse(), x * 1, 1 * x, x + 0):
+            y.coeffs[99] = 1
+        assert x.coeffs == before
+        assert (x + (-x)).coeffs == {} and (x - x).coeffs == {}
+        assert (x * 0).coeffs == {} and (0 * x).coeffs == {}
+    assert (A - A ** -1) * (A + A ** -1) == Laurent({2: 1, -2: -1})
+    assert (A + A ** -1) * (A - A ** -1) * 3 == Laurent({2: 3, -2: -3})
+
+
 def test_units():
     assert Laurent.monomial(5, -1).is_unit()
     assert not Laurent({1: 2}).is_unit()
