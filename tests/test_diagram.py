@@ -28,7 +28,7 @@ from tangles.diagram import (
     validate,
     writhe,
 )
-from tangles.evaluate import bracket_state_sum, loop_value
+from tangles.evaluate import bracket, loop_value
 from tangles.generate import (
     iter_closed_diagrams,
     iter_diagrams,
@@ -579,7 +579,7 @@ def assert_segments_match_the_strand_graph(diagrams):
         assert trace_components(d) == reference, to_text(d)
         assert component_framings(d) == reference_framings(reference)
         if not (d.source or d.target) and d.num_events:
-            assert bracket_state_sum(d) == reference_bracket_state_sum(d), to_text(d)
+            assert bracket(d) == reference_bracket_state_sum(d), to_text(d)
             closed += 1
         count += 1
     return count, closed

@@ -25,7 +25,6 @@ from tangles.diagram import (
 from tangles.evaluate import (
     EVALUATE_LIMIT,
     PRESETS,
-    STATE_SUM_LIMIT,
     EvaluationError,
     RigidDatum,
     bracket,
@@ -154,21 +153,35 @@ def test_bracket_needs_a_strand():
         bracket_state_sum(Diagram.identity(()))
 
 
-def test_bracket_reads_one_evaluation(monkeypatch):
-    for d in itertools.islice(iter_closed_diagrams(6, 3), 150):
-        assert bracket(d) == bracket_state_sum(d)
+def evaluate_over_delta(d):
+    """The bracket's oracle: the closed evaluation under the Kauffman datum
+    divided by the loop value."""
+    return Laurent.promote(evaluate(d, kauffman_datum()).scalar()).divide_exact(DELTA)
+
+
+def test_bracket_is_the_transfer_and_equals_evaluate_over_delta(monkeypatch):
+    for d in iter_closed_diagrams(6, 3):
+        assert bracket(d) == evaluate_over_delta(d)
     with pytest.raises(EvaluationError, match="closed diagram"):
         bracket(Diagram.identity((0,)))
     with pytest.raises(EvaluationError, match="no strands"):
         bracket(Diagram.identity(()))
-    # jones_normalized reads the same bracket, not the 2^c state sum
+    # jones_normalized reads the same bracket, not an evaluation
     module = sys.modules["tangles.evaluate"]
-    monkeypatch.setattr(module, "bracket_state_sum", lambda d: pytest.fail("state sum ran"))
+    monkeypatch.setattr(module, "evaluate", lambda d, datum: pytest.fail("evaluate ran"))
     assert jones_normalized(trefoil(True)) == kink_factor(-3) * bracket(trefoil(True))
 
 
+def test_bracket_equals_evaluate_over_delta_on_torus_knots_and_trefoil_stacks():
+    for n in range(1, 42, 2):
+        assert bracket(torus(n)) == evaluate_over_delta(torus(n)), n
+    for k in range(1, 5):
+        assert bracket(stack(k)) == evaluate_over_delta(stack(k)), k
+    assert bracket(stack(4)) == DELTA**3 * bracket(trefoil(True)) ** 4
+
+
 def state_sum_jones(d):
-    """The writhe-normalized bracket read from the state-sum oracle."""
+    """The writhe-normalized bracket read from the Temperley-Lieb transfer."""
     return kink_factor(-writhe(d)) * bracket_state_sum(d)
 
 
@@ -559,13 +572,30 @@ def test_evaluate_refuses_a_wide_group_before_contracting():
     assert time.perf_counter() - start < 0.1
 
 
-def test_state_sum_refuses_more_than_sixteen_crossings_up_front():
-    assert STATE_SUM_LIMIT == 2**16
+def linked_chain_bracket(m):
+    """The bracket of ``linked_chain(m)`` without an engine.  The chain is a
+    connected sum of m-1 Hopf links with m kinks, and the bracket multiplies
+    over a connected sum: each clasp gives -A^4 - A^-4 and each kink -A^3,
+    so the product is -A^(4-m) (1 + A^8)^(m-1)."""
+    return Laurent.monomial(4 - m, -1) * Laurent({0: 1, 8: 1}) ** (m - 1)
+
+
+def test_bracket_of_a_linked_chain_is_its_closed_form():
+    for m in range(1, 14):
+        assert bracket(to_diagram(parse_expr(linked_chain(m)), BRAIDED)) == linked_chain_bracket(m), m
+
+
+def test_state_sum_refuses_a_group_past_the_catalan_limit_up_front():
+    # the crossings are not limited: T(2,17) has 17
+    assert bracket_state_sum(torus(17)) == evaluate_over_delta(torus(17))
+    # 26 strands hold Catalan(13) = 742,900 matchings, within EVALUATE_LIMIT
+    at_limit = to_diagram(parse_expr(linked_chain(13)), BRAIDED)
+    assert bracket_state_sum(at_limit) == linked_chain_bracket(13)
+    past = to_diagram(parse_expr(linked_chain(14)), BRAIDED)  # Catalan(14) = 2,674,440
     start = time.perf_counter()
-    with pytest.raises(EvaluationError, match=r"2\^17 smoothings exceed"):
-        bracket_state_sum(torus(17))
+    with pytest.raises(EvaluationError, match="2674440 matchings of 28 strands exceed 1048576"):
+        bracket_state_sum(past)
     assert time.perf_counter() - start < 0.1
-    assert bracket(torus(17)) != Laurent.zero()  # one evaluation has no such limit
 
 
 @pytest.mark.parametrize(

@@ -219,6 +219,27 @@ def test_divide_exact_rejects():
         (A * 2).divide_exact(Laurent({1: 2, 0: 1}))  # leading coefficient 2
 
 
+def test_differences_build_no_negation(monkeypatch):
+    rng = random.Random(33)
+    scalars = (lambda: rand_laurent(rng), lambda: Fraction(rng.randrange(-4, 5), 3))
+
+    def entries(scalar):  # ints mix with either ring
+        return {(i, j): rng.choice((scalar(), 2, -1)) for i in range(3) for j in range(2) if rng.random() < 0.7}
+
+    pairs = [(Matrix(3, 2, entries(f)), Matrix(3, 2, entries(f))) for f in scalars for _ in range(25)]
+    negated = [(m, m + Matrix(3, 2, {k: -v for k, v in n.entries.items()}), n) for m, n in pairs]
+    laurents = [(x, -x) for x in (rand_laurent(rng) for _ in range(50))]
+    monkeypatch.setattr(Matrix, "__neg__", lambda m: pytest.fail("a negated matrix was built"))
+    monkeypatch.setattr(Laurent, "__neg__", lambda x: pytest.fail("a negated polynomial was built"))
+    for x, minus_x in laurents:
+        assert 1 - x == minus_x + 1 and x - A == x + (-1) * A and x - x == 0
+    for m, expected, n in negated:
+        assert m - n == expected
+        assert (m - m).entries == {}
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Matrix(3, 2) - Matrix(2, 3)
+
+
 def test_matrix_equality_compares_shapes_and_stored_entries():
     # no matrix stores a zero, and a constant Laurent entry equals its int
     constants = Matrix.from_rows([[Laurent({0: 2}), Laurent.zero()], [0, Laurent({0: -1})]])
