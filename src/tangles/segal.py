@@ -638,7 +638,9 @@ def _nerve_face(multiply: Callable, p: int, i: int, x: tuple) -> tuple:
 
 
 def _nerve_maps(M: PointedMonoid) -> tuple[Callable, Callable]:
-    """The face and degeneracy of M's nerve; s_i inserts the unit at i."""
+    """The face and degeneracy (s_i inserts the unit) of M's nerve; M graded past weight 1 is refused."""
+    if len(list(M.graded(2))) > 1:
+        raise SimplicialError(f"{M.name}: a nerve needs a finite monoid, and its grading goes past weight 1")
     return (
         lambda p, i, x: _nerve_face(M.multiply, p, i, x),
         lambda p, i, x: x[:i] + (M.unit,) + x[i:],
@@ -647,15 +649,16 @@ def _nerve_maps(M: PointedMonoid) -> tuple[Callable, Callable]:
 
 def nerve_of_monoid(M: PointedMonoid, K: int = 3) -> SimplicialData:
     """The nerve of a finite monoid: level p is the set of p-tuples."""
-    elements = M.elements(1)
+    maps, elements = _nerve_maps(M), M.elements(1)
     levels = [tuple(itertools.product(elements, repeat=p)) for p in range(K + 1)]
-    return _from_maps(levels, *_nerve_maps(M))
+    return _from_maps(levels, *maps)
 
 
 def pushout_of_nerves(A: PointedMonoid, B: PointedMonoid, K: int = 3) -> SimplicialData:
     """Levelwise pushout of the nerves of A and B over the point: tuples
     from one factor at each level, with the all-units tuples identified."""
     nerves = {"L": A, "R": B}
+    maps = {side: _nerve_maps(monoid) for side, monoid in nerves.items()}
 
     def tagged(side: str, tup: tuple) -> tuple:
         return ("U", len(tup)) if all(map(nerves[side].is_unit, tup)) else (side, tup)
@@ -670,8 +673,6 @@ def pushout_of_nerves(A: PointedMonoid, B: PointedMonoid, K: int = 3) -> Simplic
         )
         for p in range(K + 1)
     ]
-
-    maps = {side: _nerve_maps(monoid) for side, monoid in nerves.items()}
 
     def lifted(k: int) -> Callable:  # k = 0: the face, 1: the degeneracy
         def mapped(p: int, i: int, x):  # the all-units tuple is read in A's nerve

@@ -1,5 +1,5 @@
-"""Disjoint sets over hashable items, shared by strand tracing, the
-bracket state sum and the Segal congruence closures."""
+"""Disjoint sets over hashable items, shared by strand tracing
+(``diagram.trace_components``), ``segal._close_words`` and the colimit."""
 
 from __future__ import annotations
 

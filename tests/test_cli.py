@@ -742,7 +742,7 @@ def _star_listing_by_objects(left, right, bound):
 
 def test_cli_star_enum_matches_the_object_listing_for_every_monoid_pair(capsys):
     from tangles.cli import _MONOIDS
-    from tangles.words import free_product_totals
+    from tangles.words import LEFT, RIGHT, free_product_totals
 
     for left, right in itertools.product(sorted(_MONOIDS), repeat=2):
         top = 8 if "free" in left + right else 10
@@ -751,7 +751,8 @@ def test_cli_star_enum_matches_the_object_listing_for_every_monoid_pair(capsys):
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, "")
             assert out == _star_listing_by_objects(left, right, bound), (left, right, bound)
-            *_, (_, count, _) = free_product_totals(_MONOIDS[left](), _MONOIDS[right](), bound)
+            spelled = {LEFT: [], RIGHT: []}
+            *_, (_, count, _) = free_product_totals(_MONOIDS[left](), _MONOIDS[right](), bound, spelled)
             assert out.startswith(f"total: {count}\n"), (left, right, bound)
 
 

@@ -194,6 +194,17 @@ def test_nerve_is_segal():
     assert is_segal(n, 2) and is_segal(n, 3)
 
 
+def test_a_nerve_refuses_a_monoid_with_nonunits_past_weight_1():
+    def unlisted(max_weight):
+        raise AssertionError("a level was built")
+
+    free = PointedMonoid.free("x")
+    free.elements = unlisted
+    for build, args in ((nerve_of_monoid, (free,)), (pushout_of_nerves, (Z2, free)), (pushout_of_nerves, (free, Z2))):
+        with pytest.raises(SimplicialError, match="F\\(x\\): a nerve needs a finite monoid"):
+            build(*args)
+
+
 def test_pushout_not_segal():
     p = pushout_of_nerves(Z2, Z2, K=2)
     # 2-level has 7 elements but there are 9 composable pairs

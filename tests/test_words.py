@@ -104,6 +104,22 @@ def test_monoid_validation():
         PointedMonoid.from_table("bad-assoc", [[0, 1, 2], [1, 2, 1], [2, 1, 1]])
 
 
+@pytest.mark.parametrize(
+    "table, unit",
+    [([[0, 1], [1, 7]], 0), ([[0, 1], [1, -1]], 0), ([[0, 1.0], [1.0, 0]], 0), ([[0, 1], [1, 1]], 5), ([], 0)],
+    ids=["entry-past-n", "negative-entry", "float-entry", "unit-past-n", "empty-table"],
+)
+def test_from_table_refuses_an_element_outside_the_table(table, unit):
+    with pytest.raises(MonoidError, match=r"must be an int in range\("):
+        PointedMonoid.from_table("bad", table, unit=unit)
+
+
+def test_free_refuses_a_repeated_letter():
+    with pytest.raises(MonoidError, match="repeated"):
+        PointedMonoid.free("xx")
+    assert PointedMonoid.free("xy").nonunits(2) == [("x",), ("y",)] + list(itertools.product("xy", repeat=2))
+
+
 def test_alternation_enforced():
     with pytest.raises(MonoidError):
         el((LEFT, ("x",)), (LEFT, ("x",)))
@@ -232,7 +248,7 @@ def _enumerate_by_recursion(A, B, max_weight):
                 continue
             monoid = A if side == LEFT else B
             for w in range(1, remaining + 1):
-                for el in monoid._elements_by_weight(w):
+                for el in dict(monoid.graded(w)).get(w, []):
                     element = prefix + ((side, el),)
                     found.append(FreeProductElement(element))
                     extend(element, remaining - w, side)
@@ -270,14 +286,16 @@ def test_listing_is_the_sorted_text_of_the_enumeration_for_every_monoid_pair():
             elements = free_product_enumerate(A, B, bound)
             texts = sorted((e.alternation_length(), str(e)) for e in elements)
             assert free_product_listing(A, B, bound) == texts, (left, right, bound)
-            *_, last = free_product_totals(A, B, bound)
+            *_, last = free_product_totals(A, B, bound, {LEFT: [], RIGHT: []})
             assert last == (bound, len(texts), sum(len(text) + 1 for _, text in texts)), (left, right, bound)
 
 
 def test_walk_spells_each_element_from_its_parent_in_enumeration_order():
     A, B = PointedMonoid.cyclic(3), PointedMonoid.free("x")
     elements = free_product_enumerate(A, B, 6)
-    walk = list(free_product_walk(A, B, 6, lambda side, el: [(side, el)], ["|"]))
+    spelled = {side: [(w, [(side, el)]) for w, nonunits in m.graded(6) for el in nonunits]
+               for side, m in ((LEFT, A), (RIGHT, B))}
+    walk = list(free_product_walk(spelled, 6, ["|"]))
     assert len(walk) == len(elements) - 1
     for (length, spelling), e in zip(walk, elements[1:]):
         expected = []
@@ -288,6 +306,51 @@ def test_walk_spells_each_element_from_its_parent_in_enumeration_order():
 
 def test_walk_refuses_a_negative_bound():
     with pytest.raises(MonoidError, match="got -1"):
-        list(free_product_walk(PointedMonoid.cyclic(2), PointedMonoid.cyclic(2), -1, letter_text))
+        list(free_product_walk({side: [(1, letter_text(side, 1))] for side in (LEFT, RIGHT)}, -1))
     with pytest.raises(MonoidError, match="got -1"):
         free_product_listing(PointedMonoid.cyclic(2), PointedMonoid.cyclic(2), -1)
+
+
+@pytest.mark.parametrize("left, right, count", [("z4", "trivial", 4), ("trivial", "trivial", 1)])
+def test_a_product_of_table_monoids_is_counted_and_listed_to_a_bound_of_ten_million_at_once(left, right, count):
+    import time
+
+    from tangles.cli import _MONOIDS
+
+    A, B = _MONOIDS[left](), _MONOIDS[right]()
+    start = time.perf_counter()
+    *_, last = free_product_totals(A, B, 10**7, {LEFT: [], RIGHT: []})
+    listing = free_product_listing(A, B, 10**7)
+    assert time.perf_counter() - start < 3
+    assert len(listing) == count
+    assert last == (10**7, count, sum(len(text) + 1 for _, text in listing))
+
+
+def test_a_listing_reads_each_grading_once_and_spells_each_letter_once(monkeypatch):
+    from tangles import words
+
+    reads, spelled = [], []
+
+    def counted(monoid):
+        def grading():
+            reads.append(monoid.name)
+            return monoid.grading()
+
+        return PointedMonoid(monoid.name, monoid.unit, monoid.multiply, grading)
+
+    def text(side, el):
+        spelled.append((side, el))
+        return letter_text(side, el)
+
+    monkeypatch.setattr(words, "letter_text", text)
+    for A, B, bound, letters in [
+        (PointedMonoid.cyclic(4), PointedMonoid.cyclic(3), 5, 3 + 2),
+        (PointedMonoid.cyclic(2), PointedMonoid.free("xy"), 4, 1 + 2 + 4 + 8 + 16),
+    ]:
+        A, B = counted(A), counted(B)
+        reads.clear()
+        spelled.clear()
+        listing = free_product_listing(A, B, bound)
+        assert sorted(reads) == sorted([A.name, B.name])
+        assert len(spelled) == len(set(spelled)) == letters
+        assert listing == sorted((e.alternation_length(), str(e)) for e in free_product_enumerate(A, B, bound))
