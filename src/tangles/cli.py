@@ -125,8 +125,11 @@ class Par(Expr):
 
 
 # Every non-space character starts a token; a character that starts no
-# other token is one on its own, which the tokenizer refuses.
-_TOKEN = re.compile(r"unknot|trefoil|hopf|unlink|cup|cap|x\+|x-|id|-?\d+|[();,|\[\]]|\S")
+# other token is one on its own, which the tokenizer refuses.  Marks and
+# integers are tried first, since nine tokens in ten are one or the other;
+# besides \S, at most one alternative matches at any character, so the
+# order changes no token.
+_TOKEN = re.compile(r"[();,|\[\]]|-?\d+|c(?:up|ap)|x[+-]|id|unknot|trefoil|hopf|unlink|\S")
 _NAMES = frozenset(("unknot", "trefoil", "hopf", "unlink"))
 _PUNCT = frozenset("();,|[]")
 _SHAPES = dict.fromkeys(("cup", "cap"), ("(", int, ")"))  # what follows a generator

@@ -87,20 +87,24 @@ class EventKind(enum.Enum):
 _CUP, _CAP, _XPOS, _XNEG = EventKind  # per-event kind tests, with no enum lookup
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
-    """A single elementary happening at a position of a slice."""
+    """A single elementary happening at a position of a slice.  Construction
+    checks the position and the label count, then sets each slot once."""
 
     kind: EventKind
     position: int
     labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.position < 0:
-            raise DiagramError(f"negative event position {self.position}")
-        need = 1 if self.kind in (_CUP, _CAP) else 2
-        if len(self.labels) != need:
-            raise DiagramError(f"{self.kind.value} event needs {need} label(s)")
+    def __init__(self, kind: EventKind, position: int, labels: tuple[int, ...]) -> None:
+        if position < 0:
+            raise DiagramError(f"negative event position {position}")
+        need = 1 if kind is _CUP or kind is _CAP else 2
+        if len(labels) != need:
+            raise DiagramError(f"{kind.value} event needs {need} label(s)")
+        _set_kind(self, kind)
+        _set_position(self, position)
+        _set_labels(self, labels)
 
     @property
     def arity_in(self) -> int:
@@ -148,6 +152,10 @@ class Event:
         return f"{self.kind.value}@{self.position}({inside})"
 
 
+# a frozen value sets its slots through their descriptors, not object.__setattr__
+_set_kind, _set_position, _set_labels = Event.kind.__set__, Event.position.__set__, Event.labels.__set__
+
+
 def cup(k: int, at: int = 0) -> Event:
     return Event(EventKind.CUP, at, (k,))
 
@@ -164,21 +172,24 @@ def cross_neg(a: int, b: int, at: int = 0) -> Event:
     return Event(EventKind.XNEG, at, (a, b))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Slice:
     """One horizontal layer: an input word and in-order disjoint events.
-    Construction types the slice by one walk, ``layout``, and keeps the
-    output word; strand connectivity is position arithmetic
-    (``strand_segments``)."""
+    Construction sets each slot once (a tuple argument is kept as it is),
+    types the slice by one walk, ``layout``, and keeps the output word;
+    strand connectivity is position arithmetic (``strand_segments``)."""
 
     input: ObjectWord
     events: tuple[Event, ...] = ()
     _output: ObjectWord = field(init=False, repr=False, compare=False)
 
+    def __init__(self, input: Sequence[int], events: Iterable[Event] = ()) -> None:
+        _set_input(self, input if type(input) is tuple else tuple(input))
+        _set_events(self, events if type(events) is tuple else tuple(events))
+        self.__post_init__()
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input", tuple(self.input))
-        object.__setattr__(self, "events", tuple(self.events))
-        object.__setattr__(self, "_output", self.layout())  # typing errors raise here
+        _set_output(self, self.layout())  # typing errors raise here
 
     def layout(self) -> ObjectWord:
         """The output word.  Positions are nondecreasing, and cups may tie
@@ -217,6 +228,9 @@ class Slice:
 
     def __str__(self) -> str:
         return "slice: " + " ".join(str(e) for e in self.events)
+
+
+_set_input, _set_events, _set_output = Slice.input.__set__, Slice.events.__set__, Slice._output.__set__
 
 
 @dataclass(frozen=True)

@@ -312,11 +312,17 @@ def free_product_totals(
                 texts = [letter_text(side, el) for el in nonunits]
                 spelled[side] += ((weight, text) for text in texts)
                 mine[weight] = (len(texts), sum(map(len, texts)) + len(texts))
-            n = c = 0
-            for w, (a, t) in mine.items():
-                if parent := before.get(weight - w):
-                    n += a * parent[0]
-                    c += a * parent[1] + t * parent[0]
+            n = c = 0  # over the letter weights, or the parent weights if they are fewer
+            if len(mine) <= len(before):
+                for w, (a, t) in mine.items():
+                    if parent := before.get(weight - w):
+                        n += a * parent[0]
+                        c += a * parent[1] + t * parent[0]
+            else:
+                for w, (p, q) in before.items():
+                    if letter := mine.get(weight - w):
+                        n += letter[0] * p
+                        c += letter[0] * q + letter[1] * p
             if n:  # no sum reads weight itself, since every letter weighs at least 1
                 grown[weight] = (n, c)
                 count += n

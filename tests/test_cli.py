@@ -302,6 +302,9 @@ def test_parser_matches_the_reference_on_mutated_expressions():
         if len(text) > 300:  # long chains: a prefix, which is itself a truncation
             text = text[: rng.randrange(300)]
         text = mutated(rng, text)
+        tokens, reference = parsed(cli._tokenize, text), parsed(reference_tokenize, text)
+        if isinstance(tokens, list) and isinstance(reference, list):  # the token order is pinned too
+            assert tokens == [value for _, value, _ in reference], repr(text)
         got = parsed(parse_expr, text)
         assert got == parsed(lambda t: flattened(ReferenceParser(t).parse()), text), repr(text)
         outcomes[isinstance(got, tuple)] += 1

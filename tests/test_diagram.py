@@ -156,10 +156,15 @@ def test_slice_frozen_and_compared_by_input_and_events():
     object.__setattr__(t, "_output", ())  # a stale cache must not matter
     assert s == t and hash(s) == hash(t)
     assert "_output" not in repr(s)
-    assert not hasattr(s, "__dict__")
-    for name in ("input", "events", "_output"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(s, name, ())
+    from_lists = Slice([0], [cup(0, at=1)])  # other sequences are stored as tuples
+    assert from_lists.input == (0,) and from_lists.events == (cup(0, at=1),)
+    assert from_lists == s and hash(from_lists) == hash(s) and repr(from_lists) == repr(s)
+    e = cup(0, at=1)
+    for value, names in [(s, ("input", "events", "_output")), (e, ("kind", "position", "labels"))]:
+        assert not hasattr(value, "__dict__")
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, ())
 
 
 def test_diagram_hash_is_cached_and_agrees_with_equality():
@@ -637,6 +642,7 @@ def test_each_builtin_is_built_once():
         (lambda: Event(EventKind.CUP, -1, (0,)), "negative event position -1"),
         (lambda: Event(EventKind.CAP, 0, (0, 1)), "cap event needs 1 label(s)"),
         (lambda: Event(EventKind.XPOS, 0, (0,)), "x+ event needs 2 label(s)"),
+        pytest.param(lambda: dataclasses.replace(cup(0), kind=EventKind.XPOS), "x+ event needs 2 label(s)", id="replace"),
         (lambda: from_text("source: 0\ncap@0(0)\n"), "expected a 'slice:' line, got 'cap@0(0)'"),
         (lambda: from_text("source:\nslice: cop@0(0)\n"), "unknown event kind 'cop' in 'cop@0(0)'"),
         (lambda: from_text("source:\nslice: cup@x(0)\n"), "cannot parse event 'cup@x(0)'"),

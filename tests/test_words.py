@@ -326,6 +326,22 @@ def test_a_product_of_table_monoids_is_counted_and_listed_to_a_bound_of_ten_mill
     assert last == (10**7, count, sum(len(text) + 1 for _, text in listing))
 
 
+def test_a_count_over_a_free_factor_is_linear_in_the_bound():
+    import operator
+    import time
+
+    # the free monoid on one letter, each element its length: free("x") with
+    # short letter texts (free("x") itself spells 5w characters at weight w)
+    lengths = PointedMonoid("N", 0, operator.add, lambda: ([w] for w in itertools.count(1)))
+    trivial = PointedMonoid.trivial()
+    counts = [(w, n) for w, n, _ in free_product_totals(PointedMonoid.free("x"), trivial, 50, {LEFT: [], RIGHT: []})]
+    assert counts == [(w, n) for w, n, _ in free_product_totals(lengths, trivial, 50, {LEFT: [], RIGHT: []})]
+    start = time.perf_counter()
+    *_, last = free_product_totals(lengths, trivial, 20000, {LEFT: [], RIGHT: []})
+    assert time.perf_counter() - start < 3  # a sum over every letter weight read takes 2 * 10^8 steps
+    assert last == (20000, 20001, 2 + sum(len(letter_text(LEFT, w)) + 1 for w in range(1, 20001)))
+
+
 def test_a_listing_reads_each_grading_once_and_spells_each_letter_once(monkeypatch):
     from tangles import words
 
